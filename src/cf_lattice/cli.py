@@ -129,6 +129,8 @@ def _cmd_lattice(args) -> int:
     if args.rows is None:
         raise _fail(EXIT_PARSE, f"lattice {args.action} requires --rows")
     rows = _parse_rows(args.rows)
+    if any(len(r) != lat.rank for r in rows):
+        raise _fail(EXIT_PARSE, f"--rows: every row must have length {lat.rank}, the rank")
     sub = span_sublattice(lat, rows)
     if args.action == "complement":
         try:

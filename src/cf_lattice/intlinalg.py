@@ -7,7 +7,7 @@ list-of-list matrices and never mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 Matrix = list[list[int]]
 
@@ -254,22 +254,33 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
 
 
 def rational_inverse(a) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix, exact Fractions."""
+    """Inverse of a square nonsingular matrix of ints or Fractions, exact Fractions.
+
+    Fraction-free: the entries are cleared to integers by one common
+    denominator s, and Bareiss Gauss-Jordan elimination runs on [s*A | I],
+    every division by the previous pivot exact. It ends with pivot p on every
+    diagonal entry of the left block and p * (s*A)^-1 in the right block.
+    Raises ValueError if the matrix is singular.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    s = lcm(*(x.denominator for row in a for x in row))
+    m = [[int(x * s) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
             raise ValueError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        pivot_row = m[col]
+        p = pivot_row[col]
         for i in range(n):
-            if i != col and m[i][col]:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+            if i != col:
+                row = m[i]
+                c = row[col]
+                m[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return [[Fraction(x * s, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 def solve_rational(a, b) -> list[Fraction] | None:

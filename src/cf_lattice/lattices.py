@@ -83,6 +83,8 @@ class Sublattice:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(len(row) != self.ambient.rank for row in self.basis):
+            raise ValueError("sublattice basis rows must have the ambient rank as length")
         if intlinalg.rank(list(self.basis)) != len(self.basis):
             raise ValueError("sublattice basis rows must be linearly independent")
 
@@ -304,6 +306,9 @@ def orthogonal_complement(lat: Lattice, sub: Sublattice) -> Sublattice:
     """{x in L : x.s = 0 for all s in S}, canonical HNF basis, primitive in L."""
     if lat.is_degenerate():
         raise DegenerateLatticeError("complement requires a nondegenerate ambient lattice")
+    if not sub.basis:
+        # kernel() of a matrix with no rows cannot see its column count
+        return Sublattice(lat, tuple(tuple(r) for r in intlinalg.identity(lat.rank)))
     bg = intlinalg.mat_mul([list(r) for r in sub.basis], [list(r) for r in lat.gram])
     ker = kernel(bg)
     return Sublattice(lat, tuple(tuple(r) for r in ker))
@@ -311,6 +316,8 @@ def orthogonal_complement(lat: Lattice, sub: Sublattice) -> Sublattice:
 
 def saturation(lat: Lattice, sub: Sublattice) -> Sublattice:
     """Primitive closure QS intersect L; idempotent, finite index over S."""
+    if not sub.basis:
+        return sub  # kernel() of no rows is [], which would read as full rank below
     ker = kernel([list(r) for r in sub.basis])
     if not ker:
         sat_basis = hnf(intlinalg.identity(lat.rank))

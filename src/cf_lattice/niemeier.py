@@ -24,7 +24,7 @@ from .lattices import (
 from .roots import (
     RootSystemLabel,
     ade_coxeter_number,
-    identify_root_system,
+    root_components,
     roots,
 )
 
@@ -103,13 +103,13 @@ def overlattice(lat: Lattice, glue: GlueGroup) -> GluedLattice:
     h = intlinalg.hnf(int_rows)
     if len(h) != n:
         raise GlueError("glue vectors do not preserve the rank (bug)")
-    new_in_old = [[Fraction(x, den) for x in row] for row in h]
-    gram_frac = intlinalg.mat_mul(intlinalg.mat_mul(new_in_old, g),
-                                  intlinalg.transpose(new_in_old))
-    if any(x.denominator != 1 for row in gram_frac for x in row):
+    # the new basis is h / den, so its Gram matrix is h G h^T / den^2
+    scaled_gram = intlinalg.mat_mul(intlinalg.mat_mul(h, g), intlinalg.transpose(h))
+    den_sq = den * den
+    if any(x % den_sq for row in scaled_gram for x in row):
         raise GlueError("resulting pairings are not integral: glue is not a subgroup"
                         " of the discriminant form")
-    new_gram = tuple(tuple(int(x) for x in row) for row in gram_frac)
+    new_gram = tuple(tuple(x // den_sq for x in row) for row in scaled_gram)
     result = Lattice(new_gram, name=(lat.name or "L") + " glued")
     if not result.is_even():
         raise GlueError("resulting lattice is odd: glue vector not isotropic mod 2Z")
@@ -119,11 +119,11 @@ def overlattice(lat: Lattice, glue: GlueGroup) -> GluedLattice:
     index = isqrt(index_sq)
     if index * index != index_sq or new_det * index_sq != old_det:
         raise ArithmeticError("overlattice index is not integral (bug)")
-    b_inv = intlinalg.rational_inverse(new_in_old)
-    old_in_new = tuple(tuple(int(b_inv[i][j]) for j in range(n)) for i in range(n))
+    h_inv = intlinalg.rational_inverse(h)
+    old_in_new = tuple(tuple(int(h_inv[i][j] * den) for j in range(n)) for i in range(n))
     return GluedLattice(
         lattice=result,
-        new_in_old=tuple(tuple(row) for row in new_in_old),
+        new_in_old=tuple(tuple(Fraction(x, den) for x in row) for row in h),
         old_in_new=old_in_new,
         glue_order=index,
     )
@@ -286,11 +286,11 @@ def embed_e6(lat: Lattice) -> Sublattice:
     the returned basis consists of six simple roots, so the induced Gram is
     the E6 Cartan matrix exactly.
     """
-    all_roots = roots(lat)
-    label = identify_root_system(lat, all_roots)
-    if not any(f == "E" for f, _ in label.components):
+    halves = next((vectors for (family, _), vectors in root_components(lat, roots(lat))
+                   if family == "E"), None)
+    if halves is None:
         raise ValueError("root system of the input has no E_r component")
-    component_roots = _component_of_family(lat, all_roots, "E")
+    component_roots = [u for v in halves for u in (v, tuple(-x for x in v))]
     g = [list(r) for r in lat.gram]
     paired = {v: intlinalg.mat_vec(g, list(v)) for v in component_roots}
     target = standard_lattice("E6").gram
@@ -311,41 +311,3 @@ def embed_e6(lat: Lattice) -> Sublattice:
     if not extend(0):
         raise RuntimeError("no E6 subsystem found (bug: component census said E_r)")
     return Sublattice(lat, tuple(chosen))
-
-
-def _component_of_family(lat: Lattice, all_roots, family: str):
-    """Roots of the first irreducible component of the given family (canonical order)."""
-    halves = {}
-    for v in all_roots:
-        first = next((x for x in v if x), 0)
-        canon = v if first > 0 else tuple(-x for x in v)
-        halves[canon] = None
-    halves = list(halves)
-    g = [list(r) for r in lat.gram]
-    gv = [intlinalg.mat_vec(g, list(v)) for v in halves]
-    m = len(halves)
-    visited = [False] * m
-    for start in range(m):
-        if visited[start]:
-            continue
-        queue = [start]
-        visited[start] = True
-        comp = [start]
-        while queue:
-            cur = queue.pop()
-            w = gv[cur]
-            for other in range(m):
-                if not visited[other] and sum(a * b for a, b in zip(halves[other], w)):
-                    visited[other] = True
-                    queue.append(other)
-                    comp.append(other)
-        vectors = [halves[i] for i in comp]
-        rk = intlinalg.rank([list(v) for v in vectors])
-        count = 2 * len(comp)
-        if family == "E" and rk in (6, 7, 8) and count == {6: 72, 7: 126, 8: 240}[rk]:
-            out = []
-            for v in sorted(vectors):
-                out.append(v)
-                out.append(tuple(-x for x in v))
-            return out
-    raise ValueError(f"no component of family {family} found")

@@ -453,37 +453,7 @@ class E8Dictionary:
 def e8_dictionary() -> E8Dictionary:
     e8 = standard_lattice("E8")
     e6 = embed_e6(e8)
-    g6 = [list(r) for r in e6.induced_gram()]
-    g6_inv = intlinalg.rational_inverse(g6)
-    g = [list(r) for r in e8.gram]
-    basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6.basis]
-    in_e6 = []
-    orthogonal = []
-    mixed_by_line: dict = {}
-    for root in roots(e8):
-        pair = [sum(a * b for a, b in zip(bp, root)) for bp in basis_pairings]
-        if not any(pair):
-            orthogonal.append(root)
-            continue
-        coeffs = intlinalg.mat_vec(g6_inv, pair)
-        inside = [sum(Fraction(coeffs[i]) * e6.basis[i][j] for i in range(6))
-                  for j in range(8)]
-        proj = [Fraction(r) - x for r, x in zip(root, inside)]
-        if not any(proj):
-            in_e6.append(root)
-            continue
-        den = 1
-        for x in proj:
-            den = den * x.denominator // gcd(den, x.denominator)
-        w = [int(x * den) for x in proj]
-        gg = 0
-        for x in w:
-            gg = gcd(gg, x)
-        w = tuple(x // gg for x in w)
-        first = next(x for x in w if x)
-        if first < 0:
-            w = tuple(-x for x in w)
-        mixed_by_line.setdefault(w, []).append(root)
+    in_e6, orthogonal, mixed_by_line = _split_roots_by_e6(e8, e6)
     return E8Dictionary(
         lattice=e8,
         e6=e6,
@@ -492,6 +462,43 @@ def e8_dictionary() -> E8Dictionary:
         mixed_lines=tuple(sorted(mixed_by_line)),
         mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()},
     )
+
+
+def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice):
+    """Split the roots of lat into (in E6, orthogonal to E6, mixed by line).
+
+    A mixed root has a nonzero projection to the orthogonal complement of the
+    E6 span; `mixed_by_line` maps the primitive vector on the line of that
+    projection (first nonzero coordinate positive) to its roots, in order of
+    first appearance. The projection is computed in integers, scaled by
+    det(G6) > 0: det(G6) * r - (adj(G6) * pairings) . basis, with
+    adj(G6) = det(G6) * G6^-1; a positive scale leaves the line unchanged.
+    """
+    g6 = [list(r) for r in e6sub.induced_gram()]
+    det6 = intlinalg.det(g6)
+    adj6 = [[int(x * det6) for x in row] for row in intlinalg.rational_inverse(g6)]
+    g = [list(r) for r in lat.gram]
+    basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
+    in_e6 = []
+    orthogonal = []
+    mixed_by_line: dict = {}
+    for root in roots(lat):
+        pair = [sum(a * b for a, b in zip(bp, root)) for bp in basis_pairings]
+        if not any(pair):
+            orthogonal.append(root)
+            continue
+        coeffs = intlinalg.mat_vec(adj6, pair)
+        proj = [det6 * r - sum(c * row[j] for c, row in zip(coeffs, e6sub.basis))
+                for j, r in enumerate(root)]
+        if not any(proj):
+            in_e6.append(root)
+            continue
+        gg = gcd(*proj)
+        first = next(x for x in proj if x)
+        if first < 0:
+            gg = -gg
+        mixed_by_line.setdefault(tuple(x // gg for x in proj), []).append(root)
+    return in_e6, orthogonal, mixed_by_line
 
 
 _DICTIONARY_CITATION = ("degree-2 hyperplanes correspond to roots spanning an E7 "
@@ -559,34 +566,7 @@ def intersection_codimension_check() -> VerificationReport:
 
 def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice) -> int:
     """Rank of the complement projections of roots whose span with E6 saturates to E7."""
-    g = [list(r) for r in lat.gram]
-    g6 = [list(r) for r in e6sub.induced_gram()]
-    g6_inv = intlinalg.rational_inverse(g6)
-    basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
-    n = lat.rank
-    lines: dict = {}
-    for root in roots(lat):
-        pair = [sum(a * b for a, b in zip(bp, root)) for bp in basis_pairings]
-        if not any(pair):
-            continue
-        coeffs = intlinalg.mat_vec(g6_inv, pair)
-        inside = [sum(Fraction(coeffs[i]) * e6sub.basis[i][j] for i in range(6))
-                  for j in range(n)]
-        proj = [Fraction(r) - x for r, x in zip(root, inside)]
-        if not any(proj):
-            continue
-        den = 1
-        for x in proj:
-            den = den * x.denominator // gcd(den, x.denominator)
-        w = [int(x * den) for x in proj]
-        gg = 0
-        for x in w:
-            gg = gcd(gg, x)
-        w = tuple(x // gg for x in w)
-        first = next(x for x in w if x)
-        if first < 0:
-            w = tuple(-x for x in w)
-        lines.setdefault(w, None)
+    _, _, lines = _split_roots_by_e6(lat, e6sub)
     qualifying = []
     for w in lines:
         rows = [list(r) for r in e6sub.basis] + [list(w)]

@@ -1,8 +1,10 @@
 """Short-vector enumeration, root-system identification, reflections.
 
-Enumeration is Fincke-Pohst over an exact rational LDL^T decomposition;
-definite lattices only. Output order is canonical (sign fixed by first
-nonzero coordinate, then lexicographic) so results are reproducible.
+Enumeration is Fincke-Pohst in integers: one exact rational LDL^T
+decomposition is scaled once to integer centres, weights and budget, and the
+search itself touches ints only; definite lattices only. Output order is
+canonical (sign fixed by first nonzero coordinate, then lexicographic) so
+results are reproducible.
 """
 from __future__ import annotations
 
@@ -10,9 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt, lcm
+from operator import mul
 
 from . import intlinalg
-from .intlinalg import floor_sqrt_fraction, rational_inverse
+from .intlinalg import rational_inverse
 from .lattices import (
     Lattice,
     Vector,
@@ -142,12 +146,25 @@ def _ldl(gram):
 
 
 def _enumerate_norm(gram, target: int):
-    """All x (up to sign: last nonzero coordinate positive) with x^T G x = target."""
+    """All x (up to sign: last nonzero coordinate positive) with x^T G x = target.
+
+    Fincke-Pohst in integers. With c_i = sum_{j>i} mu_ij x_j, row i of mu is
+    scaled by den_i (the lcm of its denominators) to integers m_ij, and every
+    d_i / den_i^2 by one global s to an integer weight w_i, so that
+    s * d_i (x_i + c_i)^2 = w_i (den_i x_i + C_i)^2 with C_i = sum_j m_ij x_j.
+    The budget is target * s; each x_i runs over the exact integer interval
+    |den_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
+    """
     n = len(gram)
     if n == 0:
         return []
     d, mu = _ldl(gram)
-    target = Fraction(target)
+    dens = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    rows = [[(j, int(mu[i][j] * dens[i])) for j in range(i + 1, n) if mu[i][j]]
+            for i in range(n)]
+    scaled = [d[i] / (dens[i] * dens[i]) for i in range(n)]
+    s = lcm(*(e.denominator for e in scaled))
+    weights = [int(e * s) for e in scaled]
     results = []
     x = [0] * n
 
@@ -156,23 +173,20 @@ def _enumerate_norm(gram, target: int):
             if budget == 0 and not zeros_so_far:
                 results.append(tuple(x))
             return
-        c = sum(mu[i][j] * x[j] for j in range(i + 1, n))
-        r = floor_sqrt_fraction(budget / d[i]) + 1
-        lo_f = -c - r
-        lo = int(lo_f) if lo_f.denominator == 1 else int(lo_f) - (1 if lo_f < 0 else 0)
-        hi_f = -c + r
-        hi = int(hi_f)
+        c = sum(m * x[j] for j, m in rows[i])
+        w, den = weights[i], dens[i]
+        r = isqrt(budget // w)
+        lo = -((c + r) // den)
+        hi = (r - c) // den
         if zeros_so_far and lo < 0:
             lo = 0
         for xi in range(lo, hi + 1):
-            spent = d[i] * (xi + c) ** 2
-            if spent > budget:
-                continue
+            t = den * xi + c
             x[i] = xi
-            descend(i - 1, budget - spent, zeros_so_far and xi == 0)
+            descend(i - 1, budget - w * t * t, zeros_so_far and xi == 0)
         x[i] = 0
 
-    descend(n - 1, target, True)
+    descend(n - 1, target * s, True)
     return results
 
 
@@ -215,53 +229,53 @@ def identify_root_system(lat: Lattice, root_list) -> RootSystemLabel:
     for v in root_list:
         if lat.norm(v) != 2:
             raise ValueError("input contains a vector of norm != 2")
-    # work with one representative per +-pair; negation never changes components
-    halves = {}
-    for v in root_list:
-        canon, _ = _canonical_key(v)
-        halves[canon] = None
-    halves = list(halves)
+    return RootSystemLabel(tuple(sorted(label for label, _ in root_components(lat, root_list))))
+
+
+def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list[Vector]]]:
+    """The irreducible components of a root system, as (label, sorted halves).
+
+    One representative is kept per +-pair (first nonzero coordinate
+    positive); negation never changes components. Components are the
+    connected parts of the nonzero-pairing graph, listed in the order of
+    their first representative; each carries its (family, rank) label and its
+    representatives in sorted order. A component outside the A-D-E census is
+    an error.
+    """
+    halves = list(dict.fromkeys(_canonical_key(v)[0] for v in root_list))
     g = [list(r) for r in lat.gram]
     gv = [intlinalg.mat_vec(g, list(v)) for v in halves]
-    m = len(halves)
-    visited = [False] * m
+    remaining = list(range(len(halves)))
     comps = []
-    for start in range(m):
-        if visited[start]:
-            continue
-        queue = [start]
-        visited[start] = True
-        comp = []
+    while remaining:
+        comp = [remaining[0]]
+        queue = [remaining[0]]
+        remaining = remaining[1:]
         while queue:
-            cur = queue.pop()
-            comp.append(cur)
-            w = gv[cur]
-            for other in range(m):
-                if not visited[other]:
-                    if sum(a * b for a, b in zip(halves[other], w)):
-                        visited[other] = True
-                        queue.append(other)
-        comps.append(comp)
-    labels = []
-    for comp in comps:
-        vectors = [list(halves[i]) for i in comp]
-        rk = intlinalg.rank(vectors)
-        count = 2 * len(comp)
-        family = None
-        for fam in ("A", "D", "E"):
-            try:
-                expected = ade_root_count(fam, rk)
-            except KeyError:
-                continue
-            if fam == "D" and rk < 4:
-                continue
-            if expected == count:
-                family = fam
-                break
-        if family is None:
-            raise ValueError(f"component of rank {rk} with {count} roots is not A-D-E")
-        labels.append((family, rk))
-    return RootSystemLabel(tuple(sorted(labels)))
+            w = gv[queue.pop()]
+            unreached = []
+            for other in remaining:
+                if sum(map(mul, halves[other], w)):
+                    comp.append(other)
+                    queue.append(other)
+                else:
+                    unreached.append(other)
+            remaining = unreached
+        vectors = sorted(halves[i] for i in comp)
+        comps.append((_ade_label(vectors), vectors))
+    return comps
+
+
+def _ade_label(halves) -> tuple[str, int]:
+    """(family, rank) of an irreducible root system given by one root per +-pair."""
+    rk = intlinalg.rank([list(v) for v in halves])
+    count = 2 * len(halves)
+    for fam in ("A", "D", "E"):
+        if fam == "D" and rk < 4 or fam == "E" and rk not in (6, 7, 8):
+            continue
+        if ade_root_count(fam, rk) == count:
+            return fam, rk
+    raise ValueError(f"component of rank {rk} with {count} roots is not A-D-E")
 
 
 def reflection(lat: Lattice, delta: Vector) -> Isometry:

@@ -75,6 +75,28 @@ def test_lattice_complement_and_saturate(tmp_path, capsys):
     assert json.loads(out)["basis"] == [[1, 0]]
 
 
+def test_lattice_zero_rows(tmp_path, capsys):
+    path = write_lattice(tmp_path, "A2")
+    code, out, _ = run(capsys, ["--output", "json", "lattice", "saturate", path,
+                                "--rows", "[[0, 0]]"])
+    assert code == 0
+    assert json.loads(out)["basis"] == []
+    code, out, _ = run(capsys, ["--output", "json", "lattice", "complement", path,
+                                "--rows", "[[0, 0]]"])
+    assert code == 0
+    assert json.loads(out)["basis"] == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("action", ["complement", "saturate"])
+@pytest.mark.parametrize("rows", ["[[1, 0, 0]]", "[[1]]", "[[1, 0], [1]]"])
+def test_lattice_rows_of_wrong_length_exit_2(tmp_path, capsys, action, rows):
+    path = write_lattice(tmp_path, "A2")
+    code, out, err = run_exit(capsys, ["lattice", action, path, "--rows", rows])
+    assert code == 2
+    assert out == ""
+    assert "length 2" in err
+
+
 def test_lattice_rows_required(tmp_path, capsys):
     path = write_lattice(tmp_path, "U")
     code, _, _ = run_exit(capsys, ["lattice", "saturate", path])

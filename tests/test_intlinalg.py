@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import (
@@ -151,6 +153,36 @@ def test_rational_inverse_and_solve():
         assert x is not None
         assert intlinalg.mat_vec([[Fraction(v) for v in row] for row in a], x) == \
             [Fraction(v) for v in b]
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        a[-1] = [x + y for x, y in zip(a[0], a[1 % (n - 1)])]  # a singular matrix
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_square_matrices())
+def test_rational_inverse_matches_sympy(a):
+    """Differential oracle: sympy's Matrix.inv, or ValueError exactly when det A = 0."""
+    n = len(a)
+    m = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            rational_inverse(a)
+        return
+    inv = rational_inverse(a)
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+    expected = m.inv()
+    assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in inv] == \
+        expected.tolist()
 
 
 def test_solve_rational_inconsistent():

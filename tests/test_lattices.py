@@ -6,6 +6,7 @@ import pytest
 from cf_lattice import (
     DegenerateLatticeError,
     Lattice,
+    Sublattice,
     direct_sum,
     discriminant_data,
     discriminant_group,
@@ -106,6 +107,22 @@ def test_saturation_examples():
     # idempotence
     again = saturation(u, sat)
     assert again.basis == sat.basis
+
+
+def test_zero_sublattice_saturation_and_complement():
+    a2 = standard_lattice("A2")
+    zero = span_sublattice(a2, [(0, 0)])
+    assert zero.basis == ()
+    assert saturation(a2, zero).basis == ()
+    assert orthogonal_complement(a2, zero).basis == ((1, 0), (0, 1))
+
+
+def test_sublattice_rows_must_have_ambient_length():
+    a2 = standard_lattice("A2")
+    with pytest.raises(ValueError, match="ambient rank"):
+        Sublattice(a2, ((1, 0, 0),))
+    with pytest.raises(ValueError, match="ambient rank"):
+        span_sublattice(a2, [(1, 0, 0)])
 
 
 def test_saturation_of_primitive_is_identity():

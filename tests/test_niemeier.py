@@ -19,7 +19,7 @@ from cf_lattice.niemeier import (
     niemeier_table,
     overlattice,
 )
-from cf_lattice.roots import identify_root_system, roots
+from cf_lattice.roots import _enumerate_norm, identify_root_system, roots
 
 
 def test_table_has_24_entries_with_census_invariant():
@@ -113,6 +113,18 @@ def test_construct_niemeier_invariants(name, glue_order, root_count):
     rts = roots(lat)
     assert len(rts) == root_count
     assert identify_root_system(lat, rts) == entry.root_system
+
+
+def test_theta_series_identity_for_d16_e8():
+    """The theta series of an even unimodular rank-24 lattice lies in the weight-12
+    modular forms <E12, Delta>, which forces N4 = 196560 - 24 N2 (Conway-Sloane,
+    SPLAG ch. 16): a check of the enumerator that does not depend on the glue."""
+    entry = next(e for e in niemeier_table() if str(e.root_system) == "D16+E8")
+    lat = construct_niemeier(entry).lattice
+    n2 = len(roots(lat))
+    n4 = 2 * len(_enumerate_norm(lat.gram, 4))  # uncached: N4 is 179280 vectors
+    assert n2 == 720
+    assert n4 == 196560 - 24 * n2 == 179280
 
 
 def test_construct_niemeier_rejects_non_e_entries():

@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 
 from cf_lattice import (
+    Lattice,
     direct_sum,
     orthogonal_complement,
     span_sublattice,
     standard_lattice,
 )
+from cf_lattice import intlinalg
 from cf_lattice.intlinalg import floor_sqrt_fraction, rational_inverse
 from cf_lattice.roots import (
     Isometry,
@@ -107,6 +109,35 @@ def test_short_vectors_contract():
         short_vectors(standard_lattice("U"), 2)
     with pytest.raises(ValueError):
         short_vectors(lat, 0)
+
+
+def _random_unimodular(rng, n):
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+@pytest.mark.parametrize("lat", [standard_lattice("E7"),
+                                 direct_sum(standard_lattice("D5"), standard_lattice("A2"))],
+                         ids=["E7", "D5+A2"])
+def test_short_vectors_invariant_under_change_of_basis(lat):
+    """In the basis U B (U unimodular) the Gram is U G U^T and y maps back to y U."""
+    rng = random.Random(23)
+    n = lat.rank
+    g = [list(r) for r in lat.gram]
+    for _ in range(3):
+        u = _random_unimodular(rng, n)
+        assert abs(intlinalg.det(u)) == 1
+        skewed = Lattice(tuple(tuple(r) for r in intlinalg.mat_mul(
+            intlinalg.mat_mul(u, g), intlinalg.transpose(u))))
+        for norm in (2, 4):
+            back = {tuple(intlinalg.mat_vec(intlinalg.transpose(u), list(y)))
+                    for y in short_vectors(skewed, norm)}
+            assert back == set(short_vectors(lat, norm))
 
 
 def test_identify_root_system_basics():
