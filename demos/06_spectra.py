@@ -1,7 +1,8 @@
 """Singularity spectra and the interval dichotomy.
 
 Quasihomogeneous spectra come from an exact generating-function expansion;
-cusp spectra are shipped data validated against their invariants. The
+cusp spectra come from their closed form, validated against their
+invariants. The
 dichotomy that matters downstream: du Val spectra stay strictly inside
 (0,1), the simple elliptic ones touch both endpoints of [0,1], and two
 suspensions shift everything into [1,2].
@@ -38,7 +39,7 @@ for entry in sample:
     print(f"  {entry.name:18s} min = {sp.minimum()} max = {sp.maximum()} "
           f"inside [1,2]: {interval_check(sp, 1, 2)}")
 
-print("\ncusp spectra are data with validated invariants:")
+print("\ncusp spectra from the closed form {0, 1} + {j/m : m in p, q, r}:")
 for p, q, r in ((2, 3, 7), (3, 3, 4), (2, 4, 5)):
     sp = cusp_spectrum(p, q, r)
     print(f"  T({p},{q},{r}): mu = {len(sp)}, entries = "

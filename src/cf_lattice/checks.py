@@ -2,13 +2,12 @@
 
 Each check is (id, citation, runner); runners are pure and return a
 VerificationReport. New checks are one-line registrations. The suite runs
-checks sequentially or in a thread pool; reports always come back sorted by
-check id, so both modes produce identical output.
+the checks one after another in check-id order, so the shared cached stages
+are built once.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import period, plethysm, spectra
@@ -22,8 +21,6 @@ from .roots import roots
 class SuiteConfig:
     checks: tuple[str, ...] = ("all",)
     search_bound: int = 6
-    output: str = "text"
-    parallel: bool = False
 
 
 def _check_model_build(config: SuiteConfig) -> VerificationReport:
@@ -214,7 +211,7 @@ def _check_spectra_catalog(config: SuiteConfig) -> VerificationReport:
     cusp_ok = True
     cusp_count = 0
     for p, q, r in [(2, 3, 7), (2, 3, 8), (2, 4, 5), (3, 3, 4), (2, 3, 9), (3, 3, 5)]:
-        sp = spectra.cusp_spectrum(p, q, r)  # validated on load
+        sp = spectra.cusp_spectrum(p, q, r)  # validated as it is built
         doubled = spectra.suspend(sp, 2)
         cusp_ok = cusp_ok and spectra.interval_check(doubled, 1, 2)
         cusp_count += 1
@@ -277,10 +274,4 @@ def run_check(check_id: str, config: SuiteConfig | None = None) -> VerificationR
 
 def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
     config = config or SuiteConfig()
-    ids = resolve_check_ids(config.checks)
-    if config.parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(ids) or 1)) as pool:
-            reports = list(pool.map(lambda c: run_check(c, config), ids))
-    else:
-        reports = [run_check(c, config) for c in ids]
-    return sorted(reports, key=lambda r: r.check)
+    return [run_check(c, config) for c in resolve_check_ids(config.checks)]

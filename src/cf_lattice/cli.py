@@ -30,8 +30,15 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-class PreconditionError(Exception):
-    pass
+def _non_negative_int(text: str) -> int:
+    """argparse type: a decimal integer >= 0 (anything else exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_lattice(path: str) -> Lattice:
@@ -227,10 +234,8 @@ def _cmd_spectra(args) -> int:
     # cusp
     try:
         sp = spectra.cusp_spectrum(args.p, args.q, args.r)
-    except spectra.CuspRangeError as exc:
+    except ValueError as exc:  # parameters below 2, or a CuspRangeError
         raise _fail(EXIT_PRECONDITION, str(exc))
-    except KeyError as exc:
-        raise _fail(EXIT_PRECONDITION, str(exc.args[0]))
     if args.suspend:
         sp = spectra.suspend(sp, args.suspend)
     _emit({"cusp": [args.p, args.q, args.r], "milnor_number": len(sp),
@@ -243,8 +248,7 @@ def _cmd_verify(args) -> int:
         requested = checks.resolve_check_ids(tuple(args.checks) or ("all",))
     except KeyError as exc:
         raise _fail(EXIT_PARSE, str(exc.args[0]))
-    config = checks.SuiteConfig(checks=requested, search_bound=args.search_bound,
-                                output=args.output, parallel=args.parallel)
+    config = checks.SuiteConfig(checks=requested, search_bound=args.search_bound)
     reports = checks.run_suite(config)
     failures = 0
     if args.output == "json":
@@ -273,12 +277,9 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     supp = argparse.SUPPRESS
     p.add_argument("--output", choices=("text", "json"),
                    default="text" if defaults else supp)
-    p.add_argument("--search-bound", type=int,
+    p.add_argument("--search-bound", type=_non_negative_int,
                    default=6 if defaults else supp,
                    help="coefficient bound for witness searches (default 6)")
-    p.add_argument("--parallel", action="store_true",
-                   default=False if defaults else supp,
-                   help="run independent verification checks concurrently")
     return p
 
 
@@ -323,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp_list.set_defaults(func=_cmd_spectra)
     sp_show = spec_sub.add_parser("show", parents=[common])
     sp_show.add_argument("name")
-    sp_show.add_argument("--suspend", type=int, default=0)
+    sp_show.add_argument("--suspend", type=_non_negative_int, default=0)
     sp_show.set_defaults(func=_cmd_spectra)
     sp_cusp = spec_sub.add_parser("cusp", parents=[common])
     sp_cusp.add_argument("p", type=int)
     sp_cusp.add_argument("q", type=int)
     sp_cusp.add_argument("r", type=int)
-    sp_cusp.add_argument("--suspend", type=int, default=0)
+    sp_cusp.add_argument("--suspend", type=_non_negative_int, default=0)
     sp_cusp.set_defaults(func=_cmd_spectra)
 
     p_ver = add_parser("verify", help="run the named verification checks")

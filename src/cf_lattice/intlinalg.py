@@ -12,21 +12,6 @@ from math import isqrt, lcm
 Matrix = list[list[int]]
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -50,19 +35,19 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def hnf(rows) -> Matrix:
-    """Row-style Hermite normal form of the row space.
+def _echelon(rows) -> tuple[Matrix, list[tuple[int, int]]]:
+    """Row echelon form over Z by gcd row operations; zero rows stay at the bottom.
 
-    Returns the nonzero rows: pivots positive, entries above each pivot
-    reduced into [0, pivot). Canonical for the row span over Z.
+    Returns a new matrix and its (row, column) pivots in increasing order;
+    every pivot is positive and everything below it is zero.
     """
     m = [list(r) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_rows = []
+    ncols = len(m[0]) if m else 0
+    pivots = []
     row = 0
     for col in range(ncols):
+        if row == len(m):
+            break
         # find a row at or below `row` with a nonzero entry in this column
         piv = None
         for i in range(row, len(m)):
@@ -83,19 +68,27 @@ def hnf(rows) -> Matrix:
                 m[i] = [x - q * y for x, y in zip(m[i], m[row])]
         if m[row][col] < 0:
             m[row] = [-x for x in m[row]]
-        pivot_rows.append((row, col))
+        pivots.append((row, col))
         row += 1
-        if row == len(m):
-            break
+    return m, pivots
+
+
+def hnf(rows) -> Matrix:
+    """Row-style Hermite normal form of the row space.
+
+    Returns the nonzero rows: pivots positive, entries above each pivot
+    reduced into [0, pivot). Canonical for the row span over Z.
+    """
+    m, pivots = _echelon(rows)
     # reduce entries above each pivot, in increasing pivot order: pivot rows
     # have zeros at all earlier pivot columns, so no step re-breaks a column
-    for r, c in pivot_rows:
+    for r, c in pivots:
         p = m[r][c]
         for i in range(r):
             q = m[i][c] // p
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-    return [m[r] for r, _ in pivot_rows]
+    return [m[r] for r, _ in pivots]
 
 
 def kernel(rows) -> Matrix:
@@ -106,41 +99,9 @@ def kernel(rows) -> Matrix:
     # Row-reduce [M^T | I]; rows whose M^T-part vanishes record kernel vectors.
     aug = [[m[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
            for j in range(ncols)]
-    reduced = _hnf_full(aug)
+    reduced, _ = _echelon(aug)
     ker = [r[nrows:] for r in reduced if not any(r[:nrows])]
     return hnf(ker)
-
-
-def _hnf_full(m: Matrix) -> Matrix:
-    """Row HNF keeping zero rows (helpers needs the trailing records)."""
-    m = [list(r) for r in m]
-    if not m:
-        return m
-    ncols = len(m[0])
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, len(m)):
-            while m[i][col]:
-                a, b = m[row][col], m[i][col]
-                if abs(b) < abs(a) or a == 0:
-                    m[row], m[i] = m[i], m[row]
-                    continue
-                q = b // a
-                m[i] = [x - q * y for x, y in zip(m[i], m[row])]
-        if m[row][col] < 0:
-            m[row] = [-x for x in m[row]]
-        row += 1
-        if row == len(m):
-            break
-    return m
 
 
 def det(a) -> int:
@@ -371,53 +332,3 @@ def floor_sqrt_fraction(f: Fraction) -> int:
     while r * r > f:
         r -= 1
     return r
-
-
-def lll_reduce(basis, gram=None, delta: Fraction = Fraction(3, 4)) -> Matrix:
-    """LLL-reduce the rows of `basis` w.r.t. a positive definite form.
-
-    `gram` is the ambient Gram matrix (Euclidean if None). Exact arithmetic
-    throughout; the input rows must be linearly independent.
-    """
-    b = [list(r) for r in basis]
-    n = len(b)
-    if n == 0:
-        return b
-    dim = len(b[0])
-    if gram is None:
-        gram = identity(dim)
-
-    def ip(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(dim) for j in range(dim))
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar_sq = [Fraction(0)] * n
-        bstar = [[Fraction(x) for x in b[0]]]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = Fraction(ip(b[i], bstar[j])) / bstar_sq[j] if bstar_sq[j] else Fraction(0)
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            if i < len(bstar):
-                bstar[i] = v
-            else:
-                bstar.append(v)
-            bstar_sq[i] = sum(v[k] * gram[k][l] * v[l] for k in range(dim) for l in range(dim))
-        return mu, bstar_sq
-
-    mu, bstar_sq = gso()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, bstar_sq = gso()
-        if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bstar_sq = gso()
-            k = max(k - 1, 1)
-    return b

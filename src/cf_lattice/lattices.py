@@ -104,12 +104,6 @@ class Sublattice:
     def is_degenerate(self) -> bool:
         return intlinalg.det(self.induced_gram()) == 0
 
-    def to_ambient(self, coeffs: Vector) -> Vector:
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient length does not match sublattice rank")
-        n = self.ambient.rank
-        return tuple(sum(c * row[j] for c, row in zip(coeffs, self.basis)) for j in range(n))
-
     def from_ambient(self, v: Vector) -> Vector:
         """Coordinates of an ambient vector in this basis; error if not in the span."""
         sol = intlinalg.solve_rational(intlinalg.transpose(list(self.basis)), list(v))
@@ -292,10 +286,6 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
     return Lattice(tuple(tuple(r) for r in g), name=name)
 
 
-def inner_product(lat: Lattice, x: Vector, y: Vector) -> int:
-    return lat.inner(x, y)
-
-
 def span_sublattice(lat: Lattice, vectors) -> Sublattice:
     """Sublattice generated by integer vectors, with canonical HNF basis."""
     basis = hnf([list(v) for v in vectors])
@@ -476,13 +466,6 @@ def vector_divisibility(lat: Lattice, v: Vector) -> int:
         raise ValueError("divisibility of the zero vector is undefined")
     pairings = intlinalg.mat_vec([list(r) for r in lat.gram], list(v))
     return gcd(*pairings) if len(pairings) > 1 else abs(pairings[0])
-
-
-def is_primitive(v: Vector) -> bool:
-    nz = [x for x in v if x]
-    if not nz:
-        return False
-    return gcd(*nz) == 1 if len(nz) > 1 else abs(nz[0]) == 1
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -40,12 +40,6 @@ class GlueGroup:
     ambient: FiniteQuadraticForm
     generators: tuple[tuple[Fraction, ...], ...]
 
-    def order_bound(self) -> int:
-        o = 1
-        for _ in self.generators:
-            o *= self.ambient.order
-        return o
-
 
 @dataclass(frozen=True)
 class NiemeierEntry:

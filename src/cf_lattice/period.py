@@ -112,8 +112,7 @@ def classify_hyperplane(model: PeriodModel, v: Vector) -> HyperplaneClass:
     h = model.polarization
     if ambient.inner(v, h) != 0:
         raise ValueError("vector is not orthogonal to the polarization")
-    nz = [x for x in v if x]
-    if not nz or (gcd(*nz) if len(nz) > 1 else abs(nz[0])) != 1:
+    if gcd(*v) != 1:
         raise ValueError("vector must be primitive and nonzero")
     m = saturation(ambient, span_sublattice(ambient, [h, v]))
     d = intlinalg.det(m.induced_gram())
@@ -181,9 +180,7 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
         v = tuple(a - t * b for a, b in zip(vec, h))
         if not any(v):
             return
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         v = tuple(x // g for x in v)
         # saturated determinant without the full saturation: the index of
         # span(h, v) in its saturation is the gcd of the 2x2 minors
@@ -209,15 +206,15 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
 
     for radius in range(1, search_bound + 1):
         coeff_range = [c for c in range(-radius, radius + 1) if c]
+        # v and -v classify identically: draw the first coefficient positive
+        leading = range(1, radius + 1)
         for size in range(1, 5):
             for positions in combinations(range(n), size):
                 gh_loc = [gh[p] for p in positions]
                 dg_loc = [diag[p] for p in positions]
-                for cs in product(coeff_range, repeat=size):
+                for cs in product(leading, *[coeff_range] * (size - 1)):
                     if max(abs(c) for c in cs) != radius:
                         continue  # enumerated at a smaller radius already
-                    if cs[0] < 0:
-                        continue  # v and -v classify identically
                     t = sum(c * w for c, w in zip(cs, gh_loc))
                     s = sum(c * c * w for c, w in zip(cs, dg_loc))
                     d = 3 * s - t * t

@@ -38,17 +38,6 @@ class CharacterPoly:
     def dimension(self) -> int:
         return sum(c for _, c in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_genuine(self) -> bool:
-        """True when this is a non-negative integer combination of irreducibles."""
-        try:
-            decompose(self)
-            return True
-        except VirtualCharacterError:
-            return False
-
     def is_weyl_symmetric(self) -> bool:
         d = self.as_dict()
         if self.group == SL2:
@@ -329,11 +318,17 @@ class ParseError(ValueError):
         self.position = position + 1
 
 
+# Deepest Sym^k(...) nesting the parser accepts. The parser recurses once per
+# level, so without a bound a deep input ends in a RecursionError.
+MAX_NESTING = 32
+
+
 class _Parser:
     def __init__(self, text: str, group: str):
         self.text = text
         self.group = group
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -380,7 +375,11 @@ class _Parser:
             self.expect("^")
             k = self.integer()
             self.expect("(")
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"Sym^k(...) nested deeper than {MAX_NESTING}", self.pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return sym_power(inner, k)
         if self.text.startswith("Gamma", self.pos):

@@ -1,7 +1,6 @@
 """Verification reports: named checks with expected/actual values and witnesses."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,9 +32,6 @@ class VerificationReport:
     paper_ref: str = ""
     elapsed_ms: int = 0
 
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -46,9 +42,6 @@ class VerificationReport:
             "paper_ref": self.paper_ref,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def make_report(check: str, expected, actual, *, witnesses=(), citation: str = "",

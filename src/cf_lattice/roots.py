@@ -47,10 +47,6 @@ class RootSystemLabel:
     components: tuple[tuple[str, int], ...]
 
     @staticmethod
-    def of(*components: tuple[str, int]) -> "RootSystemLabel":
-        return RootSystemLabel(tuple(sorted(components)))
-
-    @staticmethod
     def parse(text: str) -> "RootSystemLabel":
         comps = []
         text = text.strip()

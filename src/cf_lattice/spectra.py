@@ -3,8 +3,9 @@
 The spectrum of a weighted-homogeneous singularity with weights w_i (degree
 normalized to 1) is read off from the exact expansion of
 prod_i (t^{w_i} - t) / (1 - t^{w_i}); the exponent multiset of the resulting
-polynomial is {alpha + 1}. Suspension shifts every entry by 1/2. Cusp
-spectra are shipped as curated data and validated against their invariants.
+polynomial is {alpha + 1}. Suspension shifts every entry by 1/2. The
+hyperbolic T_{p,q,r} cusps are not quasihomogeneous; their spectra come from
+a closed form and are validated against their invariants.
 """
 from __future__ import annotations
 
@@ -163,40 +164,48 @@ def surface_catalog() -> tuple[CatalogEntry, ...]:
     return tuple(out)
 
 
+# Bound on the Milnor number p + q + r - 1 of a cusp, so that no input can ask
+# for an unbounded spectrum.
+MAX_CUSP_MILNOR = 10_000
+
+
 class CuspRangeError(ValueError):
-    """Parameters outside 1/p + 1/q + 1/r < 1."""
+    """Parameters outside 1/p + 1/q + 1/r < 1, or past MAX_CUSP_MILNOR."""
 
 
 def cusp_spectrum(p: int, q: int, r: int) -> SpectrumMultiset:
-    """Spectrum of the hyperbolic T_{p,q,r} surface singularity, from shipped data.
+    """Spectrum of the hyperbolic T_{p,q,r} surface singularity.
 
-    These are not quasihomogeneous, so the values are curated rather than
-    computed; the count (mu = p+q+r-1), the symmetry about 1/2, containment
-    in [0,1] and both endpoints are validated on every load.
+    T_{p,q,r} is x^p + y^q + z^r + xyz with 1/p + 1/q + 1/r < 1. It is not
+    quasihomogeneous, so the spectrum comes from the standard mixed-Hodge-
+    theoretic computation: the eigenvalue-one part of the monodromy
+    contributes {0, 1}, and each arm of length m in {p, q, r} contributes
+    {j/m : 1 <= j <= m-1}. The result is validated against the count
+    (mu = p+q+r-1), the symmetry about 1/2, containment in [0,1] and both
+    endpoints. Raises CuspRangeError when mu exceeds MAX_CUSP_MILNOR.
     """
     if min(p, q, r) < 2:
         raise ValueError("cusp parameters must be at least 2")
     if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
         raise CuspRangeError(
             f"T_({p},{q},{r}) is outside the cusp range: 1/p + 1/q + 1/r must be < 1")
-    key = sorted((p, q, r))
-    with open(data_path("cusp_spectra.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for item in doc["entries"]:
-        if sorted((item["p"], item["q"], item["r"])) == key:
-            entries = [Fraction(e) for e in item["entries"]]
-            sp = SpectrumMultiset.make(entries, 3)
-            _validate_cusp(sp, p, q, r)
-            return sp
-    raise KeyError(f"T_({p},{q},{r}) is not in the shipped cusp table")
+    if p + q + r - 1 > MAX_CUSP_MILNOR:
+        raise CuspRangeError(
+            f"T_({p},{q},{r}) has Milnor number {p + q + r - 1}, "
+            f"above the bound {MAX_CUSP_MILNOR}")
+    entries = [Fraction(0), Fraction(1)]
+    entries += [Fraction(j, m) for m in (p, q, r) for j in range(1, m)]
+    sp = SpectrumMultiset.make(entries, 3)
+    _validate_cusp(sp, p, q, r)
+    return sp
 
 
 def _validate_cusp(sp: SpectrumMultiset, p: int, q: int, r: int) -> None:
     if len(sp) != p + q + r - 1:
-        raise AssertionError("cusp table entry fails the mu = p+q+r-1 invariant")
+        raise AssertionError("cusp spectrum fails the mu = p+q+r-1 invariant")
     if not sp.is_symmetric():
-        raise AssertionError("cusp table entry is not symmetric")
+        raise AssertionError("cusp spectrum is not symmetric")
     if not interval_check(sp, 0, 1):
-        raise AssertionError("cusp table entry leaves [0, 1]")
+        raise AssertionError("cusp spectrum leaves [0, 1]")
     if sp.minimum() != 0 or sp.maximum() != 1:
-        raise AssertionError("cusp table entry does not attain both endpoints")
+        raise AssertionError("cusp spectrum does not attain both endpoints")

@@ -198,6 +198,43 @@ def test_spectra_list_show_cusp(capsys):
 def test_spectra_cusp_out_of_range_exits_3(capsys):
     code, _, _ = run_exit(capsys, ["spectra", "cusp", "2", "3", "5"])
     assert code == 3
+    code, _, err = run_exit(capsys, ["spectra", "cusp", "1", "5", "9"])
+    assert code == 3
+    assert "at least 2" in err
+
+
+def test_spectra_cusp_milnor_cap_exits_3(capsys):
+    code, out, err = run_exit(capsys, ["spectra", "cusp", "2", "3", "1000000000"])
+    assert code == 3
+    assert out == ""
+    assert "Milnor number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "cusp", "2", "3", "7", "--suspend", "-1"],
+    ["spectra", "show", "E8_surface", "--suspend", "-1"],
+])
+def test_spectra_negative_suspend_exits_2(capsys, argv):
+    code, _, err = run_exit(capsys, argv)
+    assert code == 2
+    assert "--suspend" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--search-bound", "-3", "verify", "model-build"],
+    ["verify", "model-build", "--search-bound", "-1"],
+])
+def test_negative_search_bound_exits_2(capsys, argv):
+    code, _, err = run_exit(capsys, argv)
+    assert code == 2
+    assert "--search-bound" in err
+
+
+def test_plethysm_deep_nesting_exits_2(capsys):
+    expression = "Sym^2(" * 400 + "V" + ")" * 400
+    code, _, err = run_exit(capsys, ["plethysm", "--sl2", expression])
+    assert code == 2
+    assert "parse error" in err
 
 
 def test_spectra_unknown_name_exits_2(capsys):
@@ -237,13 +274,14 @@ def test_verify_subset_passes_and_exit_code(capsys):
     assert all(r["paper_ref"] for r in reports)
 
 
-def test_verify_deterministic_and_parallel_equivalent(capsys):
+def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, ["--output", "json", "verify"] + FAST_CHECKS)
     _, out2, _ = run(capsys, ["--output", "json", "verify"] + FAST_CHECKS)
     assert _strip_elapsed(json.loads(out1)) == _strip_elapsed(json.loads(out2))
-    _, out3, _ = run(capsys, ["--output", "json", "verify", "--parallel"]
-                     + FAST_CHECKS)
-    assert _strip_elapsed(json.loads(out1)) == _strip_elapsed(json.loads(out3))
+    # the suite has one mode: checks run one after another
+    code, _, err = run_exit(capsys, ["verify", "--parallel"])
+    assert code == 2
+    assert "--parallel" in err
 
 
 def test_verify_text_output(capsys):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from cf_lattice.plethysm import (
+    MAX_NESTING,
     SL2,
     SL3,
     CharacterPoly,
@@ -191,3 +192,12 @@ def test_parse_errors_carry_positions():
         parse_rep_expression("V + ", SL2)
     with pytest.raises(ParseError):
         parse_rep_expression("V)", SL2)
+
+
+def test_parse_nesting_is_bounded():
+    def nested(depth):
+        return "Sym^1(" * depth + "V" + ")" * depth
+
+    assert parse_rep_expression(nested(MAX_NESTING), SL2) == standard_character(SL2)
+    with pytest.raises(ParseError):
+        parse_rep_expression(nested(MAX_NESTING + 1), SL2)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import product
@@ -287,3 +288,12 @@ def test_root_system_label_parse_and_format():
     assert RootSystemLabel.parse(str(lab)) == lab
     with pytest.raises(ValueError):
         RootSystemLabel.parse("F4")
+
+
+def test_package_attribute_roots_is_the_submodule():
+    import cf_lattice
+    import cf_lattice.roots as roots_module
+
+    assert inspect.ismodule(cf_lattice.roots)
+    assert inspect.ismodule(roots_module)
+    assert roots_module.roots is roots

@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 
 from cf_lattice.spectra import (
+    MAX_CUSP_MILNOR,
     CuspRangeError,
     QhSingularity,
     SpectrumMultiset,
     cusp_spectrum,
-    data_path,
     interval_check,
     spectrum,
     surface_catalog,
@@ -151,13 +151,42 @@ def test_cusp_spectrum_range_errors():
         cusp_spectrum(1, 5, 9)
 
 
+def cusp_oracle(p, q, r):
+    """{0, 1} plus j/m for 1 <= j < m, one arm m at a time, as a sorted list."""
+    out = [Fraction(0), Fraction(1)]
+    for m in (p, q, r):
+        for j in range(1, m):
+            out.append(Fraction(j, m))
+    return sorted(out)
+
+
 def test_cusp_table_is_validated_data():
-    with open(data_path("cusp_spectra.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["provenance"]
-    for item in doc["entries"][:40]:
-        sp = cusp_spectrum(item["p"], item["q"], item["r"])
-        assert len(sp) == item["p"] + item["q"] + item["r"] - 1
+    # every triple of the range the package once shipped as a table
+    triples = [(p, q, r) for p in range(2, 13) for q in range(p, 13) for r in range(q, 13)
+               if p + q + r <= 27 and Fraction(1, p) + Fraction(1, q) + Fraction(1, r) < 1]
+    assert len(triples) == 228
+    for p, q, r in triples:
+        sp = cusp_spectrum(p, q, r)
+        assert len(sp) == p + q + r - 1
+        assert sp.is_symmetric()
+        assert sp.minimum() == 0 and sp.maximum() == 1
+        assert list(sp.entries) == cusp_oracle(p, q, r)
+
+
+def test_cusp_spectrum_beyond_former_table():
+    sp = cusp_spectrum(2, 3, 40)
+    assert len(sp) == 44
+    assert list(sp.entries) == cusp_oracle(2, 3, 40)
+    assert sp.counts()[Fraction(1, 2)] == 2  # 1/2 from the arm 2, 20/40 from the arm 40
+
+
+def test_cusp_spectrum_milnor_cap():
+    # mu = p + q + r - 1: at the bound the spectrum is built, past it refused
+    assert len(cusp_spectrum(2, 3, MAX_CUSP_MILNOR - 4)) == MAX_CUSP_MILNOR
+    with pytest.raises(CuspRangeError):
+        cusp_spectrum(2, 3, MAX_CUSP_MILNOR - 3)
+    with pytest.raises(CuspRangeError):
+        cusp_spectrum(2, 3, 10 ** 9)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
