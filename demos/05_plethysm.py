@@ -1,8 +1,9 @@
 """Characters, symmetric cubes, and the two Kirwan normal slices.
 
-Characters live as Weyl-invariant Laurent polynomials; symmetric powers go
-through the exact power-sum recurrence and decompositions by greedy
-highest-weight peeling.
+Characters live as Weyl-invariant Laurent polynomials with integer
+coefficients; symmetric powers are built one weight at a time, each with its
+whole factor of the generating function of the complete homogeneous
+polynomials, and decompositions come from Weyl's alternating sum.
 """
 from cf_lattice.plethysm import (
     SL2,

@@ -3,7 +3,8 @@
 Subcommands: lattice, roots, niemeier, plethysm, spectra, verify.
 Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
-indefinite enumeration input, out-of-range parameters, virtual characters).
+indefinite enumeration input, out-of-range parameters, virtual characters,
+characters past the plethysm work cap).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .lattices import (
     span_sublattice,
 )
 from .report import jsonable
-from .roots import identify_root_system, short_vectors
+from .roots import RootSystemLabel, identify_root_system, short_vectors
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -177,8 +178,12 @@ def _cmd_niemeier(args) -> int:
                 print(f"{row['roots']:12s} h={row['h']:<3d} roots={row['count']}")
         return EXIT_OK
     # build
-    from .roots import RootSystemLabel
-    target = RootSystemLabel.parse(args.name)
+    if args.name is None:
+        raise _fail(EXIT_PARSE, "niemeier build requires a root-system label, e.g. E6^4")
+    try:
+        target = RootSystemLabel.parse(args.name)
+    except ValueError as exc:
+        raise _fail(EXIT_PARSE, f"malformed root-system label {args.name!r}: {exc}")
     entry = next((e for e in niemeier.niemeier_table()
                   if e.root_system == target), None)
     if entry is None:
@@ -199,6 +204,8 @@ def _cmd_plethysm(args) -> int:
         char = plethysm.parse_rep_expression(args.expression, group)
     except plethysm.ParseError as exc:
         raise _fail(EXIT_PARSE, f"parse error: {exc}")
+    except plethysm.WorkCapError as exc:
+        raise _fail(EXIT_PRECONDITION, f"work cap: {exc}")
     try:
         dec = plethysm.decompose(char)
     except plethysm.VirtualCharacterError as exc:

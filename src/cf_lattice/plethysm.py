@@ -2,13 +2,19 @@
 
 Characters are Weyl-invariant Laurent polynomials: one variable q for SL(2)
 (Sym^n V has character q^n + q^{n-2} + ... + q^{-n}) and two variables for
-SL(3) after eliminating x3 = (x1 x2)^{-1}. Symmetric powers go through the
-Newton power-sum recurrence with exact rational intermediates.
+SL(3) after eliminating x3 = (x1 x2)^{-1}. Everything is integer arithmetic.
+Symmetric powers come from the generating function
+prod_w (1 - t x^w)^{-c_w} of the complete homogeneous h_k (Macdonald,
+*Symmetric Functions*, I.2), one weight and its whole factor at a time;
+decompositions come from Weyl's character formula read as an alternating sum
+(Fulton-Harris section 24.1); SL(3) weight multiplicities are Kostka numbers
+counted in closed form. Work is bounded by `MAX_CHARACTER_WORK`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
+from operator import add
 
 SL2 = "SL2"
 SL3 = "SL3"
@@ -16,6 +22,24 @@ SL3 = "SL3"
 
 class VirtualCharacterError(ValueError):
     """A genuine (non-negative) character was required."""
+
+
+class WorkCapError(ValueError):
+    """The requested character would take more than MAX_CHARACTER_WORK steps."""
+
+
+# Bound on the work of one `sym_power` call or one SL(3) irreducible
+# character, in steps (dictionary updates and table entries), checked before
+# anything is allocated. sym_power(a, k) is charged
+# (sum_w min(|c_w|, k) + 1) * k * W: its updates plus its table of k rows,
+# where W bounds the number of weights the result can have (the box spanned
+# by k times the extreme exponents of a). Gamma_{a,b} scans (n+1)(n+2)/2 contents, n = a + 2b, and is
+# charged n per content, one per box of its tableaux: almost every content is
+# a weight that each later step carries along, so Gamma_{60,60} (3.0e6) is
+# inside and Gamma_{2000,0} (2 million weights) is not. Sym^40(Sym^40(V))
+# (5.4e6) and Sym^2(V^1000000) (50) are inside; Sym^100000000(V) and
+# Sym^10000000(C) (2e7) are not.
+MAX_CHARACTER_WORK = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -81,11 +105,6 @@ class CharacterPoly:
         return CharacterPoly.make(self.group,
                                   {tuple(-x for x in e): c for e, c in self.terms})
 
-    def adams(self, k: int) -> "CharacterPoly":
-        """Substitute each eigenvalue by its k-th power."""
-        return CharacterPoly.make(self.group,
-                                  {tuple(k * x for x in e): c for e, c in self.terms})
-
 
 def _same_group(a: CharacterPoly, b: CharacterPoly):
     if a.group != b.group:
@@ -101,7 +120,13 @@ def zero_character(group: str) -> CharacterPoly:
 
 
 def irreducible_character(group: str, weight) -> CharacterPoly:
-    """Character of Sym^n V (SL2, weight n) or Gamma_{a,b} (SL3, weight (a,b))."""
+    """Character of Sym^n V (SL2, weight n) or Gamma_{a,b} (SL3, weight (a,b)).
+
+    For SL3 the multiplicity of content (m1, m2, m3) in shape (a+b, b) is the
+    Kostka number: the 1s fill the start of row 1, and a tableau is fixed by
+    the number x of 2s in row 1, so it counts the x allowed by the row and
+    column conditions. Raises WorkCapError past MAX_CHARACTER_WORK.
+    """
     if group == SL2:
         n = int(weight)
         if n < 0:
@@ -111,42 +136,22 @@ def irreducible_character(group: str, weight) -> CharacterPoly:
         a, b = weight
         if a < 0 or b < 0:
             raise ValueError("SL3 weights must be >= 0")
-        # weights of Gamma_{a,b} from semistandard tableaux of shape (a+b, b)
-        lam = (a + b, b, 0)
+        lam1, lam2 = a + b, b
+        n = lam1 + lam2
+        work = n * (n + 1) * (n + 2) // 2
+        if work > MAX_CHARACTER_WORK:
+            raise WorkCapError(f"Gamma_{{{a},{b}}} needs {work} steps, over the cap "
+                               f"{MAX_CHARACTER_WORK}")
         d: dict = {}
-        for content in _ssyt_contents(lam):
-            key = (content[0] - content[2], content[1] - content[2])
-            d[key] = d.get(key, 0) + 1
+        for m1 in range(lam1 + 1):
+            for m2 in range(n - m1 + 1):
+                lo = max(0, m2 - m1, lam2 - m1, m2 - lam2)
+                hi = min(m2, lam1 - m1)
+                if hi >= lo:
+                    m3 = n - m1 - m2
+                    d[(m1 - m3, m2 - m3)] = hi - lo + 1
         return CharacterPoly.make(SL3, d)
     raise ValueError(f"unknown group {group!r}")
-
-
-def _ssyt_contents(lam):
-    """Content vectors (#1s, #2s, #3s) of semistandard tableaux, entries 1..3."""
-    rows: list[list[int]] = [[], [], []]
-    out: list[tuple[int, int, int]] = []
-
-    def fill(r, c):
-        if r == 3:
-            content = [0, 0, 0]
-            for row in rows:
-                for x in row:
-                    content[x - 1] += 1
-            out.append(tuple(content))
-            return
-        if c == lam[r]:
-            fill(r + 1, 0)
-            return
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for x in range(lo, 4):
-            rows[r].append(x)
-            fill(r, c + 1)
-            rows[r].pop()
-
-    fill(0, 0)
-    return out
 
 
 def standard_character(group: str) -> CharacterPoly:
@@ -161,27 +166,45 @@ def tensor(a: CharacterPoly, b: CharacterPoly) -> CharacterPoly:
 
 
 def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
-    """Character of Sym^k, by h_k = (1/k) sum_i p_i h_{k-i} with exact rationals."""
+    """Character of Sym^k, from sum_k h_k t^k = prod_w (1 - t x^w)^{-c_w}.
+
+    The table h[0..k] starts at 1 and takes each weight w with its whole
+    factor (1 - t x^w)^{-c}. Let m = |c| and b_j = (-1)^j C(m, j), the
+    coefficients of (1 - t x^w)^m. For c < 0 the factor is that polynomial:
+    d descending, h[d] += sum_{j=1..min(d,m)} b_j x^{jw} h[d-j] over the old
+    rows. For c > 0 it divides by it: d ascending, h[d] -= the same sum over
+    the new rows. So virtual input keeps its lambda-ring meaning, and a weight
+    costs at most min(m, k) * k * W updates, W the number of weights the
+    result can have. Raises WorkCapError past MAX_CHARACTER_WORK.
+    """
     if k < 0:
         raise ValueError("symmetric power degree must be >= 0")
-    group = a.group
-    h: list[dict] = [{(0,) * a.nvars: Fraction(1)}]
-    p = [None] + [a.adams(i) for i in range(1, k + 1)]
-    for m in range(1, k + 1):
-        acc: dict = {}
-        for i in range(1, m + 1):
-            pi = p[i]
-            hprev = h[m - i]
-            for e1, c1 in pi.terms:
-                for e2, c2 in hprev.items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        h.append({e: c / m for e, c in acc.items() if c})
-    final = h[k]
-    for e, c in final.items():
-        if c.denominator != 1:
-            raise ArithmeticError("symmetric power produced non-integral coefficients (bug)")
-    return CharacterPoly.make(group, {e: int(c) for e, c in final.items()})
+    if k == 0:
+        return trivial_character(a.group)
+    if not a.terms:
+        return zero_character(a.group)
+    nweights = 1
+    for i in range(a.nvars):
+        column = [e[i] for e, _ in a.terms]
+        nweights *= k * (max(column) - min(column)) + 1
+    # the updates, plus the table itself: k rows of at most nweights terms
+    work = (sum(min(abs(c), k) for _, c in a.terms) + 1) * k * nweights
+    if work > MAX_CHARACTER_WORK:
+        raise WorkCapError(f"Sym^{k} of a character of {len(a.terms)} weights needs "
+                           f"{work} steps, over the cap {MAX_CHARACTER_WORK}")
+    h: list[dict] = [{(0,) * a.nvars: 1}] + [{} for _ in range(k)]
+    for e, c in a.terms:
+        m = abs(c)
+        sign = -1 if c > 0 else 1
+        steps = [(tuple(j * x for x in e), sign * (-1) ** j * comb(m, j))
+                 for j in range(1, min(m, k) + 1)]
+        for d in range(1, k + 1) if c > 0 else range(k, 0, -1):
+            hd = h[d]
+            for j, (shift, b) in enumerate(steps[:d], 1):
+                for x, v in h[d - j].items():
+                    y = tuple(map(add, x, shift))
+                    hd[y] = hd.get(y, 0) + b * v
+    return CharacterPoly.make(a.group, h[k])
 
 
 @dataclass(frozen=True)
@@ -221,34 +244,38 @@ def irrep_dimension(group: str, weight) -> int:
 
 
 def decompose(a: CharacterPoly) -> RepDecomposition:
-    """Greedy highest-weight peeling; errors if the input is virtual."""
-    group = a.group
-    remaining = dict(a.terms)
-    summands: dict = {}
-    while remaining:
-        top = max(remaining)
-        mult = remaining[top]
-        if group == SL2:
-            weight = top[0]
-            if weight < 0:
-                raise VirtualCharacterError("leading exponent negative: not a character")
+    """Irreducible summands by Weyl's alternating sum; errors if the input is virtual.
+
+    mult(lambda) = sum_sigma sgn(sigma) c(sigma(lambda + rho) - rho). Read the
+    other way round, a weight e with e + rho regular has exactly one sigma
+    taking it to a strictly dominant lambda + rho, so one pass over the
+    support adds sgn(sigma) c(e) to that lambda; weights with e + rho on a
+    wall add nothing. Input that is not Weyl-symmetric, or that gets a
+    negative multiplicity, raises VirtualCharacterError.
+    """
+    if not a.is_weyl_symmetric():
+        raise VirtualCharacterError("not Weyl-symmetric: not a character")
+    mults: dict = {}
+    for e, c in a.terms:
+        if a.group == SL2:
+            # rho = 1; sigma is the sign of e + 1
+            v = e[0] + 1
+            if v == 0:
+                continue
+            weight, sign = abs(v) - 1, (1 if v > 0 else -1)
         else:
-            m1, m2 = top
-            if m1 < m2 or m2 < 0:
-                raise VirtualCharacterError("leading weight not dominant: not a character")
-            weight = (m1 - m2, m2)
-        if mult < 0:
-            raise VirtualCharacterError("negative multiplicity: virtual character")
-        summands[weight] = summands.get(weight, 0) + mult
-        chi = irreducible_character(group, weight)
-        for e, c in chi.terms:
-            val = remaining.get(e, 0) - mult * c
-            if val:
-                remaining[e] = val
-            else:
-                remaining.pop(e, None)
-    ordered = tuple(sorted(summands.items(), key=lambda t: (_weight_key(group, t[0]))))
-    return RepDecomposition(group, ordered)
+            # (m1, m2) is x1^m1 x2^m2 x3^0, so e + rho = (m1 + 2, m2 + 1, 0) in GL3
+            # coordinates, and S3 sorts it; Gamma_{a,b} has lambda + rho = (a+b+2, b+1, 0)
+            p0, p1, p2 = e[0] + 2, e[1] + 1, 0
+            if p0 == p1 or p1 == p2 or p0 == p2:
+                continue
+            s0, s1, s2 = sorted((p0, p1, p2), reverse=True)
+            weight = (s0 - s1 - 1, s1 - s2 - 1)
+            sign = -1 if ((p0 < p1) + (p0 < p2) + (p1 < p2)) % 2 else 1
+        mults[weight] = mults.get(weight, 0) + sign * c
+    if any(m < 0 for m in mults.values()):
+        raise VirtualCharacterError("negative multiplicity: virtual character")
+    return decomposition_from_summands(a.group, mults.items())
 
 
 def _weight_key(group, w):
@@ -351,7 +378,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("integer too long", start)
 
     def expr(self) -> CharacterPoly:
         total = self.term()

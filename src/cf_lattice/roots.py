@@ -59,7 +59,7 @@ class RootSystemLabel:
                 mult = int(mult)
             else:
                 base, mult = part, 1
-            family, n = base[0], int(base[1:])
+            family, n = base[:1], int(base[1:])
             if family not in _ROOT_COUNTS:
                 raise ValueError(f"unknown root-system family in {part!r}")
             comps.extend([(family, n)] * mult)

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -304,3 +305,49 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] always-fails" in out
     assert "expected:" in out and "actual:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["niemeier", "build", "E6^x"],
+    ["niemeier", "build", "Q6"],
+    ["niemeier", "build", "E6^4+"],
+    ["niemeier", "build"],
+])
+def test_niemeier_build_bad_label_exits_2(capsys, argv):
+    code, _, err = run_exit(capsys, argv)
+    assert code == 2
+    assert "root-system label" in err
+
+
+def test_plethysm_past_the_work_cap_exits_3(capsys):
+    for group, expression in (("--sl2", "Sym^100000000(V)"), ("--sl3", "Gamma_{2000,0}"),
+                              ("--sl2", "Sym^10000000(C)")):
+        code, _, err = run_exit(capsys, ["plethysm", group, expression])
+        assert code == 3
+        assert "work cap" in err
+
+
+def test_plethysm_large_multiplicities_answer(capsys):
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "Sym^2(V^1000000)"])
+    assert code == 0
+    assert json.loads(out)["dim"] == comb(2 * 10 ** 6 + 1, 2)
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "Sym^1000000000(V^0)"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 0
+
+
+def test_plethysm_large_sym_power_answers(capsys):
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "Sym^40(Sym^40(V))"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == comb(80, 40)
+    assert len(doc["summands"]) == 800
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "--sl3", "Gamma_{60,60}"])
+    assert code == 0
+    assert json.loads(out)["summands"] == [{"weight": [60, 60], "mult": 1}]
+
+
+def test_plethysm_integer_past_the_digit_limit_exits_2(capsys):
+    code, _, err = run_exit(capsys, ["plethysm", "Sym^" + "9" * 5000 + "(V)"])
+    assert code == 2
+    assert "integer too long" in err

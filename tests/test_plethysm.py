@@ -1,15 +1,18 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cf_lattice.plethysm import (
+    MAX_CHARACTER_WORK,
     MAX_NESTING,
     SL2,
     SL3,
     CharacterPoly,
     ParseError,
     VirtualCharacterError,
+    WorkCapError,
     decompose,
     decomposition_from_summands,
     irreducible_character,
@@ -35,6 +38,30 @@ def sym_power_oracle(char, k):
         key = tuple(sum(slots[i][j] for i in combo) for j in range(char.nvars))
         out[key] = out.get(key, 0) + 1
     return CharacterPoly.make(char.group, out)
+
+
+def exterior_power_oracle(char, k):
+    """Lambda^k of a genuine character: monomials over strictly increasing slot tuples."""
+    slots = []
+    for e, c in char.terms:
+        slots.extend([e] * c)
+    out = {}
+    for combo in combinations(range(len(slots)), k):
+        key = tuple(sum(slots[i][j] for i in combo) for j in range(char.nvars))
+        out[key] = out.get(key, 0) + 1
+    return CharacterPoly.make(char.group, out)
+
+
+def ssyt_oracle(a, b):
+    """Gamma_{a,b} by listing the semistandard tableaux of shape (a+b, b), entries 1..3."""
+    out = {}
+    for top in combinations_with_replacement((1, 2, 3), a + b):
+        for bottom in combinations_with_replacement((2, 3), b):
+            if all(x < y for x, y in zip(top, bottom)):
+                n1, n2, n3 = ((top + bottom).count(i) for i in (1, 2, 3))
+                key = (n1 - n3, n2 - n3)
+                out[key] = out.get(key, 0) + 1
+    return CharacterPoly.make(SL3, out)
 
 
 def test_irreducible_sl2():
@@ -201,3 +228,115 @@ def test_parse_nesting_is_bounded():
     assert parse_rep_expression(nested(MAX_NESTING), SL2) == standard_character(SL2)
     with pytest.raises(ParseError):
         parse_rep_expression(nested(MAX_NESTING + 1), SL2)
+
+
+def test_irreducible_sl3_matches_tableaux():
+    for a, b in product(range(6), repeat=2):
+        assert irreducible_character(SL3, (a, b)) == ssyt_oracle(a, b)
+
+
+_SL2_WEIGHTS = st.integers(0, 4)
+_SL3_WEIGHTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _summands(draw, group, max_size=3):
+    weights = _SL2_WEIGHTS if group == SL2 else _SL3_WEIGHTS
+    return draw(st.lists(st.tuples(weights, st.integers(1, 2)), min_size=1, max_size=max_size))
+
+
+def _character(group, summands):
+    return decomposition_from_summands(group, summands).character()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((SL2, SL3)).flatmap(
+    lambda g: st.tuples(st.just(g), _summands(g, max_size=2), st.integers(0, 3))))
+def test_sym_power_matches_oracle_on_genuine_characters(case):
+    group, summands, k = case
+    chi = _character(group, summands)
+    if chi.dimension() > 12:
+        k = min(k, 2)
+    assert sym_power(chi, k) == sym_power_oracle(chi, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((SL2, SL3)).flatmap(
+    lambda g: st.tuples(st.just(g), _summands(g, max_size=2), _summands(g, max_size=1),
+                        st.integers(0, 3))))
+def test_sym_power_of_a_difference_is_the_lambda_ring_expansion(case):
+    # Sym^k(a - c) = sum_j (-1)^j Sym^{k-j}(a) Lambda^j(c)
+    group, a_summands, c_summands, k = case
+    a, c = _character(group, a_summands), _character(group, c_summands)
+    rhs = CharacterPoly(group, ())
+    for j in range(k + 1):
+        rhs = rhs + (-1) ** j * (sym_power(a, k - j) * exterior_power_oracle(c, j))
+    assert sym_power(a - c, k) == rhs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from((SL2, SL3)).flatmap(lambda g: st.tuples(st.just(g), _summands(g))))
+def test_decompose_round_trips_random_summands(case):
+    group, summands = case
+    dec = decomposition_from_summands(group, summands)
+    assert decompose(dec.character()) == dec
+
+
+@pytest.mark.parametrize("chi", [
+    irreducible_character(SL2, 2) - trivial_character(SL2),   # weight 0 cancels
+    CharacterPoly.make(SL2, {(1,): 1}),                       # not Weyl-symmetric
+    CharacterPoly.make(SL3, {(1, 0): 1}),
+    irreducible_character(SL3, (1, 1)) - 3 * trivial_character(SL3),
+])
+def test_decompose_rejects_virtual_and_asymmetric_input(chi):
+    with pytest.raises(VirtualCharacterError):
+        decompose(chi)
+
+
+def test_work_cap():
+    assert issubclass(WorkCapError, ValueError)
+    v = standard_character(SL2)
+    big = sym_power(sym_power(v, 40), 40)
+    assert big.dimension() == comb(80, 40)
+    assert len(decompose(big).summands) == 800
+    with pytest.raises(WorkCapError):
+        sym_power(v, 100_000_000)
+    assert sym_power(10 ** 15 * v, 0) == trivial_character(SL2)
+    with pytest.raises(WorkCapError):
+        irreducible_character(SL3, (2000, 0))
+    assert irreducible_character(SL3, (60, 60)).dimension() == 61 * 61 * 122 // 2
+    one = trivial_character(SL2)
+    assert sym_power(one, 1000) == one
+    with pytest.raises(WorkCapError):  # 10^7 rows of one term each
+        sym_power(one, MAX_CHARACTER_WORK)
+    zero = CharacterPoly(SL2, ())
+    assert sym_power(zero, 10 ** 9) == zero
+    assert sym_power(zero, 0) == one
+
+
+def _adams(char, r):
+    return CharacterPoly.make(char.group, {tuple(r * x for x in e): c for e, c in char.terms})
+
+
+def _halve(char, n):
+    assert all(c % n == 0 for _, c in char.terms)
+    return CharacterPoly.make(char.group, {e: c // n for e, c in char.terms})
+
+
+@pytest.mark.parametrize("a", [
+    10 ** 6 * standard_character(SL2),                                     # Sym^2(V^1000000)
+    sym_power(sym_power(standard_character(SL2), 10), 10),                 # dim 184,756
+    sym_power(sym_power(standard_character(SL2), 8), 8),                   # dim 12,870
+    irreducible_character(SL2, 4) - 10 ** 6 * trivial_character(SL2) - 3 * standard_character(SL2),
+    10 ** 5 * irreducible_character(SL3, (1, 1)) - 7 * standard_character(SL3),
+])
+def test_sym_power_large_multiplicities_newton(a):
+    # Sym^2 = (psi^1^2 + psi^2) / 2 and Sym^3 = (psi^1^3 + 3 psi^1 psi^2 + 2 psi^3) / 6,
+    # true in any lambda-ring, so on virtual input too
+    assert sym_power(a, 2) == _halve(a * a + _adams(a, 2), 2)
+    assert sym_power(a, 3) == _halve(a * a * a + 3 * (a * _adams(a, 2)) + 2 * _adams(a, 3), 6)
+
+
+def test_parse_rejects_integers_past_the_digit_limit():
+    with pytest.raises(ParseError):
+        parse_rep_expression("Sym^" + "1" * 5000 + "(V)", SL2)
