@@ -3,6 +3,11 @@
 Everything here works over Python ints and fractions.Fraction; no floating
 point. Matrices are sequences of equal-length rows; functions return new
 list-of-list matrices and never mutate their arguments.
+
+One integer elimination loop, `_echelon` (Euclid down each column with the
+smallest entry as pivot), serves `hnf`, `kernel` and `smith_normal_form`; the
+Smith form is alternating row and column Hermite normal forms
+(Kannan-Bachem), not a loop of its own.
 """
 from __future__ import annotations
 
@@ -48,24 +53,22 @@ def _echelon(rows) -> tuple[Matrix, list[tuple[int, int]]]:
     for col in range(ncols):
         if row == len(m):
             break
-        # find a row at or below `row` with a nonzero entry in this column
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
+        live = [i for i in range(row, len(m)) if m[i][col]]
+        if not live:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        # clear the column below the pivot with gcd row operations
-        for i in range(row + 1, len(m)):
-            while m[i][col]:
-                a, b = m[row][col], m[i][col]
-                if abs(b) < abs(a) or a == 0:
-                    m[row], m[i] = m[i], m[row]
-                    continue
-                q = b // a
-                m[i] = [x - q * y for x, y in zip(m[i], m[row])]
+        # Euclid on the whole column, the smallest entry as pivot each round,
+        # keeps the multipliers small; pairwise Euclid of the pivot row against
+        # one row at a time grows the other columns to tens of thousands of
+        # digits on a skewed rank-40 Gram.
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(m[i][col]))
+            p = m[piv]
+            for i in live:
+                if i != piv:
+                    q = m[i][col] // p[col]
+                    m[i] = [x - q * y for x, y in zip(m[i], p)]
+            live = [i for i in live if i == piv or m[i][col]]
+        m[row], m[live[0]] = m[live[0]], m[row]
         if m[row][col] < 0:
             m[row] = [-x for x in m[row]]
         pivots.append((row, col))
@@ -131,87 +134,41 @@ def rank(a) -> int:
     return len(hnf(a))
 
 
+def _hermite_pass(m, t, width: int) -> tuple[Matrix, Matrix]:
+    """HNF of [m | t] split back at column `width`; t is unimodular, so no row is lost."""
+    h = hnf([r + s for r, s in zip(m, t)])
+    return [r[:width] for r in h], [r[width:] for r in h]
+
+
 def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
     """Smith normal form with transforms: P*A*Q = diag(d), d_i >= 0, d_i | d_{i+1}.
 
-    P and Q are unimodular.
+    P and Q are unimodular and zeros come last. Alternating Hermite reduction
+    (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, 2.4.4): the row
+    HNF of [M | P], then the row HNF of [M^T | Q^T], until M is diagonal.
+    Each pass is `hnf`, which reduces the entries above its pivots, and the
+    leading pivot of the unfinished block only ever shrinks to a proper
+    divisor, so the loop ends.
+    If d_i does not divide d_{i+1}, column i+1 is added to column i, and the
+    next row pass replaces d_i by gcd(d_i, d_{i+1}).
     """
     m = [list(r) for r in a]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    p = identity(nrows)
-    q = identity(ncols)
-
-    def row_op(i, j, c):  # row_i -= c * row_j
-        m[i] = [x - c * y for x, y in zip(m[i], m[j])]
-        p[i] = [x - c * y for x, y in zip(p[i], p[j])]
-
-    def col_op(i, j, c):  # col_i -= c * col_j
-        for r in m:
-            r[i] -= c * r[j]
-        for r in q:
-            r[i] -= c * r[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-
-    k = 0
-    size = min(nrows, ncols)
-    while k < size:
-        # move a minimal nonzero entry of the trailing block to (k, k)
-        piv = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, nrows):
-                if m[i][k]:
-                    c = m[i][k] // m[k][k]
-                    row_op(i, k, c)
-                    if m[i][k]:
-                        swap_rows(k, i)
-                        dirty = True
-            for j in range(k + 1, ncols):
-                if m[k][j]:
-                    c = m[k][j] // m[k][k]
-                    col_op(j, k, c)
-                    if m[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
-        # enforce divisibility of the trailing block by m[k][k]
-        offender = None
-        for i in range(k + 1, nrows):
-            for j in range(k + 1, ncols):
-                if m[i][j] % m[k][k]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(k, offender, -1)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    p, q = identity(nrows), identity(ncols)
+    if not nrows or not ncols:
+        return [], p, q
+    while True:
+        m, p = _hermite_pass(m, p, ncols)
+        mt, qt = _hermite_pass(transpose(m), transpose(q), nrows)
+        m, q = transpose(mt), transpose(qt)
+        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
             continue
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-            p[k] = [-x for x in p[k]]
-        k += 1
-    d = [m[i][i] for i in range(size)]
-    return d, p, q
+        d = [m[i][i] for i in range(min(nrows, ncols))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
+            return d, p, q
+        for row in m + q:
+            row[i] += row[i + 1]
 
 
 def rational_inverse(a) -> list[list[Fraction]]:

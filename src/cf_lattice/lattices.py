@@ -208,41 +208,39 @@ _DIAG_RE = re.compile(r"^diag\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
 _IPQ_RE = re.compile(r"^I[_ ]?[({]?\s*(\d+)\s*,\s*(\d+)\s*[)}]?$")
 
 
+def check_ade(family: str, n: int) -> None:
+    """Raise ValueError unless (family, n) names an irreducible A-D-E root system."""
+    if family == "A" and n < 1:
+        raise ValueError("A_n needs n >= 1")
+    if family == "D" and n < 4:
+        raise ValueError("D_n needs n >= 4")
+    if family == "E" and n not in (6, 7, 8):
+        raise ValueError("E_n needs n in {6, 7, 8}")
+    if family not in ("A", "D", "E"):
+        raise ValueError(f"unknown family {family!r}")
+
+
 def cartan_gram(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of an irreducible A-D-E root lattice (roots of norm 2)."""
+    check_ade(family, n)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2
     if family == "A":
-        if n < 1:
-            raise ValueError("A_n needs n >= 1")
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = 2
-            if i + 1 < n:
-                g[i][i + 1] = g[i + 1][i] = -1
-        return tuple(tuple(r) for r in g)
-    if family == "D":
-        if n < 4:
-            raise ValueError("D_n needs n >= 4")
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = 2
+        for i in range(n - 1):
+            g[i][i + 1] = g[i + 1][i] = -1
+    elif family == "D":
         for i in range(n - 2):
             g[i][i + 1] = g[i + 1][i] = -1
         # fork: the last node attaches to node n-3
         g[n - 3][n - 1] = g[n - 1][n - 3] = -1
-        return tuple(tuple(r) for r in g)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
+    else:
         # chain 1-3-4-5-6(-7-8) with node 2 attached to node 4
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = 2
         chain = [0] + list(range(2, n))
         for a, b in zip(chain, chain[1:]):
             g[a][b] = g[b][a] = -1
         g[1][3] = g[3][1] = -1
-        return tuple(tuple(r) for r in g)
-    raise ValueError(f"unknown family {family!r}")
+    return tuple(tuple(r) for r in g)
 
 
 def standard_lattice(label: str) -> Lattice:
@@ -387,11 +385,6 @@ def discriminant_data(lat: Lattice) -> DiscriminantData:
     return DiscriminantData(form=form, lifts=lifts)
 
 
-def discriminant_group(lat: Lattice) -> FiniteQuadraticForm:
-    """L*/L with its torsion quadratic/bilinear values; order equals |det|."""
-    return discriminant_data(lat).form
-
-
 def genus_invariants(lat: Lattice) -> GenusInvariants:
     if lat.is_degenerate():
         raise DegenerateLatticeError("genus invariants require det != 0")
@@ -399,7 +392,7 @@ def genus_invariants(lat: Lattice) -> GenusInvariants:
         rank=lat.rank,
         signature=lat.signature(),
         even=lat.is_even(),
-        disc=discriminant_group(lat),
+        disc=discriminant_data(lat).form,
     )
 
 

@@ -511,8 +511,7 @@ def hyperplane_dictionary_check() -> VerificationReport:
                 "mixed_saturations": [{"rank": 7, "root_count": 126}] * 3}
     sat_summaries = []
     for line in dic.mixed_lines:
-        rows = [list(r) for r in dic.e6.basis] + [list(line)]
-        sat = saturation(e8, Sublattice(e8, tuple(tuple(r) for r in intlinalg.hnf(rows))))
+        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, line]))
         lat = sat.lattice()
         sat_summaries.append({"rank": sat.rank, "root_count": len(roots(lat))})
     actual = {"in_e6": len(dic.in_e6), "orthogonal": len(dic.orthogonal),
@@ -538,8 +537,7 @@ def intersection_codimension_check() -> VerificationReport:
     pairwise_ok = True
     pair_summaries = []
     for l1, l2 in combinations(dic.mixed_lines, 2):
-        rows = [list(r) for r in dic.e6.basis] + [list(l1), list(l2)]
-        sat = saturation(e8, Sublattice(e8, tuple(tuple(r) for r in intlinalg.hnf(rows))))
+        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, l1, l2]))
         lat = sat.lattice()
         okay = (sat.rank == 8 and abs(lat.det()) == 1 and len(roots(lat)) == 240)
         pairwise_ok = pairwise_ok and okay
@@ -566,8 +564,7 @@ def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice) -> int:
     _, _, lines = _split_roots_by_e6(lat, e6sub)
     qualifying = []
     for w in lines:
-        rows = [list(r) for r in e6sub.basis] + [list(w)]
-        sat = saturation(lat, Sublattice(lat, tuple(tuple(r) for r in intlinalg.hnf(rows))))
+        sat = saturation(lat, span_sublattice(lat, [*e6sub.basis, w]))
         sat_lat = sat.lattice()
         if sat.rank == 7 and len(roots(sat_lat)) == 126:
             qualifying.append(list(w))

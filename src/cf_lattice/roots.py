@@ -20,6 +20,7 @@ from .intlinalg import rational_inverse
 from .lattices import (
     Lattice,
     Vector,
+    check_ade,
     orthogonal_complement,
     span_sublattice,
     vector_divisibility,
@@ -60,8 +61,9 @@ class RootSystemLabel:
             else:
                 base, mult = part, 1
             family, n = base[:1], int(base[1:])
-            if family not in _ROOT_COUNTS:
-                raise ValueError(f"unknown root-system family in {part!r}")
+            check_ade(family, n)
+            if mult < 1:
+                raise ValueError(f"multiplicity below 1 in {part!r}")
             comps.extend([(family, n)] * mult)
         return RootSystemLabel(tuple(sorted(comps)))
 

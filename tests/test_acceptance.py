@@ -11,7 +11,7 @@ import time
 from cf_lattice import (
     Lattice,
     direct_sum,
-    discriminant_group,
+    discriminant_data,
     orthogonal_complement,
     span_sublattice,
     standard_lattice,
@@ -35,7 +35,7 @@ def test_criterion_01_lattice_model():
     core = model.core_lattice()
     assert core.is_even()
     assert core.signature() == (20, 2)
-    assert discriminant_group(core).invariant_factors == (3,)
+    assert discriminant_data(core).form.invariant_factors == (3,)
     _report(1, 1, t0, "square-3 polarization with even (20,2) complement, disc Z/3")
 
 
@@ -178,7 +178,7 @@ def test_criterion_11_property_suites():
         d = lat.det()
         if d == 0:
             continue
-        assert discriminant_group(lat).order == abs(d)
+        assert discriminant_data(lat).form.order == abs(d)
         done += 1
     # spectrum symmetry on the full catalog
     for entry in spectra.surface_catalog():

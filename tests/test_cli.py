@@ -1,10 +1,12 @@
 import json
+import random
 from math import comb
 
 import pytest
 
-from cf_lattice import lattice_to_json, standard_lattice
+from cf_lattice import direct_sum, lattice_to_json, standard_lattice
 from cf_lattice.cli import main
+from cf_lattice.intlinalg import identity, mat_mul, transpose
 
 
 def write_lattice(tmp_path, label, name=None):
@@ -45,6 +47,29 @@ def test_lattice_disc_a2(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["group"] == "Z/3"
     assert doc["q"] == ["2/3"]
+
+
+@pytest.mark.parametrize("labels, steps, det, factors", [
+    (("A3", "D5", "E7"), 30, 32, [2, 4, 4]),
+    (("A20", "D12", "E8"), 100, 84, [2, 42]),
+])
+def test_lattice_info_on_a_skewed_basis(tmp_path, capsys, time_budget, labels, steps, det,
+                                        factors):
+    """Root lattice with Gram U*G*U^T, U from seeded row_i += +-row_j steps."""
+    lat = direct_sum(*(standard_lattice(x) for x in labels))
+    rng = random.Random(0)
+    u = identity(lat.rank)
+    for _ in range(steps):
+        i, j = rng.sample(range(lat.rank), 2)
+        sign = rng.choice((1, -1))
+        u[i] = [x + sign * y for x, y in zip(u[i], u[j])]
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps({"gram": mat_mul(mat_mul(u, lat.gram), transpose(u))}))
+    code, out, _ = run(capsys, ["--output", "json", "lattice", "info", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["det"] == det
+    assert doc["disc"]["invariant_factors"] == factors
 
 
 def test_lattice_malformed_json_exits_2(tmp_path, capsys):
@@ -311,6 +336,7 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch):
     ["niemeier", "build", "E6^x"],
     ["niemeier", "build", "Q6"],
     ["niemeier", "build", "E6^4+"],
+    ["niemeier", "build", "E9"],
     ["niemeier", "build"],
 ])
 def test_niemeier_build_bad_label_exits_2(capsys, argv):

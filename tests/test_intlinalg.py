@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import (
@@ -74,22 +75,69 @@ def test_hnf_and_kernel_ranks_match_sympy(m):
     assert len(kernel(m)) == len(m[0]) - r
 
 
+def _assert_smith(a, out):
+    """P*A*Q = diag(d), P and Q unimodular, d_i | d_{i+1}, zeros last, d = sympy's factors."""
+    d, p, q = out
+    paq = intlinalg.mat_mul(intlinalg.mat_mul(p, a), q)
+    assert paq == [[d[i] if i == j else 0 for j in range(len(a[0]))] for i in range(len(a))]
+    assert abs(det(p)) == 1
+    assert abs(det(q)) == 1
+    for i in range(len(d) - 1):
+        assert d[i + 1] % d[i] == 0 if d[i] else d[i + 1] == 0
+    assert d == [abs(x) for x in invariant_factors(sympy.Matrix(a))]
+
+
 def test_smith_normal_form_transforms_and_divisibility():
     rng = random.Random(4)
     for _ in range(60):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
-        d, p, q = smith_normal_form(a)
-        pa = intlinalg.mat_mul(p, a)
-        paq = intlinalg.mat_mul(pa, q)
-        for i in range(n):
-            for j in range(n):
-                assert paq[i][j] == (d[i] if i == j else 0)
-        for i in range(len(d) - 1):
-            if d[i + 1]:
-                assert d[i + 1] % max(d[i], 1) == 0 or d[i] == 0
-        assert abs(det(p)) == 1
-        assert abs(det(q)) == 1
+        _assert_smith(a, smith_normal_form(a))
+
+
+_ENTRY = st.integers(-9, 9)
+
+
+def _matrices(nrows, ncols):
+    return st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def _smith_inputs(draw):
+    """Dense up to 8x8 (rectangular), rank-deficient B*C, or banded up to 16x16."""
+    kind = draw(st.sampled_from(("dense", "rank-deficient", "banded")))
+    if kind == "banded":
+        n, width = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+        return [[draw(_ENTRY) if abs(i - j) <= width else 0 for j in range(n)]
+                for i in range(n)]
+    nrows, ncols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    if kind == "dense":
+        return draw(_matrices(nrows, ncols))
+    inner = draw(st.integers(1, min(nrows, ncols) - 1))
+    return intlinalg.mat_mul(draw(_matrices(nrows, inner)), draw(_matrices(inner, ncols)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_smith_inputs())
+def test_smith_normal_form_matches_sympy(a):
+    _assert_smith(a, smith_normal_form(a))
+
+
+def test_smith_normal_form_ends_on_dense_7x7(time_budget):
+    a = [[-7, -5, 3, 2, -2, -6, 1], [-1, -9, 7, 1, -6, 2, -5], [-1, 3, -7, 9, 7, 6, 9],
+         [4, 8, 3, 0, -2, 0, 8], [-5, -8, 7, -6, -4, -2, -3], [4, -1, 8, -9, -1, 8, -1],
+         [7, -1, 6, -5, 3, -6, 2]]
+    out = smith_normal_form(a)
+    assert out[0] == [1] * 6 + [abs(det(a))]
+    _assert_smith(a, out)
+
+
+def test_smith_normal_form_degenerate_shapes():
+    assert smith_normal_form([[0, 0], [0, 0]])[0] == [0, 0]
+    assert smith_normal_form([[0, 3], [0, 0]])[0] == [3, 0]
+    assert smith_normal_form([[]]) == ([], [[1]], [])
+    assert smith_normal_form([]) == ([], [], [])
 
 
 def test_det_matches_fraction_elimination():

@@ -9,7 +9,6 @@ from cf_lattice import (
     Sublattice,
     direct_sum,
     discriminant_data,
-    discriminant_group,
     fqf_isomorphic,
     genus_invariants,
     lattice_from_json,
@@ -76,7 +75,7 @@ def test_complement_of_polarization():
     assert lat.rank == 22
     assert lat.is_even()
     assert lat.signature() == (20, 2)
-    assert discriminant_group(lat).invariant_factors == (3,)
+    assert discriminant_data(lat).form.invariant_factors == (3,)
     # exact annihilation of every returned row against the input
     for row in comp.basis:
         assert I_21_2.inner(row, H) == 0
@@ -145,13 +144,13 @@ def test_index_squared_law_definite():
 
 
 def test_discriminant_group_orders():
-    assert discriminant_group(standard_lattice("A2")).invariant_factors == (3,)
-    assert discriminant_group(standard_lattice("E8")).is_trivial()
-    assert discriminant_group(standard_lattice("E7")).invariant_factors == (2,)
-    assert discriminant_group(standard_lattice("D16")).invariant_factors == (2, 2)
-    assert discriminant_group(standard_lattice("A17")).invariant_factors == (18,)
+    assert discriminant_data(standard_lattice("A2")).form.invariant_factors == (3,)
+    assert discriminant_data(standard_lattice("E8")).form.is_trivial()
+    assert discriminant_data(standard_lattice("E7")).form.invariant_factors == (2,)
+    assert discriminant_data(standard_lattice("D16")).form.invariant_factors == (2, 2)
+    assert discriminant_data(standard_lattice("A17")).form.invariant_factors == (18,)
     with pytest.raises(DegenerateLatticeError):
-        discriminant_group(Lattice(((0,),)))
+        discriminant_data(Lattice(((0,),)))
 
 
 def test_disc_group_order_equals_det_on_random_lattices():
@@ -167,7 +166,7 @@ def test_disc_group_order_equals_det_on_random_lattices():
         d = lat.det()
         if d == 0:
             continue
-        assert discriminant_group(lat).order == abs(d)
+        assert discriminant_data(lat).form.order == abs(d)
         done += 1
 
 
@@ -186,27 +185,27 @@ def test_disc_quadratic_values():
 
 def test_fqf_isomorphism():
     comp = orthogonal_complement(I_21_2, span_sublattice(I_21_2, [H]))
-    core_disc = discriminant_group(comp.lattice())
-    a2_disc = discriminant_group(standard_lattice("A2"))
-    e6_disc = discriminant_group(standard_lattice("E6"))
+    core_disc = discriminant_data(comp.lattice()).form
+    a2_disc = discriminant_data(standard_lattice("A2")).form
+    e6_disc = discriminant_data(standard_lattice("E6")).form
     assert fqf_isomorphic(core_disc, a2_disc)
     assert not fqf_isomorphic(core_disc, e6_disc)
     # sign flip: negating the Gram negates q
     neg_a2 = Lattice(((-2, 1), (1, -2)))
-    assert fqf_isomorphic(discriminant_group(neg_a2), e6_disc)
+    assert fqf_isomorphic(discriminant_data(neg_a2).form, e6_disc)
     # trivial vs trivial
-    t = discriminant_group(standard_lattice("E8"))
+    t = discriminant_data(standard_lattice("E8")).form
     assert fqf_isomorphic(t, t)
     # Z/2 with q = 1/2 vs q = 3/2
-    plus = discriminant_group(Lattice(((2,),)))
-    minus = discriminant_group(Lattice(((-2,),)))
+    plus = discriminant_data(Lattice(((2,),))).form
+    minus = discriminant_data(Lattice(((-2,),))).form
     assert not fqf_isomorphic(plus, minus)
 
 
 def test_fqf_isomorphism_order_cap():
     big = Lattice(((202,),))
     with pytest.raises(ValueError):
-        fqf_isomorphic(discriminant_group(big), discriminant_group(big))
+        fqf_isomorphic(discriminant_data(big).form, discriminant_data(big).form)
 
 
 def test_genus_invariants_examples():

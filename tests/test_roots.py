@@ -290,6 +290,12 @@ def test_root_system_label_parse_and_format():
         RootSystemLabel.parse("F4")
 
 
+@pytest.mark.parametrize("text", ["E9", "A0", "D3", "E6^-1", "E6^0"])
+def test_root_system_label_rejects_what_names_no_root_system(text):
+    with pytest.raises(ValueError):
+        RootSystemLabel.parse(text)
+
+
 def test_package_attribute_roots_is_the_submodule():
     import cf_lattice
     import cf_lattice.roots as roots_module
