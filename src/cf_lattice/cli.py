@@ -3,8 +3,8 @@
 Subcommands: lattice, roots, niemeier, plethysm, spectra, verify.
 Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
-indefinite enumeration input, out-of-range parameters, virtual characters,
-characters past the plethysm work cap).
+indefinite or over-cap enumeration input, out-of-range parameters, virtual
+characters, characters past the plethysm work cap).
 """
 from __future__ import annotations
 

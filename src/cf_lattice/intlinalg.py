@@ -7,12 +7,15 @@ list-of-list matrices and never mutate their arguments.
 One integer elimination loop, `_echelon` (Euclid down each column with the
 smallest entry as pivot), serves `hnf`, `kernel` and `smith_normal_form`; the
 Smith form is alternating row and column Hermite normal forms
-(Kannan-Bachem), not a loop of its own.
+(Kannan-Bachem), not a loop of its own. Inverses come from one fraction-free
+(Bareiss) Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in
+integers; `rational_inverse` is its Fraction view. `det` is the forward half
+of the same elimination, without the right block.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 Matrix = list[list[int]]
 
@@ -171,25 +174,26 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
             row[i] += row[i + 1]
 
 
-def rational_inverse(a) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix of ints or Fractions, exact Fractions.
+def adjugate(a) -> tuple[int, Matrix]:
+    """(det A, adj A) of a square nonsingular integer matrix; adj A = det A * A^-1.
 
-    Fraction-free: the entries are cleared to integers by one common
-    denominator s, and Bareiss Gauss-Jordan elimination runs on [s*A | I],
-    every division by the previous pivot exact. It ends with pivot p on every
-    diagonal entry of the left block and p * (s*A)^-1 in the right block.
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I], every
+    division by the previous pivot exact. It ends with the last pivot p on
+    every diagonal entry of the left block and p * A^-1 in the right block,
+    and p is det A up to the sign of the row swaps.
     Raises ValueError if the matrix is singular.
     """
     n = len(a)
-    s = lcm(*(x.denominator for row in a for x in row))
-    m = [[int(x * s) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
     prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
         pivot_row = m[col]
         p = pivot_row[col]
         for i in range(n):
@@ -198,36 +202,18 @@ def rational_inverse(a) -> list[list[Fraction]]:
                 c = row[col]
                 m[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
-    return [[Fraction(x * s, row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def solve_rational(a, b) -> list[Fraction] | None:
-    """One solution x of A x = b over Q, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col]:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, nrows):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return x
+def rational_inverse(a) -> list[list[Fraction]]:
+    """Inverse of a square nonsingular matrix of ints or Fractions, exact Fractions.
+
+    The entries are cleared to integers by one common denominator s, and
+    A^-1 = s * adj(sA) / det(sA). Raises ValueError if the matrix is singular.
+    """
+    s = lcm(*(x.denominator for row in a for x in row))
+    d, adj = adjugate([[int(x * s) for x in row] for row in a])
+    return [[Fraction(x * s, d) for x in row] for row in adj]
 
 
 def signature(gram) -> tuple[int, int, int]:
@@ -277,15 +263,3 @@ def signature(gram) -> tuple[int, int, int]:
             m[piv][i] = Fraction(0)
     return pos, neg, zero
 
-
-def floor_sqrt_fraction(f: Fraction) -> int:
-    """max{k in Z, k >= 0 : k^2 <= f} for f >= 0."""
-    if f < 0:
-        raise ValueError("negative radicand")
-    n, d = f.numerator, f.denominator
-    r = isqrt(n * d) // d
-    while (r + 1) * (r + 1) <= f:
-        r += 1
-    while r * r > f:
-        r -= 1
-    return r

@@ -2,7 +2,10 @@
 
 A lattice is a free Z-module with an integer Gram matrix on a fixed basis.
 Vectors are plain integer tuples in that basis. All values are immutable
-and all operations are pure functions.
+and all operations are pure functions. Dual-lattice coordinates (discriminant
+forms and their generator lifts) come from the Smith transforms of the Gram,
+and sublattice coordinates from one integer adjugate: nothing here inverts a
+matrix in Fractions.
 """
 from __future__ import annotations
 
@@ -10,10 +13,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
+from operator import mul
 
 from . import intlinalg
-from .intlinalg import hnf, kernel, rational_inverse, smith_normal_form
+from .intlinalg import hnf, kernel, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -105,17 +109,27 @@ class Sublattice:
         return intlinalg.det(self.induced_gram()) == 0
 
     def from_ambient(self, v: Vector) -> Vector:
-        """Coordinates of an ambient vector in this basis; error if not in the span."""
-        sol = intlinalg.solve_rational(intlinalg.transpose(list(self.basis)), list(v))
-        if sol is None:
+        """Coordinates c with c * B = v in this basis B; error if v is not in the sublattice.
+
+        In integers: det(B B^T) * c = (v * B^T) * adj(B B^T), B having independent rows.
+        """
+        if len(v) != self.ambient.rank:
+            raise ValueError("vector length does not match the ambient rank")
+        b = [list(r) for r in self.basis]
+        d, adj = intlinalg.adjugate(intlinalg.mat_mul(b, intlinalg.transpose(b)))
+        scaled = intlinalg.mat_vec(adj, intlinalg.mat_vec(b, list(v)))
+        if any(sum(c * row[j] for c, row in zip(scaled, b)) != d * x for j, x in enumerate(v)):
             raise ValueError("vector does not lie in the sublattice span")
-        if any(x.denominator != 1 for x in sol):
+        if any(c % d for c in scaled):
             raise ValueError("vector lies in the span but not in the sublattice")
-        return tuple(int(x) for x in sol)
+        return tuple(c // d for c in scaled)
 
     def contains(self, v: Vector) -> bool:
-        sol = intlinalg.solve_rational(intlinalg.transpose(list(self.basis)), list(v))
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        try:
+            self.from_ambient(v)
+        except ValueError:
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -324,9 +338,9 @@ def saturation_index(lat: Lattice, sub: Sublattice) -> int:
         [list(r) for r in sat.basis],
         intlinalg.transpose([list(r) for r in sat.basis]))))
     # [sat:S]^2 = gram-det ratio of the coordinate rows
-    ratio = Fraction(d_sub, d_sat)
-    root = intlinalg.floor_sqrt_fraction(ratio)
-    if root * root != ratio:
+    ratio, rest = divmod(d_sub, d_sat)
+    root = isqrt(ratio)
+    if rest or root * root != ratio:
         raise ArithmeticError("saturation index is not integral (bug)")
     return root
 
@@ -352,36 +366,29 @@ class DiscriminantData:
 
 
 def discriminant_data(lat: Lattice) -> DiscriminantData:
-    """Discriminant form with generator lifts, via Smith normal form."""
+    """Discriminant form with generator lifts, from the Smith transforms of the Gram.
+
+    P G Q = D gives G^-1 = Q D^-1 P, so generator i of L*/L lifts to
+    Q e_i / d_i, and b_ij = (Q^T G Q)_ij / (d_i d_j) (Nikulin 1979; Cohen,
+    GTM 138, 2.4): one integer product, no inverse of P or G.
+    """
     if lat.is_degenerate():
         raise DegenerateLatticeError("discriminant group requires det != 0")
     g = [list(r) for r in lat.gram]
-    d, p, _q = smith_normal_form(g)
-    p_inv = rational_inverse(p)
-    gens = []
-    factors = []
-    for i, di in enumerate(d):
-        if di > 1:
-            factors.append(di)
-            gens.append([int(row[i]) for row in p_inv])
-    g_inv = rational_inverse(g)
+    d, _p, q = smith_normal_form(g)
+    keep = [i for i, di in enumerate(d) if di > 1]
+    cols = [[row[i] for row in q] for i in keep]
+    g_cols = [intlinalg.mat_vec(g, c) for c in cols]
+    factors = tuple(d[i] for i in keep)
+    bvals = [[Fraction(sum(map(mul, ci, gcj)), di * dj) for gcj, dj in zip(g_cols, factors)]
+             for ci, di in zip(cols, factors)]
     even = lat.is_even()
-    qvals = []
-    bvals = [[Fraction(0)] * len(gens) for _ in range(len(gens))]
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            val = sum(Fraction(gi[a]) * g_inv[a][b] * gj[b]
-                      for a in range(lat.rank) for b in range(lat.rank))
-            bvals[i][j] = val % 1
-            if i == j and even:
-                qvals.append(val % 2)
     form = FiniteQuadraticForm(
-        invariant_factors=tuple(factors),
-        q=tuple(qvals) if even else None,
-        b=tuple(tuple(r) for r in bvals),
+        invariant_factors=factors,
+        q=tuple(row[i] % 2 for i, row in enumerate(bvals)) if even else None,
+        b=tuple(tuple(x % 1 for x in row) for row in bvals),
     )
-    lifts = tuple(tuple(sum(Fraction(gi[a]) * g_inv[a][b] for a in range(lat.rank))
-                        for b in range(lat.rank)) for gi in gens)
+    lifts = tuple(tuple(Fraction(x, di) for x in ci) for ci, di in zip(cols, factors))
     return DiscriminantData(form=form, lifts=lifts)
 
 
@@ -487,5 +494,11 @@ def lattice_from_json(text: str) -> Lattice:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ValueError("lattice document must be an object with a 'gram' key")
-    gram = tuple(tuple(_decode_int(x) for x in row) for row in doc["gram"])
-    return Lattice(gram, name=doc.get("name"))
+    name = doc.get("name")
+    if "name" in doc and not isinstance(name, str):
+        raise ValueError(f"lattice 'name' must be a string, got {name!r}")
+    rows = doc["gram"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("lattice 'gram' must be an array of arrays")
+    gram = tuple(tuple(_decode_int(x) for x in row) for row in rows)
+    return Lattice(gram, name=name)

@@ -54,12 +54,10 @@ class NiemeierEntry:
 class GluedLattice:
     """Result of an overlattice construction, with basis bookkeeping.
 
-    `new_in_old` expresses the new basis in (rational) old coordinates;
     `old_in_new` expresses the old basis integrally in the new one.
     """
 
     lattice: Lattice
-    new_in_old: tuple[tuple[Fraction, ...], ...]
     old_in_new: tuple[tuple[int, ...], ...]
     glue_order: int
 
@@ -113,12 +111,11 @@ def overlattice(lat: Lattice, glue: GlueGroup) -> GluedLattice:
     index = isqrt(index_sq)
     if index * index != index_sq or new_det * index_sq != old_det:
         raise ArithmeticError("overlattice index is not integral (bug)")
-    h_inv = intlinalg.rational_inverse(h)
-    old_in_new = tuple(tuple(int(h_inv[i][j] * den) for j in range(n)) for i in range(n))
+    # the old basis in the new one is den * h^-1 = den * adj(h) / det(h)
+    det_h, adj_h = intlinalg.adjugate(h)
     return GluedLattice(
         lattice=result,
-        new_in_old=tuple(tuple(Fraction(x, den) for x in row) for row in h),
-        old_in_new=old_in_new,
+        old_in_new=tuple(tuple(den * x // det_h for x in row) for row in adj_h),
         glue_order=index,
     )
 
@@ -243,7 +240,6 @@ def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
             continue
         return GluedLattice(
             lattice=Lattice(lat.gram, name=f"Niemeier({entry.root_system})"),
-            new_in_old=glued.new_in_old,
             old_in_new=glued.old_in_new,
             glue_order=glued.glue_order,
         )

@@ -471,9 +471,7 @@ def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice):
     det(G6) > 0: det(G6) * r - (adj(G6) * pairings) . basis, with
     adj(G6) = det(G6) * G6^-1; a positive scale leaves the line unchanged.
     """
-    g6 = [list(r) for r in e6sub.induced_gram()]
-    det6 = intlinalg.det(g6)
-    adj6 = [[int(x * det6) for x in row] for row in intlinalg.rational_inverse(g6)]
+    det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
     in_e6 = []

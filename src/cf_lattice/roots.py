@@ -2,9 +2,11 @@
 
 Enumeration is Fincke-Pohst in integers: one exact rational LDL^T
 decomposition is scaled once to integer centres, weights and budget, and the
-search itself touches ints only; definite lattices only. Output order is
-canonical (sign fixed by first nonzero coordinate, then lexicographic) so
-results are reproducible.
+search itself touches ints only; definite lattices only. A walk past
+MAX_ENUMERATION_NODES search-tree nodes raises EnumerationCapError. Output
+order is canonical (sign fixed by first nonzero coordinate, then
+lexicographic) so results are reproducible. The action of an isometry on the
+discriminant group is read off the Smith transforms in integers.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import intlinalg
-from .intlinalg import rational_inverse
 from .lattices import (
     Lattice,
     Vector,
@@ -124,6 +125,16 @@ class Isometry:
         return self.compose(self).is_identity()
 
 
+# Bound on the search-tree nodes (recursive calls, leaves included) of one
+# enumeration: ten times the largest walk of the test suite (655,365 nodes,
+# norm 4 on a Niemeier lattice); `cf-lattice verify` needs at most 5,415.
+MAX_ENUMERATION_NODES = 6_600_000
+
+
+class EnumerationCapError(ValueError):
+    """The enumeration would visit more than MAX_ENUMERATION_NODES nodes."""
+
+
 def _ldl(gram):
     """G = L^T D L with unit upper-triangular L; errors unless positive definite."""
     n = len(gram)
@@ -152,6 +163,7 @@ def _enumerate_norm(gram, target: int):
     s * d_i (x_i + c_i)^2 = w_i (den_i x_i + C_i)^2 with C_i = sum_j m_ij x_j.
     The budget is target * s; each x_i runs over the exact integer interval
     |den_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
+    Raises EnumerationCapError past MAX_ENUMERATION_NODES nodes.
     """
     n = len(gram)
     if n == 0:
@@ -165,8 +177,14 @@ def _enumerate_norm(gram, target: int):
     weights = [int(e * s) for e in scaled]
     results = []
     x = [0] * n
+    nodes = 0
 
     def descend(i, budget, zeros_so_far):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_ENUMERATION_NODES:
+            raise EnumerationCapError(f"norm-{target} enumeration passes the cap of "
+                                      f"{MAX_ENUMERATION_NODES} search nodes")
         if i < 0:
             if budget == 0 and not zeros_so_far:
                 results.append(tuple(x))
@@ -309,26 +327,27 @@ class DiscAction:
 
 
 def disc_action(lat: Lattice, iso: Isometry) -> DiscAction:
-    """Action of an isometry on A_L = L*/L, expressed on the Smith generators."""
+    """Action of an isometry on A_L = L*/L, expressed on the Smith generators.
+
+    With P G Q = D, generator i lifts to Q e_i / d_i, and a dual vector y has
+    Smith coordinates P G y mod d. So the image of generator i has coordinates
+    P G M Q e_i / d_i, an integer vector, coordinate j taken mod d_j.
+    """
     g = [list(r) for r in lat.gram]
-    d, p, _q = intlinalg.smith_normal_form(g)
+    d, p, q = intlinalg.smith_normal_form(g)
     keep = [i for i, di in enumerate(d) if di > 1]
-    factors = tuple(d[i] for i in keep)
     if not keep:
         return DiscAction((), ())
-    p_inv = rational_inverse(p)
-    gens_dual = [[int(row[i]) for row in p_inv] for i in keep]
-    m_inv_t = intlinalg.transpose(rational_inverse([list(r) for r in iso.matrix]))
+    pgm = intlinalg.mat_mul(intlinalg.mat_mul(p, g), [list(r) for r in iso.matrix])
     action = []
     for i in keep:
-        img = intlinalg.mat_vec(m_inv_t, gens_dual[keep.index(i)])
-        if any(x.denominator != 1 for x in img):
+        img = intlinalg.mat_vec(pgm, [row[i] for row in q])
+        if any(x % d[i] for x in img):
             raise ArithmeticError("isometry does not act integrally on the dual (bug)")
-        smith_coords = intlinalg.mat_vec(p, [int(x) for x in img])
-        action.append(tuple(int(smith_coords[j]) % d[j] for j in keep))
+        action.append(tuple(img[j] // d[i] % d[j] for j in keep))
     # action[i] is the image of generator i written in generator coordinates
     matrix = tuple(tuple(action[j][i] for j in range(len(keep))) for i in range(len(keep)))
-    return DiscAction(factors, matrix)
+    return DiscAction(tuple(d[i] for i in keep), matrix)
 
 
 class LongRootNotFound(RuntimeError):
@@ -351,9 +370,8 @@ def find_long_root(lam: Lattice, h: Vector, bound: int = 6) -> Vector:
         coeffs.extend((a, -a))
     for support_size in range(1, 4):
         for positions in combinations(range(n), support_size):
-            for cs in product(coeffs, repeat=support_size):
-                if cs[0] < 0:
-                    continue  # sign symmetry handled via the pairing below
+            # the first coefficient is positive: the sign is fixed by the pairing below
+            for cs in product(range(1, bound + 1), *[coeffs] * (support_size - 1)):
                 v = [0] * n
                 for pos, c in zip(positions, cs):
                     v[pos] = c

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,15 @@ def test_lattice_malformed_json_exits_2(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_lattice_name_not_a_string_exits_2(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text('{"name": 5, "gram": [[2]]}')
+    code, out, err = run_exit(capsys, ["lattice", "info", str(path)])
+    assert code == 2
+    assert not out
+    assert "'name' must be a string" in err
+
+
 def test_lattice_degenerate_exits_3(tmp_path, capsys):
     path = tmp_path / "degenerate.json"
     path.write_text(json.dumps({"gram": [[0]]}))
@@ -142,6 +155,22 @@ def test_roots_indefinite_exits_3(tmp_path, capsys):
     path = write_lattice(tmp_path, "U")
     code, _, _ = run_exit(capsys, ["roots", path])
     assert code == 3
+
+
+def test_roots_past_the_enumeration_cap_exits_3(tmp_path, time_budget):
+    """About 10^8 vectors of norm 400 in diag(2^8): the node cap ends the walk, in bounded
+    time and memory, in a fresh process."""
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"gram": [[2 * (i == j) for j in range(8)] for i in range(8)]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-m", "cf_lattice.cli", "roots", str(path),
+                             "--norm", "400"], env=env, capture_output=True, text=True,
+                            timeout=30)
+    assert result.returncode == 3
+    assert not result.stdout
+    assert "search nodes" in result.stderr
 
 
 def test_niemeier_list(capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 import sympy
@@ -9,14 +10,13 @@ from sympy.matrices.normalforms import invariant_factors
 
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import (
+    adjugate,
     det,
-    floor_sqrt_fraction,
     hnf,
     kernel,
     rational_inverse,
     signature,
     smith_normal_form,
-    solve_rational,
 )
 
 
@@ -186,6 +186,8 @@ def test_signature_pivot_order_independence():
 
 
 def test_rational_inverse_and_solve():
+    # a row swap flips the sign of the last Bareiss pivot
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
     rng = random.Random(6)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -197,11 +199,11 @@ def test_rational_inverse_and_solve():
         for i in range(n):
             for j in range(n):
                 assert prod[i][j] == (1 if i == j else 0)
+        # A x = b solved in integers: det(A) x = adj(A) b
         b = [rng.randint(-5, 5) for _ in range(n)]
-        x = solve_rational(a, b)
-        assert x is not None
-        assert intlinalg.mat_vec([[Fraction(v) for v in row] for row in a], x) == \
-            [Fraction(v) for v in b]
+        d, adj = adjugate(a)
+        assert d == det(a)
+        assert intlinalg.mat_vec(a, intlinalg.mat_vec(adj, b)) == [d * v for v in b]
 
 
 _ENTRIES = st.one_of(st.integers(-9, 9),
@@ -220,29 +222,25 @@ def _square_matrices(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_square_matrices())
 def test_rational_inverse_matches_sympy(a):
-    """Differential oracle: sympy's Matrix.inv, or ValueError exactly when det A = 0."""
+    """Differential oracle: sympy's Matrix.inv, det and adjugate, or ValueError exactly
+    when det A = 0. `adjugate` runs on A cleared to integers by its common denominator."""
     n = len(a)
     m = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+    s = lcm(*(x.denominator for row in a for x in row))
+    scaled = [[int(x * s) for x in row] for row in a]
     if m.det() == 0:
         with pytest.raises(ValueError):
             rational_inverse(a)
+        with pytest.raises(ValueError):
+            adjugate(scaled)
         return
     inv = rational_inverse(a)
     assert all(isinstance(x, Fraction) for row in inv for x in row)
     expected = m.inv()
     assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in inv] == \
         expected.tolist()
-
-
-def test_solve_rational_inconsistent():
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
-
-
-def test_floor_sqrt_fraction():
-    assert floor_sqrt_fraction(Fraction(0)) == 0
-    assert floor_sqrt_fraction(Fraction(8)) == 2
-    assert floor_sqrt_fraction(Fraction(9)) == 3
-    assert floor_sqrt_fraction(Fraction(1, 2)) == 0
-    assert floor_sqrt_fraction(Fraction(50, 2)) == 5
-    with pytest.raises(ValueError):
-        floor_sqrt_fraction(Fraction(-1))
+    # sA has det s^n det A and adjugate det(sA) (sA)^-1 = s^(n-1) det(A) A^-1
+    d, adj = adjugate(scaled)
+    assert d == s ** n * m.det()
+    assert adj == (s ** (n - 1) * m.det() * expected).tolist()
+    assert all(type(x) is int for row in adj for x in row)

@@ -1,7 +1,11 @@
 import json
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from cf_lattice import (
     DegenerateLatticeError,
@@ -116,6 +120,53 @@ def test_zero_sublattice_saturation_and_complement():
     assert orthogonal_complement(a2, zero).basis == ((1, 0), (0, 1))
 
 
+def test_from_ambient_and_contains_match_sympy():
+    """c * B = v solved by sympy: a unique integral c, a non-integral c, or no c at all."""
+    rng = random.Random(17)
+    lat = standard_lattice("I_{4,1}")
+    seen = {"in": 0, "span only": 0, "outside": 0}
+    for k in (1, 2, 3, 4) * 3:
+        b = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(k)]
+        if sympy.Matrix(b).rank() < k:
+            continue
+        b[0] = [2 * x for x in b[0]]
+        sub = Sublattice(lat, tuple(tuple(r) for r in b))
+        c = [rng.randint(-4, 4) for _ in range(k)]
+        combination = [sum(ci * row[j] for ci, row in zip(c, b)) for j in range(5)]
+        half_first = [x + y // 2 for x, y in zip(combination, b[0])]
+        for v in (combination, half_first, [rng.randint(-4, 4) for _ in range(5)]):
+            v = tuple(v)
+            try:
+                sol, params = sympy.Matrix(b).T.gauss_jordan_solve(sympy.Matrix(v))
+            except ValueError:  # sympy: inconsistent system
+                seen["outside"] += 1
+                with pytest.raises(ValueError, match="does not lie in the sublattice span"):
+                    sub.from_ambient(v)
+                assert not sub.contains(v)
+                continue
+            assert not params  # independent rows: the solution is unique
+            if all(x.is_integer for x in sol):
+                seen["in"] += 1
+                assert sub.from_ambient(v) == tuple(int(x) for x in sol)
+                assert sub.contains(v)
+            else:
+                seen["span only"] += 1
+                with pytest.raises(ValueError, match="lies in the span but not in the sublattice"):
+                    sub.from_ambient(v)
+                assert not sub.contains(v)
+    assert min(seen.values()) >= 5
+    zero = Sublattice(lat, ())
+    assert zero.from_ambient((0,) * 5) == ()
+    assert zero.contains((0,) * 5)
+    with pytest.raises(ValueError, match="does not lie in the sublattice span"):
+        zero.from_ambient((1, 0, 0, 0, 0))
+    assert not zero.contains((1, 0, 0, 0, 0))
+    for v in ((1, 0, 0, 0), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="ambient rank"):
+            sub.from_ambient(v)
+        assert not sub.contains(v)
+
+
 def test_sublattice_rows_must_have_ambient_length():
     a2 = standard_lattice("A2")
     with pytest.raises(ValueError, match="ambient rank"):
@@ -139,7 +190,7 @@ def test_index_squared_law_definite():
     ds = abs(intlinalg.det(sub.induced_gram()))
     dc = abs(intlinalg.det(comp.induced_gram()))
     ratio = ds * dc // abs(e8.det())
-    root = intlinalg.floor_sqrt_fraction(ratio)
+    root = isqrt(ratio)
     assert root * root == ratio == 9
 
 
@@ -168,6 +219,62 @@ def test_disc_group_order_equals_det_on_random_lattices():
             continue
         assert discriminant_data(lat).form.order == abs(d)
         done += 1
+
+
+def _seeded_nondegenerate_grams():
+    """Random symmetric Grams (odd or even, often indefinite) and A-D-E sums in skewed bases."""
+    rng = random.Random(29)
+    grams = []
+    while len(grams) < 16:
+        n = rng.randint(2, 5)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+            if len(grams) % 2:
+                g[i][i] *= 2
+        if sympy.Matrix(g).det():
+            grams.append(g)
+    for labels in (("A3", "D5"), ("E6", "A2"), ("D4", "D4"), ("A1", "A1", "E7"), ("A4", "U")):
+        g = [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
+        n = len(g)
+        u = intlinalg.identity(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+        grams.append(intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u)))
+    return grams
+
+
+@pytest.mark.parametrize("g", _seeded_nondegenerate_grams())
+def test_discriminant_data_matches_sympy(g):
+    """Invariant factors are sympy's; lift i lies in L*, has order d_i in L*/L, the lifts
+    generate L*/L, and q and b are the values of the lifts."""
+    lat = Lattice(tuple(tuple(r) for r in g))
+    data = discriminant_data(lat)
+    factors = [abs(int(x)) for x in invariant_factors(sympy.Matrix(g))]
+    assert data.form.invariant_factors == tuple(x for x in factors if x > 1)
+    pairings = []
+    for lift, d in zip(data.lifts, data.form.invariant_factors):
+        pairing = [sum(gij * x for gij, x in zip(row, lift)) for row in g]
+        assert all(x.denominator == 1 for x in pairing)  # lift in L*
+        assert all((d * x).denominator == 1 for x in lift)
+        for p in sympy.primefactors(d):
+            assert any((d // p * x).denominator != 1 for x in lift)
+        pairings.append([int(x) for x in pairing])
+    # L* / L in pairing coordinates is Z^n / G Z^n: the lifts generate it
+    assert set(invariant_factors(sympy.Matrix(g + pairings))) == {1}
+
+    def value(x, y):
+        return sum(x[i] * g[i][j] * y[j] for i in range(len(g)) for j in range(len(g)))
+
+    lifts = data.lifts
+    assert data.form.b == tuple(tuple(value(x, y) % 1 for y in lifts) for x in lifts)
+    if lat.is_even():
+        assert data.form.q == tuple(value(x, x) % 2 for x in lifts)
+    else:
+        assert data.form.q is None
+    assert all(isinstance(x, Fraction) for lift in lifts for x in lift)
 
 
 def test_disc_quadratic_values():
@@ -240,10 +347,10 @@ def test_json_round_trip_and_big_integers():
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        lattice_from_json("{\"gram\": [[1.5]]}")
-    with pytest.raises(ValueError):
-        lattice_from_json("[1, 2]")
+    for text in ('{"gram": [[1.5]]}', "[1, 2]", '{"name": 5, "gram": [[2]]}',
+                 '{"name": null, "gram": [[2]]}', '{"gram": 5}', '{"gram": [5]}'):
+        with pytest.raises(ValueError):
+            lattice_from_json(text)
 
 
 def test_induced_gram_consistency():

@@ -1,9 +1,10 @@
 import inspect
 import random
-from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
+from math import isqrt
 
 import pytest
+import sympy
 
 from cf_lattice import (
     Lattice,
@@ -13,7 +14,7 @@ from cf_lattice import (
     standard_lattice,
 )
 from cf_lattice import intlinalg
-from cf_lattice.intlinalg import floor_sqrt_fraction, rational_inverse
+from cf_lattice.intlinalg import smith_normal_form
 from cf_lattice.roots import (
     Isometry,
     RootSystemLabel,
@@ -29,10 +30,12 @@ from cf_lattice.roots import (
 
 def brute_force_norm_count(lat, norm):
     """Independent oracle: full coordinate box from the Cauchy-Schwarz bound
-    |x_i|^2 <= norm * (G^-1)_ii, filtered by the exact norm."""
+    |x_i|^2 <= norm * (G^-1)_ii (sympy's inverse), filtered by the exact norm.
+    floor(sqrt(p/q)) = isqrt(p q) // q for q > 0."""
     n = lat.rank
-    g_inv = rational_inverse([list(r) for r in lat.gram])
-    bounds = [floor_sqrt_fraction(Fraction(norm) * g_inv[i][i]) for i in range(n)]
+    g_inv = sympy.Matrix(lat.gram).inv()
+    radicands = [norm * g_inv[i, i] for i in range(n)]
+    bounds = [isqrt(r.p * r.q) // r.q for r in radicands]
     count = 0
     vectors = []
     for x in product(*[range(-b, b + 1) for b in bounds]):
@@ -239,6 +242,48 @@ def test_disc_action_trivial_and_nontrivial():
     assert act.matrix == ((2,),)  # x -> -x on Z/3
 
 
+def _diagram_automorphisms(lat):
+    """The isometries +-sigma for the permutations sigma of the basis that fix the Gram."""
+    g, n = lat.gram, lat.rank
+    out = []
+    for perm in permutations(range(n)):
+        if all(g[perm[i]][perm[j]] == g[i][j] for i in range(n) for j in range(n)):
+            for sign in (1, -1):
+                out.append(Isometry(lat, tuple(tuple(sign if perm[j] == i else 0
+                                                     for j in range(n)) for i in range(n))))
+    return out
+
+
+def _disc_action_oracle(lat, iso):
+    """Generator i is P^-1 e_i in the pairing coordinates of L*; its image M^-T P^-1 e_i
+    has Smith coordinates P M^-T P^-1 e_i mod d. Both inverses are sympy's."""
+    d, p, _q = smith_normal_form([list(r) for r in lat.gram])
+    keep = [i for i, di in enumerate(d) if di > 1]
+    p_inv = sympy.Matrix(p).inv()
+    m_inv_t = sympy.Matrix(iso.matrix).inv().T
+    images = []
+    for i in keep:
+        coords = sympy.Matrix(p) * m_inv_t * p_inv[:, i]
+        assert all(x.is_integer for x in coords)
+        images.append([int(coords[j]) % d[j] for j in keep])
+    return (tuple(d[i] for i in keep),
+            tuple(tuple(img[r] for img in images) for r in range(len(keep))))
+
+
+@pytest.mark.parametrize("label", ["D4", "D4+D4", "E6", "A5", "A2+A2+A2"])
+def test_disc_action_matches_sympy_inverse_oracle(label):
+    lat = direct_sum(*(standard_lattice(x) for x in label.split("+")))
+    isometries = _diagram_automorphisms(lat)
+    assert len(isometries) >= 4
+    off_diagonal = 0
+    for iso in isometries:
+        act = disc_action(lat, iso)
+        assert (act.invariant_factors, act.matrix) == _disc_action_oracle(lat, iso)
+        off_diagonal += any(x for i, row in enumerate(act.matrix)
+                            for j, x in enumerate(row) if i != j)
+    assert off_diagonal or len(act.invariant_factors) == 1
+
+
 def test_disc_action_of_long_root_reflection_switches_generators():
     lam = standard_lattice("I_{21,2}")
     h = tuple([1] * 21 + [3, 3])
@@ -272,6 +317,30 @@ def test_find_long_root_contract():
     w = tuple(a - b for a, b in zip(h, v))
     gram_hw = [[lam.inner(h, h), lam.inner(h, w)], [lam.inner(w, h), lam.inner(w, w)]]
     assert gram_hw == [[3, 2], [2, 2]]
+
+
+def _first_long_root(lam, h, bound):
+    """Reference: every sign pattern drawn, those with a negative first coefficient skipped."""
+    gh = intlinalg.mat_vec([list(r) for r in lam.gram], list(h))
+    coeffs = [c for a in range(1, bound + 1) for c in (a, -a)]
+    for size in range(1, 4):
+        for positions in combinations(range(lam.rank), size):
+            for cs in product(coeffs, repeat=size):
+                if cs[0] < 0:
+                    continue
+                v = [0] * lam.rank
+                for pos, c in zip(positions, cs):
+                    v[pos] = c
+                pair = sum(c * gh[pos] for pos, c in zip(positions, cs))
+                if pair in (1, -1) and lam.norm(tuple(v)) == 1:
+                    return tuple(3 * pair * a - b for a, b in zip(v, h))
+
+
+@pytest.mark.parametrize("h", [tuple([1] * 21 + [3, 3]), tuple([2, 2] + [0] * 19 + [1, 2])])
+def test_find_long_root_matches_full_sign_enumeration(h):
+    lam = standard_lattice("I_{21,2}")
+    for bound in (1, 2, 3):
+        assert find_long_root(lam, h, bound) == _first_long_root(lam, h, bound)
 
 
 def test_find_long_root_bound_errors():
