@@ -10,10 +10,11 @@ bookkeeping of the discriminant automorphic form) is exact arithmetic.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from . import intlinalg
@@ -135,11 +136,30 @@ class DeterminantSearch:
     realized: dict
     impossible: tuple[int, ...]
     unrealized_at_bound: tuple[int, ...]
+    drawn: int  # coefficient tuples drawn by the walk: a deterministic work counter
+
+
+# Largest determinant window the witness search accepts: the test suite checks
+# that search bound 8 realizes all 67 allowed determinants in [2, 200].
+MAX_DETERMINANT = 200
 
 
 def determinant_allowed(d: int) -> bool:
     """The congruence obstruction: realizable determinants are 0 or 2 mod 6."""
     return d % 6 in (0, 2)
+
+
+def _canonical_position_sets(classes: list[list[int]], size: int) -> list[tuple[int, ...]]:
+    """The position sets of one size that use, within each class, its first positions.
+
+    One set per choice of class counts, listed in lexicographic order.
+    """
+    sets = []
+    for picks in combinations_with_replacement(range(len(classes)), size):
+        counts = Counter(picks)
+        if all(k <= len(classes[c]) for c, k in counts.items()):
+            sets.append(tuple(sorted(p for c, k in counts.items() for p in classes[c][:k])))
+    return sorted(sets)
 
 
 def realizable_determinants(model: PeriodModel, lo: int, hi: int,
@@ -152,21 +172,43 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
     exactly as classify_hyperplane does. Absence of a witness within the
     bound is reported as such; impossibility comes only from the mod-6
     congruence.
+
+    The walk visits canonical position sets only. The ambient Gram must be
+    diagonal, and positions with equal (h_i, G_ii) form a class; permuting
+    positions inside a class is an isometry fixing h, so it changes neither
+    the determinant, nor the minor gcd, nor positive definiteness. A set is
+    canonical if it uses, within each class, that class's first positions.
+    Among the sets of one size, an orbit's canonical set comes first in
+    lexicographic order, and at the same radius it draws an image of every
+    candidate of the orbit (coefficients permuted, negated if the leading one
+    turns negative). So the first witness of each determinant already lies
+    on a canonical set, and `realized` (witnesses and insertion order
+    included) is the one of the walk over all position sets.
     """
-    if hi > 30:
-        raise ValueError("exhaustive search is validated for determinants <= 30 only")
+    if hi > MAX_DETERMINANT:
+        raise ValueError(f"the witness search accepts determinants <= {MAX_DETERMINANT} only")
     ambient = model.ambient
     h = model.polarization
-    gh = intlinalg.mat_vec([list(r) for r in ambient.gram], list(h))
-    diag = [ambient.gram[i][i] for i in range(ambient.rank)]
     n = ambient.rank
+    if any(ambient.gram[i][j] for i in range(n) for j in range(n) if i != j):
+        raise ValueError("the witness search needs a diagonal ambient Gram matrix")
+    diag = [ambient.gram[i][i] for i in range(n)]
+    gh = [g * x for g, x in zip(diag, h)]
+    classes: dict = {}
+    for i in range(n):
+        classes.setdefault((h[i], diag[i]), []).append(i)
+    canonical = [_canonical_position_sets(list(classes.values()), size) for size in range(1, 5)]
     wanted = [d for d in range(lo, hi + 1) if determinant_allowed(d)]
     realized: dict = {}
+    drawn = 0
 
     def worth_confirming(d):
-        # the saturated determinant is d / k^2 for some index k; only confirm
-        # candidates that could realize a determinant not seen yet
-        for k in (1, 2, 3):
+        # d = det(h, u) and the saturated determinant is d / k^2, k = g * minor_gcd / 3
+        # with g = gcd(3u - (u.h) h); g | 3 for primitive u (g divides u.h, read off a
+        # coordinate outside the support), so k is 1 or 3; a multiple m*u has the
+        # saturation of u, drawn at a smaller radius. Only confirm candidates that
+        # could realize a determinant not seen yet.
+        for k in (1, 3):
             dd, rem = divmod(d, k * k)
             if rem == 0 and lo <= dd <= hi and dd not in realized:
                 return True
@@ -195,6 +237,10 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
                     break
             if minor_gcd == 1:
                 break
+        # the index divides 3: v is primitive and orthogonal to h, so a generator
+        # (v + a h)/k of the saturation has integral product 3a/k with h, gcd(a, k) = 1
+        if minor_gcd not in (1, 3):
+            raise AssertionError("saturation index of span(h, v) does not divide 3 (bug)")
         d_fast = 3 * vsq // (minor_gcd * minor_gcd)
         if not (lo <= d_fast <= hi) or d_fast in realized:
             return
@@ -209,10 +255,11 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
         # v and -v classify identically: draw the first coefficient positive
         leading = range(1, radius + 1)
         for size in range(1, 5):
-            for positions in combinations(range(n), size):
+            for positions in canonical[size - 1]:
                 gh_loc = [gh[p] for p in positions]
                 dg_loc = [diag[p] for p in positions]
                 for cs in product(leading, *[coeff_range] * (size - 1)):
+                    drawn += 1
                     if max(abs(c) for c in cs) != radius:
                         continue  # enumerated at a smaller radius already
                     t = sum(c * w for c, w in zip(cs, gh_loc))
@@ -226,8 +273,8 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
             break
     impossible = tuple(d for d in range(lo, hi + 1) if not determinant_allowed(d))
     unrealized = tuple(d for d in wanted if d not in realized)
-    return DeterminantSearch(lo=lo, hi=hi, realized=realized,
-                             impossible=impossible, unrealized_at_bound=unrealized)
+    return DeterminantSearch(lo=lo, hi=hi, realized=realized, impossible=impossible,
+                             unrealized_at_bound=unrealized, drawn=drawn)
 
 
 def _is_pos_def_rank2(cls: HyperplaneClass) -> bool:

@@ -3,10 +3,11 @@
 Enumeration is Fincke-Pohst in integers: one exact rational LDL^T
 decomposition is scaled once to integer centres, weights and budget, and the
 search itself touches ints only; definite lattices only. A walk past
-MAX_ENUMERATION_NODES search-tree nodes raises EnumerationCapError. Output
-order is canonical (sign fixed by first nonzero coordinate, then
-lexicographic) so results are reproducible. The action of an isometry on the
-discriminant group is read off the Smith transforms in integers.
+MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
+nodes, raises EnumerationCapError. Output order is canonical (sign fixed by
+first nonzero coordinate, then lexicographic) so results are reproducible.
+The action of an isometry on the discriminant group is read off the Smith
+transforms in integers.
 """
 from __future__ import annotations
 
@@ -125,9 +126,11 @@ class Isometry:
         return self.compose(self).is_identity()
 
 
-# Bound on the search-tree nodes (recursive calls, leaves included) of one
-# enumeration: ten times the largest walk of the test suite (655,365 nodes,
-# norm 4 on a Niemeier lattice); `cf-lattice verify` needs at most 5,415.
+# Bound on the work of one enumeration: search-tree nodes (recursive calls,
+# leaves included), plus `rank` nodes for every vector stored, so that the cap
+# bounds memory as well as time. The largest walk of the test suite, norm 4 on
+# a Niemeier lattice, charges 655,365 nodes and at most 24 x 98,280 for its
+# vectors, about 3.0 million; `cf-lattice verify` needs at most 5,415 nodes.
 MAX_ENUMERATION_NODES = 6_600_000
 
 
@@ -163,7 +166,8 @@ def _enumerate_norm(gram, target: int):
     s * d_i (x_i + c_i)^2 = w_i (den_i x_i + C_i)^2 with C_i = sum_j m_ij x_j.
     The budget is target * s; each x_i runs over the exact integer interval
     |den_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
-    Raises EnumerationCapError past MAX_ENUMERATION_NODES nodes.
+    Raises EnumerationCapError past MAX_ENUMERATION_NODES nodes, a stored
+    vector counted as n nodes.
     """
     n = len(gram)
     if n == 0:
@@ -188,6 +192,7 @@ def _enumerate_norm(gram, target: int):
         if i < 0:
             if budget == 0 and not zeros_so_far:
                 results.append(tuple(x))
+                nodes += n  # a stored vector holds n ints: charged as n nodes
             return
         c = sum(m * x[j] for j, m in rows[i])
         w, den = weights[i], dens[i]

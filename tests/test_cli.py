@@ -157,20 +157,48 @@ def test_roots_indefinite_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+# Runs its arguments as a child and prints the child's result and peak RSS
+# (kilobytes): the wrapper is fresh, so RUSAGE_CHILDREN sees that child only.
+_PEAK_RSS_WRAPPER = """
+import json, resource, subprocess, sys
+r = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+print(json.dumps({"code": r.returncode, "stdout": r.stdout, "stderr": r.stderr,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter; return its exit code, output and peak RSS."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS_WRAPPER, sys.executable,
+                             "-m", "cf_lattice.cli", *argv], env=env, capture_output=True,
+                            text=True, timeout=30, check=True)
+    return json.loads(result.stdout)
+
+
 def test_roots_past_the_enumeration_cap_exits_3(tmp_path, time_budget):
     """About 10^8 vectors of norm 400 in diag(2^8): the node cap ends the walk, in bounded
     time and memory, in a fresh process."""
     path = tmp_path / "diag.json"
     path.write_text(json.dumps({"gram": [[2 * (i == j) for j in range(8)] for i in range(8)]}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path_env = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
-    result = subprocess.run([sys.executable, "-m", "cf_lattice.cli", "roots", str(path),
-                             "--norm", "400"], env=env, capture_output=True, text=True,
-                            timeout=30)
-    assert result.returncode == 3
-    assert not result.stdout
-    assert "search nodes" in result.stderr
+    result = run_fresh("roots", str(path), "--norm", "400")
+    assert result["code"] == 3
+    assert not result["stdout"]
+    assert "search nodes" in result["stderr"]
+
+
+def test_enumeration_cap_bounds_memory_on_a_rank_24_walk(tmp_path, time_budget):
+    """Norm 6 on E8^3: stored 24-tuples are charged against the cap, so the walk
+    exits 3 before its vectors fill memory."""
+    e8 = standard_lattice("E8")
+    path = tmp_path / "e8cubed.json"
+    path.write_text(lattice_to_json(direct_sum(e8, e8, e8)))
+    result = run_fresh("roots", str(path), "--norm", "6")
+    assert result["code"] == 3
+    assert "search nodes" in result["stderr"]
+    assert result["peak_kb"] < 200 * 1024
 
 
 def test_niemeier_list(capsys):

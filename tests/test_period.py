@@ -1,7 +1,13 @@
+import dataclasses
+from itertools import combinations, product
+from math import gcd
+
 import pytest
 
-from cf_lattice import standard_lattice
+from cf_lattice import intlinalg, standard_lattice
+from cf_lattice.lattices import Lattice
 from cf_lattice.period import (
+    MAX_DETERMINANT,
     BOUNDARY_CONFIGURATIONS,
     BOUNDARY_MATCHING,
     KNOWN_MATCHING_DISCREPANCIES,
@@ -9,6 +15,7 @@ from cf_lattice.period import (
     boundary_matching,
     build_period_model,
     classify_boundary_components,
+    DeterminantSearch,
     classify_hyperplane,
     determinant_allowed,
     e8_dictionary,
@@ -95,8 +102,108 @@ def test_realizable_determinants_window(model):
 
 
 def test_realizable_determinants_bound_guard(model):
+    assert MAX_DETERMINANT == 200
     with pytest.raises(ValueError):
-        realizable_determinants(model, 2, 40)
+        realizable_determinants(model, 2, 201)
+
+
+def brute_force_determinants(model, lo, hi, search_bound):
+    """Reference walk over every position set of size <= 4 (the library walks orbit
+    representatives only), confirming each candidate through the minor gcd."""
+    ambient = model.ambient
+    h = model.polarization
+    gh = intlinalg.mat_vec([list(r) for r in ambient.gram], list(h))
+    diag = [ambient.gram[i][i] for i in range(ambient.rank)]
+    n = ambient.rank
+    wanted = [d for d in range(lo, hi + 1) if determinant_allowed(d)]
+    realized: dict = {}
+    drawn = 0
+
+    def worth_confirming(d):
+        for k in (1, 2, 3):
+            dd, rem = divmod(d, k * k)
+            if rem == 0 and lo <= dd <= hi and dd not in realized:
+                return True
+        return False
+
+    def confirm(positions, cs):
+        t = sum(c * gh[p] for p, c in zip(positions, cs))
+        vec = [0] * n
+        for p, c in zip(positions, cs):
+            vec[p] = 3 * c
+        v = tuple(a - t * b for a, b in zip(vec, h))
+        if not any(v):
+            return
+        g = gcd(*v)
+        v = tuple(x // g for x in v)
+        vsq = sum(v[i] * v[i] * diag[i] for i in range(n))
+        if vsq <= 0:
+            return
+        minor_gcd = 0
+        for i, j in combinations(range(n), 2):
+            minor_gcd = gcd(minor_gcd, h[i] * v[j] - h[j] * v[i])
+            if minor_gcd == 1:
+                break
+        d_fast = 3 * vsq // (minor_gcd * minor_gcd)
+        if not (lo <= d_fast <= hi) or d_fast in realized:
+            return
+        cls = classify_hyperplane(model, v)
+        assert cls.det == d_fast
+        gram = cls.sublattice.induced_gram()
+        if gram[0][0] > 0 and intlinalg.det(gram) > 0:
+            realized[cls.det] = {"vector": v, "det": cls.det, "family": cls.family}
+
+    for radius in range(1, search_bound + 1):
+        coeff_range = [c for c in range(-radius, radius + 1) if c]
+        leading = range(1, radius + 1)
+        for size in range(1, 5):
+            for positions in combinations(range(n), size):
+                gh_loc = [gh[p] for p in positions]
+                dg_loc = [diag[p] for p in positions]
+                for cs in product(leading, *[coeff_range] * (size - 1)):
+                    drawn += 1
+                    if max(abs(c) for c in cs) != radius:
+                        continue
+                    t = sum(c * w for c, w in zip(cs, gh_loc))
+                    s = sum(c * c * w for c, w in zip(cs, dg_loc))
+                    d = 3 * s - t * t
+                    if d > 0 and worth_confirming(d):
+                        confirm(positions, cs)
+            if all(d in realized for d in wanted):
+                break
+        if all(d in realized for d in wanted):
+            break
+    return DeterminantSearch(
+        lo=lo, hi=hi, realized=realized,
+        impossible=tuple(d for d in range(lo, hi + 1) if not determinant_allowed(d)),
+        unrealized_at_bound=tuple(d for d in wanted if d not in realized), drawn=drawn)
+
+
+@pytest.mark.parametrize("hi, bound", [(14, 1), (14, 2), (14, 6), (30, 1)])
+def test_orbit_walk_matches_brute_force(model, hi, bound):
+    fast = realizable_determinants(model, 2, hi, search_bound=bound)
+    slow = brute_force_determinants(model, 2, hi, bound)
+    assert list(fast.realized.items()) == list(slow.realized.items())
+    assert fast.unrealized_at_bound == slow.unrealized_at_bound
+    assert fast.impossible == slow.impossible
+    if (hi, bound) == (14, 6):
+        assert (fast.drawn, slow.drawn) == (72, 80_523)
+
+
+def test_witness_search_rejects_a_non_diagonal_gram(model):
+    gram = [list(r) for r in model.ambient.gram]
+    gram[0][1] = gram[1][0] = 1
+    skewed = dataclasses.replace(model, ambient=Lattice(tuple(map(tuple, gram))))
+    with pytest.raises(ValueError, match="diagonal"):
+        realizable_determinants(skewed, 2, 14)
+
+
+def test_every_allowed_determinant_up_to_the_window_bound(model):
+    result = realizable_determinants(model, 2, MAX_DETERMINANT, search_bound=8)
+    assert result.unrealized_at_bound == ()
+    assert len(result.realized) == 67
+    for d, witness in result.realized.items():
+        assert classify_hyperplane(model, witness["vector"]).det == d
 
 
 def test_monodromy_involution_matrix(model):
