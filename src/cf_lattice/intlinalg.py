@@ -9,8 +9,11 @@ smallest entry as pivot), serves `hnf`, `kernel` and `smith_normal_form`; the
 Smith form is alternating row and column Hermite normal forms
 (Kannan-Bachem), not a loop of its own. Inverses come from one fraction-free
 (Bareiss) Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in
-integers; `rational_inverse` is its Fraction view. `det` is the forward half
-of the same elimination, without the right block.
+integers; `rational_inverse` is its Fraction view and the one place here
+that builds Fractions. `det` is the forward half of the same elimination,
+without the right block. Symmetric matrices have one fraction-free
+elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
+as pivots); `signature` and the Fincke-Pohst walk in `roots` both read it.
 """
 from __future__ import annotations
 
@@ -216,50 +219,52 @@ def rational_inverse(a) -> list[list[Fraction]]:
     return [[Fraction(x * s, d) for x in row] for row in adj]
 
 
-def signature(gram) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric matrix.
+def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
+    """Fraction-free symmetric elimination (Bareiss LDL^T) of an integer symmetric matrix.
 
-    Exact symmetric congruence elimination; a zero diagonal with a nonzero
-    off-diagonal entry is repaired by the congruence x_i -> x_i + x_j,
-    which keeps the form integral over Q and symmetric.
+    Pivots on the first remaining index with a nonzero diagonal entry. When
+    every remaining diagonal entry is zero but an off-diagonal one is not,
+    the congruence x_i -> x_i + x_j makes the diagonal entry 2 a_ij and
+    pivots on i. Returns (pivots, rows, nullity): the pivots are the leading
+    minors D_1..D_r of the congruent matrix in pivot order, rows[k] is the
+    integer row of pivot k when it is taken (zero at the earlier pivots,
+    D_k at its own index), and nullity = n - r. Every division is by the
+    previous pivot and exact (Bareiss, Math. Comp. 22, 1968). A positive
+    definite matrix pivots in its natural order: with l_ij = rows[i][j] / D_i
+    and d_i = D_i / D_(i-1), it is L^T diag(d) L.
     """
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    active = list(range(n))
+    m = [list(row) for row in gram]
+    active = list(range(len(m)))
+    pivots, rows = [], []
+    prev = 1
     while active:
         piv = next((i for i in active if m[i][i]), None)
         if piv is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i != j and m[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in active for j in active if m[i][j]), None)
             if pair is None:
-                zero += len(active)
                 break
-            i, j = pair
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
             for k in active:
-                m[i][k] += m[j][k]
-            for k in active:
-                m[k][i] += m[k][j]
-            piv = i
-        d = m[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+                m[k][piv] += m[k][j]
         active.remove(piv)
+        row = m[piv]
+        p = row[piv]
         for i in active:
-            if m[i][piv]:
-                c = m[i][piv] / d
-                for j in active:
-                    m[i][j] -= c * m[piv][j]
-                m[i][piv] = Fraction(0)
-        for i in active:
-            m[piv][i] = Fraction(0)
-    return pos, neg, zero
+            c = m[i][piv]
+            m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], row)]
+        pivots.append(p)
+        rows.append(row)
+        prev = p
+    return pivots, rows, len(active)
 
+
+def signature(gram) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of an integer symmetric matrix.
+
+    Pivot k of the LDL^T form is D_k / D_(k-1), so it is negative exactly
+    where 1, D_1, ..., D_r change sign (`symmetric_bareiss`).
+    """
+    pivots, _, nullity = symmetric_bareiss(gram)
+    neg = sum((a < 0) != (b < 0) for a, b in zip([1] + pivots, pivots))
+    return len(pivots) - neg, neg, nullity

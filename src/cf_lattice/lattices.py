@@ -13,7 +13,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from itertools import product
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import intlinalg
@@ -153,21 +154,8 @@ class FiniteQuadraticForm:
         return not self.invariant_factors
 
     def elements(self):
-        if not self.invariant_factors:
-            yield ()
-            return
-        idx = [0] * len(self.invariant_factors)
-        while True:
-            yield tuple(idx)
-            i = 0
-            while i < len(idx):
-                idx[i] += 1
-                if idx[i] < self.invariant_factors[i]:
-                    break
-                idx[i] = 0
-                i += 1
-            else:
-                return
+        """All elements, the first coordinate running fastest."""
+        return (e[::-1] for e in product(*map(range, reversed(self.invariant_factors))))
 
     def add(self, x, y):
         return tuple((a + c) % d for a, c, d in zip(x, y, self.invariant_factors))
@@ -176,11 +164,20 @@ class FiniteQuadraticForm:
         return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
 
     def element_order(self, x) -> int:
-        o = 1
-        for a, d in zip(x, self.invariant_factors):
-            if a:
-                o = o * (d // gcd(a, d)) // gcd(o, d // gcd(a, d))
-        return o
+        return lcm(*(d // gcd(a, d) for a, d in zip(x, self.invariant_factors)))
+
+    def span(self, gens) -> set:
+        """The subgroup generated by `gens`, as a set of elements."""
+        zero = tuple(0 for _ in self.invariant_factors)
+        elems, frontier = {zero}, [zero]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = self.add(cur, g)
+                if nxt not in elems:
+                    elems.add(nxt)
+                    frontier.append(nxt)
+        return elems
 
     def q_of(self, x) -> Fraction:
         if self.q is None:
@@ -430,20 +427,7 @@ def fqf_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
     def extend(idx, images):
         if idx == k:
             # images define a homomorphism; bijectivity <=> they generate b
-            seen = {tuple(0 for _ in range(k))}
-            frontier = [tuple(0 for _ in range(k))]
-            for img in images:
-                new = set()
-                for base in seen:
-                    cur = base
-                    for _ in range(b.element_order(img) - 1):
-                        cur = b.add(cur, img)
-                        if cur not in seen:
-                            new.add(cur)
-                seen |= new
-            if len(seen) != b.order:
-                return False
-            return True
+            return len(b.span(images)) == b.order
         ga = gens_a[idx]
         for cand in elements_b:
             if not compatible(ga, cand):

@@ -162,24 +162,12 @@ def isotropic_subgroups(data: DiscriminantData, order: int):
     (order at most 144). Deterministic order.
     """
     form = data.form
-    if order == 1:
-        yield ((tuple(0 for _ in form.invariant_factors)),) if form.invariant_factors else ((),)
-        return
     zero = tuple(0 for _ in form.invariant_factors)
+    if order == 1:
+        yield (zero,)
+        return
     iso = [e for e in form.elements() if e != zero and form.q_of(e) == 0]
     seen = set()
-
-    def closure(gens):
-        elems = {zero}
-        frontier = [zero]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = form.add(cur, g)
-                if nxt not in elems:
-                    elems.add(nxt)
-                    frontier.append(nxt)
-        return elems
 
     def extend(start, gens, current):
         if len(current) == order:
@@ -194,7 +182,7 @@ def isotropic_subgroups(data: DiscriminantData, order: int):
             g = iso[i]
             if g in current:
                 continue
-            bigger = closure(gens + [g])
+            bigger = form.span(gens + [g])
             if len(bigger) > order or order % len(bigger):
                 continue
             if any(form.q_of(e) != 0 for e in bigger):
@@ -248,23 +236,13 @@ def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
 
 def _minimal_generators(form: FiniteQuadraticForm, subgroup):
     """A small generating set of a subgroup given as a tuple of elements."""
-    zero = tuple(0 for _ in form.invariant_factors)
-    gens = []
-    generated = {zero}
+    gens, generated = [], form.span([])
     for e in sorted(subgroup, key=lambda x: (-form.element_order(x), x)):
-        if e in generated:
-            continue
-        gens.append(e)
-        frontier = list(generated)
-        while frontier:
-            cur = frontier.pop()
-            nxt = form.add(cur, e)
-            while nxt not in generated:
-                generated.add(nxt)
-                frontier.append(nxt)
-                nxt = form.add(nxt, e)
-        if len(generated) == len(subgroup):
-            break
+        if e not in generated:
+            gens.append(e)
+            generated = form.span(gens)
+            if len(generated) == len(subgroup):
+                break
     return gens
 
 

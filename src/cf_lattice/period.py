@@ -285,9 +285,9 @@ def _is_pos_def_rank2(cls: HyperplaneClass) -> bool:
 def monodromy_involution(model: PeriodModel) -> Isometry:
     """The involution fixing the polarization and acting as -s_delta on its complement.
 
-    On the ambient lattice: x -> -x + (x.delta)/3 delta + 2 (x.h)/3 h. The
-    matrix is asserted to be integral; the Isometry constructor checks that
-    it preserves the form.
+    On the ambient lattice: x -> -x + (x.delta)/3 delta + 2 (x.h)/3 h. Three
+    times the matrix is built in integers and must divide by 3; the Isometry
+    constructor checks that the quotient preserves the form.
     """
     ambient = model.ambient
     h = model.polarization
@@ -296,17 +296,11 @@ def monodromy_involution(model: PeriodModel) -> Isometry:
     gd = intlinalg.mat_vec(g, list(delta))
     gh = intlinalg.mat_vec(g, list(h))
     n = ambient.rank
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = Fraction(-(1 if i == j else 0)) \
-                + Fraction(delta[i] * gd[j], 3) + Fraction(2 * h[i] * gh[j], 3)
-            row.append(val)
-        rows.append(row)
-    if any(x.denominator != 1 for row in rows for x in row):
+    triple = [[-3 * (i == j) + delta[i] * gd[j] + 2 * h[i] * gh[j] for j in range(n)]
+              for i in range(n)]
+    if any(x % 3 for row in triple for x in row):
         raise ModelError("monodromy involution is not integral on the ambient lattice")
-    return Isometry(ambient, tuple(tuple(int(x) for x in row) for row in rows))
+    return Isometry(ambient, tuple(tuple(x // 3 for x in row) for row in triple))
 
 
 _MONODROMY_CITATION = ("long-root involution: trivial on a rank-2 lattice of Gram "

@@ -1,8 +1,9 @@
 """Short-vector enumeration, root-system identification, reflections.
 
-Enumeration is Fincke-Pohst in integers: one exact rational LDL^T
-decomposition is scaled once to integer centres, weights and budget, and the
-search itself touches ints only; definite lattices only. A walk past
+Enumeration is Fincke-Pohst in integers: the fraction-free LDL^T of
+`intlinalg.symmetric_bareiss` (leading minors and integer rows) gives integer
+centres, weights and budget directly, and the search touches ints only;
+definite lattices only. A walk past
 MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
 nodes, raises EnumerationCapError. Output order is canonical (sign fixed by
 first nonzero coordinate, then lexicographic) so results are reproducible.
@@ -12,7 +13,6 @@ transforms in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
@@ -138,47 +138,31 @@ class EnumerationCapError(ValueError):
     """The enumeration would visit more than MAX_ENUMERATION_NODES nodes."""
 
 
-def _ldl(gram):
-    """G = L^T D L with unit upper-triangular L; errors unless positive definite."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("lattice is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= d[i] * mu[i][k] * mu[i][l]
-                a[l][k] = a[k][l]
-    return d, mu
-
-
 def _enumerate_norm(gram, target: int):
     """All x (up to sign: last nonzero coordinate positive) with x^T G x = target.
 
-    Fincke-Pohst in integers. With c_i = sum_{j>i} mu_ij x_j, row i of mu is
-    scaled by den_i (the lcm of its denominators) to integers m_ij, and every
-    d_i / den_i^2 by one global s to an integer weight w_i, so that
-    s * d_i (x_i + c_i)^2 = w_i (den_i x_i + C_i)^2 with C_i = sum_j m_ij x_j.
+    Fincke-Pohst in integers on the fraction-free LDL^T of G
+    (`intlinalg.symmetric_bareiss`): leading minors D_i and integer rows a_ij,
+    so that x^T G x = sum_i (D_i x_i + C_i)^2 / (D_(i-1) D_i) (D_0 = 1) with
+    C_i = sum_(j>i) a_ij x_j. With s the lcm of the D_(i-1) D_i, term i is
+    w_i (D_i x_i + C_i)^2 / s for the integer weight w_i = s / (D_(i-1) D_i).
     The budget is target * s; each x_i runs over the exact integer interval
-    |den_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
-    Raises EnumerationCapError past MAX_ENUMERATION_NODES nodes, a stored
-    vector counted as n nodes.
+    |D_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
+    Raises ValueError unless G is positive definite (r = n and every D_i > 0,
+    Sylvester), and EnumerationCapError past MAX_ENUMERATION_NODES nodes, a
+    stored vector counted as n nodes.
     """
     n = len(gram)
     if n == 0:
         return []
-    d, mu = _ldl(gram)
-    dens = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    rows = [[(j, int(mu[i][j] * dens[i])) for j in range(i + 1, n) if mu[i][j]]
-            for i in range(n)]
-    scaled = [d[i] / (dens[i] * dens[i]) for i in range(n)]
-    s = lcm(*(e.denominator for e in scaled))
-    weights = [int(e * s) for e in scaled]
+    dens, pivot_rows, _ = intlinalg.symmetric_bareiss(gram)
+    if len(dens) < n or min(dens) <= 0:
+        raise ValueError("lattice is not positive definite")
+    rows = [[(j, row[j]) for j in range(i + 1, n) if row[j]]
+            for i, row in enumerate(pivot_rows)]
+    steps = [a * b for a, b in zip([1] + dens, dens)]
+    s = lcm(*steps)
+    weights = [s // e for e in steps]
     results = []
     x = [0] * n
     nodes = 0

@@ -1,0 +1,47 @@
+"""The exact-arithmetic contract: the library source never reaches for floating point.
+
+An AST scan of every module in src/cf_lattice flags float and imaginary
+literals, calls to float(...), and the float-valued math functions
+sqrt, log, exp, floor and ceil (whether used as math.f or imported by name).
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cf_lattice"
+MODULES = sorted(SRC.glob("*.py"))
+FLOAT_MATH = {"sqrt", "log", "exp", "floor", "ceil"}
+
+
+def float_uses(source: str) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float(...)"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr in FLOAT_MATH):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"from math import {a.name}")
+                      for a in node.names if a.name in FLOAT_MATH]
+    return found
+
+
+def test_scan_flags_every_forbidden_form():
+    sample = ("import math\nfrom math import floor, isqrt\n"
+              "a = 0.5\nb = 2j\nc = float(3)\nd = math.sqrt(2)\ne = isqrt(9)\n")
+    assert [what for _, what in sorted(float_uses(sample))] == [
+        "from math import floor", "literal 0.5", "literal 2j", "float(...)", "math.sqrt"]
+
+
+def test_modules_found():
+    assert {"intlinalg.py", "roots.py", "lattices.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_exact_arithmetic_only(path):
+    assert float_uses(path.read_text(encoding="utf-8")) == []

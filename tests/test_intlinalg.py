@@ -17,7 +17,9 @@ from cf_lattice.intlinalg import (
     rational_inverse,
     signature,
     smith_normal_form,
+    symmetric_bareiss,
 )
+from cf_lattice.lattices import cartan_gram
 
 
 def random_matrix(rng, n, m, bound=6):
@@ -183,6 +185,97 @@ def test_signature_pivot_order_independence():
     for perm in permutations(range(4)):
         permuted = [[g[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
         assert signature(permuted) == base
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices, some with a zero diagonal, some degenerate."""
+    n = draw(st.integers(1, 6))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        # C^T A C with C sending the last basis vector to the first: e_0 - e_(n-1)
+        # spans part of the radical
+        a[-1] = list(a[0])
+        for i in range(n):
+            a[i][-1] = a[i][0]
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symmetric_matrices())
+def test_signature_matches_descartes_on_charpoly(a):
+    """Oracle: the characteristic polynomial of a real symmetric matrix is real-rooted,
+    so Descartes' rule of signs counts its positive roots (sign changes of p(x)) and its
+    negative roots (sign changes of p(-x)) exactly; the zero roots are the trailing
+    zero coefficients."""
+    coeffs = sympy.Matrix(a).charpoly().all_coeffs()[::-1]  # constant term first
+    zero = next(k for k, c in enumerate(coeffs) if c)
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes([c * (-1) ** k for k, c in enumerate(coeffs)])
+    assert signature(a) == (pos, neg, zero)
+
+
+def _skewed(rng, g):
+    """U G U^T for a random unimodular U."""
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u))
+
+
+@pytest.mark.parametrize("family,n", [("A", 1), ("A", 5), ("D", 6), ("E", 6), ("E", 8)])
+def test_symmetric_bareiss_pivots_are_leading_minors(family, n):
+    """On a definite Gram, in the Cartan basis and in skewed bases, the pivots are
+    sympy's leading principal minors in the natural order, and the rows give
+    G = L^T diag(d) L with l_ij = rows[i][j] / D_i and d_i = D_i / D_(i-1)."""
+    rng = random.Random(31 + n)
+    cartan = [list(r) for r in cartan_gram(family, n)]
+    for g in [cartan] + [_skewed(rng, cartan) for _ in range(3 if n > 1 else 0)]:
+        pivots, rows, nullity = symmetric_bareiss(g)
+        m = sympy.Matrix(g)
+        assert pivots == [m[:k, :k].det() for k in range(1, n + 1)]
+        assert nullity == 0
+        assert all(rows[i][i] == pivots[i] and not any(rows[i][:i]) for i in range(n))
+        d = [Fraction(b, a) for a, b in zip([1] + pivots, pivots)]
+        lower = [[Fraction(rows[i][j], pivots[i]) for j in range(n)] for i in range(n)]
+        ldl = [[sum(lower[k][i] * d[k] * lower[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+        assert ldl == g
+
+
+def test_symmetric_bareiss_last_pivot_is_det_on_zero_diagonals():
+    """Zero diagonals force the x_i -> x_i + x_j repair; congruence by a unimodular
+    matrix keeps the determinant, so on nondegenerate input the last leading minor
+    is det G, which also shows every Bareiss division was exact."""
+    rng = random.Random(41)
+    tested = 0
+    while tested < 60:
+        n = rng.randint(2, 7)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+        d = sympy.Matrix(a).det()
+        if d == 0:
+            continue
+        pivots, _, nullity = symmetric_bareiss(a)
+        assert (len(pivots), nullity) == (n, 0)
+        assert pivots[-1] == d == det(a)
+        tested += 1
 
 
 def test_rational_inverse_and_solve():

@@ -111,6 +111,10 @@ def test_short_vectors_contract():
     assert roots(standard_lattice("diag(4)")) == []
     with pytest.raises(ValueError):
         short_vectors(standard_lattice("U"), 2)
+    # semidefinite; indefinite; indefinite with a zero leading entry, which pivots out of order
+    for gram in (((2, 2), (2, 2)), ((2, 3), (3, 2)), ((0, 1), (1, 2))):
+        with pytest.raises(ValueError):
+            short_vectors(Lattice(gram), 2)
     with pytest.raises(ValueError):
         short_vectors(lat, 0)
 
