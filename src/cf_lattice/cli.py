@@ -89,30 +89,68 @@ def _emit(doc, args) -> None:
     if args.output == "json":
         print(json.dumps(jsonable(doc), sort_keys=True))
     else:
-        _emit_text(doc)
+        _emit_text(jsonable(doc))
+
+
+# a container is printed on one line if its JSON is shorter than this
+_TEXT_WIDTH = 70
 
 
 def _emit_text(doc, indent: int = 0) -> None:
+    """Print a JSON value as an indented outline.
+
+    A scalar or a list of scalars is always one line, and so is any
+    container whose JSON is shorter than _TEXT_WIDTH; a longer container
+    gets a `key:` or `-` line and its items one level deeper. Each printed
+    leaf is serialized once.
+    """
     pad = "  " * indent
     if isinstance(doc, dict):
-        for k, v in doc.items():
-            if isinstance(v, (dict, list)) and v and not _short(v):
-                print(f"{pad}{k}:")
-                _emit_text(v, indent + 1)
-            else:
-                print(f"{pad}{k}: {json.dumps(jsonable(v))}")
+        items = ((f"{k}:", v) for k, v in doc.items())
     elif isinstance(doc, list):
-        for v in doc:
-            if isinstance(v, (dict, list)) and v and not _short(v):
-                _emit_text(v, indent)
-            else:
-                print(f"{pad}- {json.dumps(jsonable(v))}")
+        items = (("-", v) for v in doc)
     else:
-        print(f"{pad}{json.dumps(jsonable(doc))}")
+        print(f"{pad}{json.dumps(doc)}")
+        return
+    for head, v in items:
+        text = json.dumps(v) if _flat(v) else _inline(v, _TEXT_WIDTH)
+        if text is None:
+            print(f"{pad}{head}")
+            _emit_text(v, indent + 1)
+        else:
+            print(f"{pad}{head} {text}")
 
 
-def _short(v) -> bool:
-    return len(json.dumps(jsonable(v))) < 70
+def _flat(v) -> bool:
+    """A scalar or a list of scalars."""
+    if isinstance(v, list):
+        return not any(isinstance(x, (list, dict)) for x in v)
+    return not isinstance(v, dict)
+
+
+def _inline(v, room: int) -> str | None:
+    """The JSON of v if it is shorter than `room` characters, else None.
+
+    The text is built leaf by leaf and abandoned at the first overflow, so a
+    long container costs about `room` characters of serialization.
+    """
+    if not isinstance(v, (list, dict)):
+        text = json.dumps(v)
+        return text if len(text) < room else None
+    if room <= 2:
+        return None
+    pairs = v.items() if isinstance(v, dict) else ((None, x) for x in v)
+    parts, used = [], 2  # the brackets
+    for k, x in pairs:
+        head = "" if k is None else json.dumps(k) + ": "
+        used += len(head) + (2 if parts else 0)  # ", " between items
+        text = _inline(x, room - used) if used < room else None
+        if text is None:
+            return None
+        parts.append(head + text)
+        used += len(text)
+    body = ", ".join(parts)
+    return "{" + body + "}" if isinstance(v, dict) else "[" + body + "]"
 
 
 def _cmd_lattice(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -29,17 +30,12 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a, b):
     """Matrix product; works for int or Fraction entries."""
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        out.append([sum(row_a[t] * b[t][j] for t in range(k)) for j in range(m)])
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a):

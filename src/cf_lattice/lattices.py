@@ -70,7 +70,7 @@ class Lattice:
         if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("vector length does not match lattice rank")
         g = self.gram
-        return sum(x[i] * g[i][j] * y[j] for i in range(self.rank) for j in range(self.rank))
+        return sum(xi * sum(map(mul, g[i], y)) for i, xi in enumerate(x) if xi)
 
     def norm(self, x: Vector) -> int:
         return self.inner(x, x)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from . import intlinalg
 from .lattices import (
@@ -260,20 +261,21 @@ def embed_e6(lat: Lattice) -> Sublattice:
         raise ValueError("root system of the input has no E_r component")
     component_roots = [u for v in halves for u in (v, tuple(-x for x in v))]
     g = [list(r) for r in lat.gram]
-    paired = {v: intlinalg.mat_vec(g, list(v)) for v in component_roots}
     target = standard_lattice("E6").gram
     chosen: list[Vector] = []
+    paired = []  # G v of each chosen root, built only once it is chosen
 
     def extend(k: int) -> bool:
         if k == 6:
             return True
         for cand in component_roots:
-            if all(sum(a * b for a, b in zip(paired[chosen[j]], cand)) == target[k][j]
-                   for j in range(k)):
+            if all(sum(map(mul, gv, cand)) == target[k][j] for j, gv in enumerate(paired)):
                 chosen.append(cand)
+                paired.append(intlinalg.mat_vec(g, cand))
                 if extend(k + 1):
                     return True
                 chosen.pop()
+                paired.pop()
         return False
 
     if not extend(0):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
+from operator import mul
 
 from . import intlinalg
 from .lattices import (
@@ -519,7 +520,7 @@ def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice):
     orthogonal = []
     mixed_by_line: dict = {}
     for root in roots(lat):
-        pair = [sum(a * b for a, b in zip(bp, root)) for bp in basis_pairings]
+        pair = [sum(map(mul, bp, root)) for bp in basis_pairings]
         if not any(pair):
             orthogonal.append(root)
             continue

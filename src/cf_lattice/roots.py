@@ -7,6 +7,10 @@ definite lattices only. A walk past
 MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
 nodes, raises EnumerationCapError. Output order is canonical (sign fixed by
 first nonzero coordinate, then lexicographic) so results are reproducible.
+A root system is split into irreducible components through its simple roots
+(`root_components`): one lexicographic pass finds them, each root joins the
+component of a simple root it pairs with, and every component is checked
+against its Cartan block, so a list not closed under reflections raises.
 The action of an isometry on the discriminant group is read off the Smith
 transforms in integers.
 """
@@ -30,6 +34,8 @@ from .lattices import (
 
 _ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
                 "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
+
+_CARTAN_DET = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n}
 
 _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
             "E": lambda n: {6: 12, 7: 18, 8: 30}[n]}
@@ -227,9 +233,10 @@ def roots(lat: Lattice) -> list[Vector]:
 def identify_root_system(lat: Lattice, root_list) -> RootSystemLabel:
     """Classify a set of norm-2 vectors into irreducible A-D-E components.
 
-    Components are the connected parts of the nonzero-pairing graph; each is
-    recognized by (rank, root count). A component outside the A-D-E census is
-    an error: it signals a bug or an input that is not a full root system.
+    Components come from the simple roots of the lexicographic positive
+    system (`root_components`); each is recognized by (rank, Cartan det,
+    root count). A component outside the A-D-E census, or an input that is
+    not closed under its own reflections, is a ValueError.
     """
     for v in root_list:
         if lat.norm(v) != 2:
@@ -240,47 +247,85 @@ def identify_root_system(lat: Lattice, root_list) -> RootSystemLabel:
 def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list[Vector]]]:
     """The irreducible components of a root system, as (label, sorted halves).
 
+    Precondition: every vector has norm 2 and the form is positive definite
+    on their span (`identify_root_system` checks the norms).
     One representative is kept per +-pair (first nonzero coordinate
-    positive); negation never changes components. Components are the
-    connected parts of the nonzero-pairing graph, listed in the order of
-    their first representative; each carries its (family, rank) label and its
-    representatives in sorted order. A component outside the A-D-E census is
-    an error.
+    positive); these halves are the positive roots for the lexicographic
+    order. Walking them in that order, a half is simple iff it pairs to 1
+    with no simple root found before it: for norm-2 roots, (a, b) = 1 means
+    a - b is a root, positive when b < a (Humphreys, Introduction to Lie
+    Algebras, 10.1). Components are the connected parts of the Dynkin graph
+    on the simple roots, and each half joins the component of the first
+    simple root it pairs nonzero with: O(m r n) for m halves, r simple roots
+    and rank n, with G s kept for the simple roots only.
+    The walk is only valid on a full root system, so each component is
+    checked: its Cartan block C must be nonsingular, its (rank, det C, root
+    count) must name an A-D-E family (`_ade_label`), and every half v must
+    have coefficients c = C^-1 p in the simple roots that are nonnegative
+    integers with c . p = 2, where p holds the pairings of v with the simple
+    roots; on a definite form that forces v = sum c_i s_i. An input that is
+    not closed under its own reflections fails one of these and raises
+    ValueError.
+    Components are listed in the order of their first representative in the
+    input, each with its (family, rank) label and its halves sorted.
     """
     halves = list(dict.fromkeys(_canonical_key(v)[0] for v in root_list))
     g = [list(r) for r in lat.gram]
-    gv = [intlinalg.mat_vec(g, list(v)) for v in halves]
-    remaining = list(range(len(halves)))
+    simple, gs, parent = [], [], []  # simple roots, their G s, union-find links
+    home = {}  # half -> index of the first simple root it pairs nonzero with
+    for v in sorted(halves):
+        pairs = [sum(map(mul, v, w)) for w in gs]
+        if 1 not in pairs:
+            simple.append(v)
+            gs.append(intlinalg.mat_vec(g, v))
+            parent.append(len(parent))
+            for i, x in enumerate(pairs):
+                if x:
+                    parent[_find(parent, i)] = len(parent) - 1
+            pairs.append(2)
+        home[v] = next(i for i, x in enumerate(pairs) if x)
+    members: dict[int, list[Vector]] = {}
+    for v in halves:
+        members.setdefault(_find(parent, home[v]), []).append(v)
     comps = []
-    while remaining:
-        comp = [remaining[0]]
-        queue = [remaining[0]]
-        remaining = remaining[1:]
-        while queue:
-            w = gv[queue.pop()]
-            unreached = []
-            for other in remaining:
-                if sum(map(mul, halves[other], w)):
-                    comp.append(other)
-                    queue.append(other)
-                else:
-                    unreached.append(other)
-            remaining = unreached
-        vectors = sorted(halves[i] for i in comp)
-        comps.append((_ade_label(vectors), vectors))
+    for root, vectors in members.items():
+        block = [i for i in range(len(simple)) if _find(parent, i) == root]
+        cartan = [[sum(map(mul, simple[i], gs[j])) for j in block] for i in block]
+        try:
+            det, adj = intlinalg.adjugate(cartan)
+        except ValueError:
+            raise ValueError("simple roots of a component are dependent: "
+                             "not a root system") from None
+        label = _ade_label(len(block), det, 2 * len(vectors))
+        for v in vectors:
+            p = [sum(map(mul, v, gs[j])) for j in block]
+            c = intlinalg.mat_vec(adj, p)
+            if any(x < 0 or x % det for x in c) or sum(map(mul, c, p)) != 2 * det:
+                raise ValueError("root list is not closed under reflections")
+        comps.append((label, sorted(vectors)))
     return comps
 
 
-def _ade_label(halves) -> tuple[str, int]:
-    """(family, rank) of an irreducible root system given by one root per +-pair."""
-    rk = intlinalg.rank([list(v) for v in halves])
-    count = 2 * len(halves)
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        i = parent[i]
+    return i
+
+
+def _ade_label(rank: int, det: int, count: int) -> tuple[str, int]:
+    """(family, rank) of an irreducible root system from its rank, Cartan det and root count.
+
+    A_r has det r+1, D_r det 4 and E_r det 9-r, so (rank, det) names at most
+    one family; the count must be that family's full root count. The count
+    alone would admit A4 for a 20-root subset of D4.
+    """
     for fam in ("A", "D", "E"):
-        if fam == "D" and rk < 4 or fam == "E" and rk not in (6, 7, 8):
+        if fam == "D" and rank < 4 or fam == "E" and rank not in (6, 7, 8):
             continue
-        if ade_root_count(fam, rk) == count:
-            return fam, rk
-    raise ValueError(f"component of rank {rk} with {count} roots is not A-D-E")
+        if _CARTAN_DET[fam](rank) == det and ade_root_count(fam, rank) == count:
+            return fam, rank
+    raise ValueError(f"component of rank {rank}, Cartan det {det} and {count} roots "
+                     "is not A-D-E")
 
 
 def reflection(lat: Lattice, delta: Vector) -> Isometry:

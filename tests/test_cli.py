@@ -201,6 +201,78 @@ def test_enumeration_cap_bounds_memory_on_a_rank_24_walk(tmp_path, time_budget):
     assert result["peak_kb"] < 200 * 1024
 
 
+def test_roots_text_output_is_one_line_per_vector(tmp_path, capsys):
+    """E8^3 in text mode: `norm`, `count`, `vectors:`, one line per 24-entry vector,
+    then `root_system`."""
+    e8 = standard_lattice("E8")
+    path = tmp_path / "e8cubed.json"
+    path.write_text(lattice_to_json(direct_sum(e8, e8, e8)))
+    code, out, _ = run(capsys, ["roots", str(path), "--norm", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["norm: 2", "count: 720", "vectors:"]
+    assert len(lines) == 720 + 4
+    assert lines[-1] == 'root_system: "E8^3"'
+    vectors = [json.loads(line.removeprefix("  - ")) for line in lines[3:-1]]
+    assert all(line.startswith("  - [") for line in lines[3:-1])
+    assert all(len(v) == 24 for v in vectors)
+    code, out, _ = run(capsys, ["--output", "json", "roots", str(path), "--norm", "2"])
+    assert json.loads(out)["vectors"] == vectors
+
+
+def test_text_output_prints_one_line_per_gram_row(tmp_path, capsys):
+    code, out, _ = run(capsys, ["niemeier", "build", "E8^3"])
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("gram:")
+    rows = [json.loads(line.removeprefix("  - ")) for line in lines[at + 1:at + 25]]
+    assert all(len(r) == 24 for r in rows)
+    assert not lines[at + 25].startswith("  ")
+    code, out, _ = run(capsys, ["--output", "json", "niemeier", "build", "E8^3"])
+    assert json.loads(out)["gram"] == rows
+    path = write_lattice(tmp_path, "E8")
+    code, out, _ = run(capsys, ["lattice", "saturate", path, "--rows",
+                                json.dumps(identity(8))])
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "gram:", *["  - " + json.dumps(list(r)) for r in standard_lattice("E8").gram[:2]]]
+
+
+def test_text_output_marks_each_long_list_item(capsys):
+    """Each catalog entry is a dict too long for one line: it gets a `-` line and its
+    keys one level deeper, so entries stay apart."""
+    code, out, _ = run(capsys, ["spectra", "list"])
+    assert code == 0
+    _, json_out, _ = run(capsys, ["--output", "json", "spectra", "list"])
+    entries = json.loads(json_out)
+    lines = out.splitlines()
+    assert lines.count("-") == len(entries)
+    assert sum(line.startswith("  name: ") for line in lines) == len(entries)
+
+
+def test_inline_text_agrees_with_json_width():
+    """The leaf-by-leaf width test gives json.dumps(v) exactly when that is shorter
+    than the width, on seeded nested values."""
+    from cf_lattice.cli import _TEXT_WIDTH, _inline
+
+    rng = random.Random(70)
+
+    def value(depth):
+        kind = rng.randrange(4 if depth < 3 else 2)
+        if kind == 0:
+            return rng.choice([0, -7, 123456, True, None])
+        if kind == 1:
+            return rng.choice(["", "a", "1/30", "x" * rng.randrange(80)])
+        if kind == 2:
+            return [value(depth + 1) for _ in range(rng.randrange(6))]
+        return {f"k{i}": value(depth + 1) for i in range(rng.randrange(5))}
+
+    for _ in range(2000):
+        v = value(0)
+        text = json.dumps(v)
+        assert _inline(v, _TEXT_WIDTH) == (text if len(text) < _TEXT_WIDTH else None)
+
+
 def test_niemeier_list(capsys):
     code, out, _ = run(capsys, ["--output", "json", "niemeier", "list"])
     assert code == 0

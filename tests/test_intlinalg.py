@@ -337,3 +337,60 @@ def test_rational_inverse_matches_sympy(a):
     assert d == s ** n * m.det()
     assert adj == (s ** (n - 1) * m.det() * expected).tolist()
     assert all(type(x) is int for row in adj for x in row)
+
+
+def _entries(rng, kind, n, m):
+    if kind == "int":
+        return random_matrix(rng, n, m, bound=9)
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
+            for _ in range(n)]
+
+
+def _sympy_rows(a, ncols):
+    return sympy.Matrix(len(a), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in a for x in row])
+
+
+def _as_sympy_list(rows):
+    return [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+
+
+# (n, k, m): an n x k times a k x m matrix. A k x 0 matrix is k empty rows, and a
+# 0 x m one is [], so its column count is lost: a product with a k x 0 factor on
+# the left is compared only when m = 0 as well.
+_SHAPES = [(0, 3, 2), (2, 3, 0), (3, 0, 0), (1, 1, 1), (3, 4, 2), (4, 1, 3), (5, 5, 5)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("n,k,m", _SHAPES)
+def test_mat_mul_and_mat_vec_match_sympy(kind, n, k, m):
+    rng = random.Random(97 * n + 13 * k + m)
+    for _ in range(5):
+        a, b = _entries(rng, kind, n, k), _entries(rng, kind, k, m)
+        v = _entries(rng, kind, 1, k)[0]
+        product_ = intlinalg.mat_mul(a, b)
+        assert _as_sympy_list(product_) == (_sympy_rows(a, k) * _sympy_rows(b, m)).tolist()
+        assert len(product_) == n and all(len(row) == m for row in product_)
+        image = intlinalg.mat_vec(a, v)
+        assert _as_sympy_list([image])[0] == list(_sympy_rows(a, k) * _sympy_rows([v], k).T)
+        if kind == "int":
+            assert all(type(x) is int for row in product_ for x in row)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_lattice_inner_matches_sympy(kind, n):
+    from cf_lattice import Lattice
+
+    rng = random.Random(211 + n)
+    for _ in range(5):
+        a = random_matrix(rng, n, n, bound=5)
+        lat = Lattice(tuple(tuple(a[i][j] + a[j][i] for j in range(n)) for i in range(n)))
+        x, y = (tuple(_entries(rng, kind, 1, n)[0]) for _ in range(2))
+        if n:  # zero coordinates are skipped: make sure some occur
+            x = (0,) + x[1:]
+        g = sympy.Matrix(n, n, [e for row in lat.gram for e in row])
+        expected = (_sympy_rows([x], n) * g * _sympy_rows([y], n).T)[0, 0] if n else 0
+        assert lat.inner(x, y) == expected
+        assert lat.norm(x) == ((_sympy_rows([x], n) * g * _sympy_rows([x], n).T)[0, 0]
+                               if n else 0)

@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from cf_lattice import (
     Lattice,
@@ -23,6 +24,7 @@ from cf_lattice.roots import (
     find_long_root,
     identify_root_system,
     reflection,
+    root_components,
     roots,
     short_vectors,
 )
@@ -185,6 +187,160 @@ def test_e6_complement_in_e8_is_a2():
     comp = orthogonal_complement(e8, span_sublattice(e8, e6_rows))
     lat = comp.lattice()
     assert str(identify_root_system(lat, roots(lat))) == "A2"
+
+
+def _sympy_rank(rows):
+    return DomainMatrix.from_list(rows, sympy.ZZ).convert_to(sympy.QQ).rank()
+
+
+def reference_root_components(lat, root_list):
+    """Brute-force oracle: breadth-first search over the pairwise nonzero-pairing graph
+    of the halves (first nonzero coordinate positive), each component labelled by
+    sympy's rank of its halves and the A-D-E root count. O(m^2 n) pairings."""
+    halves = list(dict.fromkeys(v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+                                for v in root_list))
+    gv = [[sum(a * b for a, b in zip(row, v)) for row in lat.gram] for v in halves]
+    remaining = list(range(len(halves)))
+    comps = []
+    while remaining:
+        comp, queue, remaining = [remaining[0]], [remaining[0]], remaining[1:]
+        while queue:
+            w = gv[queue.pop()]
+            reached = [o for o in remaining if sum(a * b for a, b in zip(halves[o], w))]
+            comp += reached
+            queue += reached
+            remaining = [o for o in remaining if o not in reached]
+        vectors = sorted(halves[i] for i in comp)
+        rk = _sympy_rank(vectors)
+        label = next(((fam, rk) for fam in "ADE"
+                      if not (fam == "D" and rk < 4 or fam == "E" and rk not in (6, 7, 8))
+                      and ade_root_count(fam, rk) == 2 * len(vectors)), None)
+        if label is None:
+            raise ValueError("not A-D-E")
+        comps.append((label, vectors))
+    return comps
+
+
+def _skewed_roots(rng, lat):
+    """(U G U^T, the roots in that basis) for a seeded unimodular U; a vector x in the
+    old basis has coordinates x U^-1 (sympy's inverse) in the new one."""
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u_inv = [[int(x) for x in row] for row in sympy.Matrix(u).inv().tolist()]
+    g = intlinalg.mat_mul(intlinalg.mat_mul(u, [list(r) for r in lat.gram]),
+                          intlinalg.transpose(u))
+    moved = [tuple(sum(v[k] * u_inv[k][j] for k in range(n)) for j in range(n))
+             for v in roots(lat)]
+    return Lattice(tuple(tuple(r) for r in g)), moved
+
+
+_SUMS = ["A1+A1", "A2+D4", "D4+D4", "A1+D5+E6", "E7+A3+A1", "E8+D8", "A5+A5+D6",
+         "A11+D7+E6", "D16+E8", "A8+A8+A8", "E6+E6+E6+E6", "A24"]
+
+
+@pytest.mark.parametrize("label", _SUMS)
+def test_root_components_match_the_pairwise_search(label):
+    """Item for item (labels, order, sorted halves) against the brute-force search, in
+    seeded skewed bases, each with shuffled input orders and random signs."""
+    rng = random.Random(sum(map(ord, label)))
+    lat = direct_sum(*[standard_lattice(p) for p in label.split("+")])
+    for _ in range(2):
+        skewed, rs = _skewed_roots(rng, lat)
+        for _ in range(2):
+            shuffled = [v if rng.random() < 0.5 else tuple(-x for x in v) for v in rs]
+            rng.shuffle(shuffled)
+            got = root_components(skewed, shuffled)
+            assert got == reference_root_components(skewed, shuffled)
+            for (_, rank), halves in got:  # rank = number of simple roots found
+                assert rank == _sympy_rank(halves)
+            assert str(identify_root_system(skewed, shuffled)) == str(RootSystemLabel.parse(label))
+
+
+def test_root_components_of_the_niemeier_lattices():
+    from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
+
+    for entry in entries_with_e_summand():
+        lat = construct_niemeier(entry).lattice
+        rs = roots(lat)
+        got = root_components(lat, rs)
+        assert got == reference_root_components(lat, rs)
+        assert RootSystemLabel(tuple(sorted(lab for lab, _ in got))) == entry.root_system
+
+
+@pytest.mark.parametrize("label", ["E8^6", "D16^3", "A24^2"])
+def test_identify_root_system_at_rank_48(label, time_budget):
+    base, _, mult = label.partition("^")
+    lat = direct_sum(*[standard_lattice(base)] * int(mult))
+    rs = roots(lat)
+    rng = random.Random(48)
+    rng.shuffle(rs)
+    assert str(identify_root_system(lat, rs)) == label
+    comps = root_components(lat, rs)
+    assert [len(halves) for _, halves in comps] == [len(rs) // (2 * int(mult))] * int(mult)
+
+
+def _closed_under_reflections(lat, root_list):
+    """Oracle: R u -R is closed under s_a(b) = b - (b, a) a for all a, b in it."""
+    full = set(root_list) | {tuple(-x for x in v) for v in root_list}
+    return all(tuple(x - lat.inner(b, a) * y for x, y in zip(b, a)) in full
+               for a in full for b in full)
+
+
+def _reflection_closure(lat, gens):
+    full = set(gens) | {tuple(-x for x in v) for v in gens}
+    frontier = list(full)
+    while frontier:
+        a = frontier.pop()
+        for b in list(full):
+            for c in (tuple(x - lat.inner(b, a) * y for x, y in zip(b, a)),
+                      tuple(x - lat.inner(a, b) * y for x, y in zip(a, b))):
+                if c not in full:
+                    full.add(c)
+                    frontier.append(c)
+    return sorted(full)
+
+
+def test_identify_rejects_a_non_closed_d4_subset_with_the_a4_root_count():
+    """Ten of the twelve positive roots of D4 make 20 roots, the A4 count, at rank 4;
+    they are not closed under reflections, so there is no label to give."""
+    lat = standard_lattice("D4")
+    halves = sorted({max(v, tuple(-x for x in v)) for v in roots(lat)})
+    non_closed = [sub for sub in combinations(halves, 10)
+                  if not _closed_under_reflections(lat, sub)]
+    assert non_closed
+    for sub in non_closed:
+        with pytest.raises(ValueError):
+            identify_root_system(lat, list(sub))
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5", "A2+A1", "A3+A3", "E6", "E8"])
+def test_root_lists_raise_exactly_when_not_closed(label):
+    """Seeded subsets of a root system, with random signs and order: closed ones (by
+    the reflection oracle) get the brute-force search's labels, all others raise."""
+    rng = random.Random(sum(map(ord, label)) + 7)
+    lat = direct_sum(*[standard_lattice(p) for p in label.split("+")])
+    halves = sorted({max(v, tuple(-x for x in v)) for v in roots(lat)})
+    seen = {True: 0, False: 0}
+    for trial in range(40):
+        if trial % 2:
+            sub = _reflection_closure(lat, rng.sample(halves, rng.randint(1, 3)))
+        else:
+            keep = rng.random()
+            sub = [v for v in halves if rng.random() < keep] or halves[:1]
+        sub = [v if rng.random() < 0.5 else tuple(-x for x in v) for v in sub]
+        rng.shuffle(sub)
+        closed = _closed_under_reflections(lat, sub)
+        seen[closed] += 1
+        if closed:
+            assert root_components(lat, sub) == reference_root_components(lat, sub)
+        else:
+            with pytest.raises(ValueError):
+                root_components(lat, sub)
+    assert seen[True] >= 20 and seen[False] >= 5
 
 
 def test_reflection_swap_matrix():
