@@ -8,7 +8,6 @@ isotropic sublattices of the period lattice's complement.
 from cf_lattice import orthogonal_complement, standard_lattice, direct_sum
 from cf_lattice.lattices import discriminant_data
 from cf_lattice.niemeier import (
-    GlueGroup,
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
@@ -29,7 +28,7 @@ base = direct_sum(standard_lattice("E6"), standard_lattice("A2"))
 data = discriminant_data(base)
 for subgroup in isotropic_subgroups(data, 3):
     gen = next(e for e in subgroup if any(e))
-    glued = overlattice(base, GlueGroup(data.form, (data.lift(gen),)))
+    glued = overlattice(base, data, [gen])
     print("\nglue", gen, "->", len(roots(glued.lattice)), "roots,",
           "det", glued.lattice.det())
 

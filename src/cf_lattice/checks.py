@@ -8,7 +8,7 @@ are built once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import period, plethysm, spectra
 from .lattices import discriminant_data, vector_divisibility
@@ -265,11 +265,7 @@ def run_check(check_id: str, config: SuiteConfig | None = None) -> VerificationR
     runner = REGISTRY[check_id]
     start = time.monotonic()
     report = runner(config)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return VerificationReport(
-        check=report.check, status=report.status, expected=report.expected,
-        actual=report.actual, witnesses=report.witnesses,
-        paper_ref=report.paper_ref, elapsed_ms=elapsed)
+    return replace(report, elapsed_ms=int((time.monotonic() - start) * 1000))
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:

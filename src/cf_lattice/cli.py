@@ -4,12 +4,14 @@ Subcommands: lattice, roots, niemeier, plethysm, spectra, verify.
 Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
 indefinite or over-cap enumeration input, out-of-range parameters, virtual
-characters, characters past the plethysm work cap).
+characters, characters past the plethysm work cap); 141 when the reader
+of stdout closes it early.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks, niemeier, plethysm, spectra
@@ -29,6 +31,7 @@ from .roots import RootSystemLabel, identify_root_system, short_vectors
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _non_negative_int(text: str) -> int:
@@ -391,14 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and getattr(args, "list_checks", False):
-        for cid in checks.check_ids():
-            print(cid)
-        return EXIT_OK
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        if args.command == "verify" and getattr(args, "list_checks", False):
+            for cid in checks.check_ids():
+                print(cid)
+            code = EXIT_OK
+        else:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; devnull keeps the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except DegenerateLatticeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PRECONDITION

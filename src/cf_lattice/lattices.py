@@ -353,12 +353,19 @@ class DiscriminantData:
     form: FiniteQuadraticForm
     lifts: tuple[tuple[Fraction, ...], ...]
 
-    def lift(self, element) -> tuple[Fraction, ...]:
+    @property
+    def exponent(self) -> int:
+        """N, the exponent of L*/L: its last invariant factor (1 if trivial)."""
+        return max(self.form.invariant_factors, default=1)
+
+    def lift(self, element) -> tuple[int, ...]:
+        """N times a representative of `element` in L*: integer coordinates over N."""
+        n_exp = self.exponent
         n = len(self.lifts[0]) if self.lifts else 0
-        out = [Fraction(0)] * n
+        out = [0] * n
         for a, gen in zip(element, self.lifts):
-            for j in range(n):
-                out[j] += a * gen[j]
+            for j, x in enumerate(gen):
+                out[j] += a * x.numerator * (n_exp // x.denominator)
         return tuple(out)
 
 

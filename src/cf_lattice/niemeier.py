@@ -6,9 +6,8 @@ demand, only for the six entries whose root system contains an E_r summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from . import intlinalg
@@ -31,18 +30,6 @@ from .roots import (
 
 
 @dataclass(frozen=True)
-class GlueGroup:
-    """An isotropic subgroup of a discriminant form, by generator representatives.
-
-    Generators are rational coordinate vectors in the basis of the lattice
-    being glued (elements of the dual lattice).
-    """
-
-    ambient: FiniteQuadraticForm
-    generators: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
 class NiemeierEntry:
     root_system: RootSystemLabel
     coxeter_number: int
@@ -62,38 +49,37 @@ class GluedLattice:
     old_in_new: tuple[tuple[int, ...], ...]
     glue_order: int
 
-    def old_vector_in_new(self, v: Vector) -> Vector:
-        m = [list(r) for r in self.old_in_new]
-        return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(v)))
-
 
 class GlueError(ValueError):
     """Invalid glue: non-isotropic vector or non-integral resulting pairings."""
 
 
-def overlattice(lat: Lattice, glue: GlueGroup) -> GluedLattice:
-    """Even overlattice generated by L and the glue representatives.
+def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
+    """Even overlattice generated by L and lifts of the given elements of L*/L.
 
-    Index over L equals the glue order; the discriminant order drops by its
-    square. Errors out if a glue vector is not isotropic for the quadratic
-    form or the resulting pairings are not integral.
+    `data` is the discriminant data of L and `elements` are exponent tuples
+    of its group. Everything is an integer over N, the exponent of L*/L: L
+    is N*I and each glue row is N times a lift, so v lies in L* iff
+    G v = 0 mod N and is isotropic iff v^T G v = 0 mod 2N^2. Index over L
+    equals the glue order; the discriminant order drops by its square.
+    Errors out if a glue vector is not in L*, not isotropic, or the
+    resulting pairings are not integral.
     """
     if not lat.is_even():
         raise GlueError("gluing is defined here for even lattices only")
     n = lat.rank
     g = [list(r) for r in lat.gram]
-    rows = [[Fraction(x) for x in row] for row in intlinalg.identity(n)]
-    for gen in glue.generators:
-        pairings = [sum(gen[i] * g[i][j] for i in range(n)) for j in range(n)]
-        if any(p.denominator != 1 for p in pairings):
+    den = data.exponent
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for e in filter(any, elements):  # zero glues nothing, and has no lift if L* = L
+        v = data.lift(e)
+        gv = intlinalg.mat_vec(g, v)
+        if any(x % den for x in gv):
             raise GlueError("glue vector does not lie in the dual lattice")
-        nrm = sum(gen[i] * g[i][j] * gen[j] for i in range(n) for j in range(n))
-        if nrm % 2 != 0:
+        if sum(map(mul, v, gv)) % (2 * den * den):
             raise GlueError("glue vector is not isotropic (norm not in 2Z)")
-        rows.append(list(gen))
-    den = lcm(*[x.denominator for row in rows for x in row])
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    h = intlinalg.hnf(int_rows)
+        rows.append(list(v))
+    h = intlinalg.hnf(rows)
     if len(h) != n:
         raise GlueError("glue vectors do not preserve the rank (bug)")
     # the new basis is h / den, so its Gram matrix is h G h^T / den^2
@@ -215,11 +201,8 @@ def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
     if glue_order * glue_order != disc_order:
         raise ArithmeticError("discriminant order is not a perfect square (bad entry)")
     for subgroup in isotropic_subgroups(data, glue_order):
-        gens = _minimal_generators(data.form, subgroup)
-        glue = GlueGroup(ambient=data.form,
-                         generators=tuple(data.lift(e) for e in gens))
         try:
-            glued = overlattice(root_sum, glue)
+            glued = overlattice(root_sum, data, _minimal_generators(data.form, subgroup))
         except GlueError:
             continue
         lat = glued.lattice

@@ -33,7 +33,6 @@ from .lattices import (
     vector_divisibility,
 )
 from .niemeier import (
-    GlueGroup,
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
@@ -441,24 +440,16 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
     core_q = discriminant_data(core_lat).form.q[0]
     e6_q = discriminant_data(e6).form.q[0]
     data = discriminant_data(total)
-    glued = None
-    for subgroup in isotropic_subgroups(data, 3):
-        gens = [e for e in subgroup if any(e)]
-        glue = GlueGroup(ambient=data.form, generators=(data.lift(gens[0]),))
-        glued = overlattice(total, glue)
-        break
-    if glued is None:
+    subgroup = next(isotropic_subgroups(data, 3), None)
+    if subgroup is None:
         raise AssertionError("no isotropic Z/3 in the glued discriminant (bug)")
+    glued = overlattice(total, data, [next(e for e in subgroup if any(e))])
     lat = glued.lattice
     if not lat.is_even() or abs(lat.det()) != 1 or lat.signature() != (26, 2):
         raise AssertionError("glued lattice is not even unimodular of signature (26,2)")
     n_core = core_lat.rank
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(total.rank))
-
-    core_rows = tuple(glued.old_vector_in_new(unit(i)) for i in range(n_core))
-    e6_rows = tuple(glued.old_vector_in_new(unit(n_core + i)) for i in range(6))
+    core_rows = glued.old_in_new[:n_core]
+    e6_rows = glued.old_in_new[n_core:]
     core_image = Sublattice(lat, core_rows)
     e6_image = Sublattice(lat, e6_rows)
     comp = orthogonal_complement(lat, core_image)

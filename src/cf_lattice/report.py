@@ -45,7 +45,7 @@ class VerificationReport:
 
 
 def make_report(check: str, expected, actual, *, witnesses=(), citation: str = "",
-                status: str | None = None, elapsed_ms: int = 0) -> VerificationReport:
+                status: str | None = None) -> VerificationReport:
     if status is None:
         status = PASS if jsonable(expected) == jsonable(actual) else FAIL
     return VerificationReport(
@@ -55,5 +55,4 @@ def make_report(check: str, expected, actual, *, witnesses=(), citation: str = "
         actual=jsonable(actual),
         witnesses=tuple(jsonable(list(witnesses))),
         paper_ref=citation,
-        elapsed_ms=elapsed_ms,
     )

@@ -9,21 +9,9 @@ a closed form and are validated against their invariants.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import lcm, prod
-from pathlib import Path
-
-
-def data_path(filename: str) -> Path:
-    """Bundled data file, overridable via the CF_LATTICE_DATA directory."""
-    override = os.environ.get("CF_LATTICE_DATA")
-    if override:
-        return Path(override) / filename
-    return Path(str(resources.files("cf_lattice") / "data" / filename))
 
 
 @dataclass(frozen=True)
@@ -150,18 +138,26 @@ class CatalogEntry:
 
 
 def surface_catalog() -> tuple[CatalogEntry, ...]:
-    """The shipped catalog of quasihomogeneous surface singularities."""
-    with open(data_path("singularities.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = []
-    for item in doc["entries"]:
-        weights = tuple(Fraction(w) for w in item["weights"])
-        out.append(CatalogEntry(
-            name=item["name"],
-            kind=item["kind"],
-            singularity=QhSingularity(weights=weights, name=item["name"]),
-        ))
-    return tuple(out)
+    """The quasihomogeneous surface singularities, weights from their normal forms.
+
+    A_n: x^(n+1) + y^2 + z^2; D_n: x^(n-1) + x y^2 + z^2; E6: x^3 + y^4 + z^2;
+    E7: x^3 + x y^3 + z^2; E8: x^3 + y^5 + z^2; the simple elliptic
+    Etilde6, Etilde7, Etilde8 have the weights of x^3 + y^3 + z^3,
+    x^4 + y^4 + z^2 and x^6 + y^3 + z^2.
+    """
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = [(f"A{n}", "du_val", (Fraction(1, n + 1), half, half)) for n in range(1, 13)]
+    rows += [(f"D{n}", "du_val", (Fraction(1, n - 1), Fraction(n - 2, 2 * (n - 1)), half))
+             for n in range(4, 13)]
+    rows += [("E6", "du_val", (third, Fraction(1, 4), half)),
+             ("E7", "du_val", (third, Fraction(2, 9), half)),
+             ("E8", "du_val", (third, Fraction(1, 5), half)),
+             ("Etilde6", "simple_elliptic", (third, third, third)),
+             ("Etilde7", "simple_elliptic", (Fraction(1, 4), Fraction(1, 4), half)),
+             ("Etilde8", "simple_elliptic", (Fraction(1, 6), third, half))]
+    return tuple(CatalogEntry(name=f"{label}_surface", kind=kind,
+                              singularity=QhSingularity(weights, name=f"{label}_surface"))
+                 for label, kind, weights in rows)
 
 
 # Bound on the Milnor number p + q + r - 1 of a cusp, so that no input can ask

@@ -167,14 +167,18 @@ print(json.dumps({"code": r.returncode, "stdout": r.stdout, "stderr": r.stderr,
 """
 
 
-def run_fresh(*argv):
-    """Run the CLI in a fresh interpreter; return its exit code, output and peak RSS."""
+def child_env():
+    """This environment with the checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+
+
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter; return its exit code, output and peak RSS."""
     result = subprocess.run([sys.executable, "-c", _PEAK_RSS_WRAPPER, sys.executable,
-                             "-m", "cf_lattice.cli", *argv], env=env, capture_output=True,
-                            text=True, timeout=30, check=True)
+                             "-m", "cf_lattice.cli", *argv], env=child_env(),
+                            capture_output=True, text=True, timeout=30, check=True)
     return json.loads(result.stdout)
 
 
@@ -506,3 +510,18 @@ def test_plethysm_integer_past_the_digit_limit_exits_2(capsys):
     code, _, err = run_exit(capsys, ["plethysm", "Sym^" + "9" * 5000 + "(V)"])
     assert code == 2
     assert "integer too long" in err
+
+
+def test_a_reader_closing_stdout_early_exits_141_without_a_traceback(tmp_path, time_budget):
+    """`roots --norm 6` on E8 prints about 200 kB, far past a pipe's buffer, so the
+    child is still writing when the reader closes after the first line."""
+    path = write_lattice(tmp_path, "E8")
+    child = subprocess.Popen([sys.executable, "-m", "cf_lattice.cli", "roots", path,
+                              "--norm", "6"], env=child_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "norm: 6\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait() == 141
+    assert "Traceback" not in stderr
+    assert not stderr

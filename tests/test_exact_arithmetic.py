@@ -3,6 +3,8 @@
 An AST scan of every module in src/cf_lattice flags float and imaginary
 literals, calls to float(...), and the float-valued math functions
 sqrt, log, exp, floor and ceil (whether used as math.f or imported by name).
+A second scan holds the integer-only modules (the glue and the root
+enumeration) to no `fractions` import at all.
 """
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "cf_lattice"
 MODULES = sorted(SRC.glob("*.py"))
 FLOAT_MATH = {"sqrt", "log", "exp", "floor", "ceil"}
+INTEGER_ONLY = ("niemeier.py", "roots.py")
 
 
 def float_uses(source: str) -> list[tuple[int, str]]:
@@ -45,3 +48,21 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_exact_arithmetic_only(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+def fractions_imports(source: str) -> list[int]:
+    """Lines that import the fractions module or anything from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import)
+                and any(a.name == "fractions" for a in node.names))]
+
+
+def test_fractions_scan_flags_both_import_forms():
+    sample = "import math\nfrom fractions import Fraction\nimport os, fractions\n"
+    assert fractions_imports(sample) == [2, 3]
+
+
+@pytest.mark.parametrize("name", INTEGER_ONLY)
+def test_integer_only_module_imports_nothing_from_fractions(name):
+    assert fractions_imports((SRC / name).read_text(encoding="utf-8")) == []

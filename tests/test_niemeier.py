@@ -1,17 +1,21 @@
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
 from cf_lattice import (
+    Lattice,
     direct_sum,
     discriminant_data,
+    intlinalg,
     orthogonal_complement,
     span_sublattice,
     standard_lattice,
 )
 from cf_lattice.niemeier import (
+    GluedLattice,
     GlueError,
-    GlueGroup,
+    _minimal_generators,
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
@@ -19,6 +23,7 @@ from cf_lattice.niemeier import (
     niemeier_table,
     overlattice,
 )
+from cf_lattice.period import build_period_model
 from cf_lattice.roots import _enumerate_norm, identify_root_system, roots
 
 
@@ -53,7 +58,7 @@ def test_glue_e6_a2_gives_240_roots():
     assert len(subgroups) == 2
     for subgroup in subgroups:
         gen = next(e for e in subgroup if any(e))
-        glued = overlattice(base, GlueGroup(data.form, (data.lift(gen),)))
+        glued = overlattice(base, data, [gen])
         lat = glued.lattice
         assert lat.is_even()
         assert abs(lat.det()) == 1
@@ -65,7 +70,7 @@ def test_glue_e6_a2_gives_240_roots():
 def test_trivial_glue_returns_same_gram():
     e8 = standard_lattice("E8")
     data = discriminant_data(e8)
-    glued = overlattice(e8, GlueGroup(data.form, ()))
+    glued = overlattice(e8, data, ())
     assert glued.lattice.gram == e8.gram
     assert glued.glue_order == 1
 
@@ -73,17 +78,135 @@ def test_trivial_glue_returns_same_gram():
 def test_overlattice_rejects_non_isotropic_glue():
     a2 = standard_lattice("A2")
     data = discriminant_data(a2)
-    gen = data.lifts[0]  # q = 2/3, not isotropic
-    with pytest.raises(GlueError):
-        overlattice(a2, GlueGroup(data.form, (gen,)))
+    with pytest.raises(GlueError, match="not isotropic"):
+        overlattice(a2, data, [(1,)])  # the generator: q = 2/3, not isotropic
+    d4 = standard_lattice("D4")
+    with pytest.raises(GlueError, match="norm not in 2Z"):
+        overlattice(d4, discriminant_data(d4), [(1, 0)])  # in L*, odd norm 1
 
 
 def test_overlattice_rejects_vectors_outside_dual():
+    # the element (1, 0) of disc(diag(2, 6)) lifts to (1/2, 0), which is not
+    # in the dual of A2
     a2 = standard_lattice("A2")
-    data = discriminant_data(a2)
-    bad = (Fraction(1, 2), Fraction(0))
-    with pytest.raises(GlueError):
-        overlattice(a2, GlueGroup(data.form, (bad,)))
+    data = discriminant_data(Lattice(((2, 0), (0, 6))))
+    assert fraction_lift(data, (1, 0)) == (Fraction(1, 2), Fraction(0))
+    with pytest.raises(GlueError, match="dual lattice"):
+        overlattice(a2, data, [(1, 0)])
+
+
+def fraction_lift(data, element):
+    """A representative of `element` in L*, as Fractions: sum of a_i times lift i."""
+    n = len(data.lifts[0]) if data.lifts else 0
+    return tuple(sum((a * gen[j] for a, gen in zip(element, data.lifts)), Fraction(0))
+                 for j in range(n))
+
+
+def reference_overlattice(lat, generators):
+    """The Fraction gluing that `overlattice` replaced: pairings and norms summed in
+    Fractions, the rows scaled by the lcm of their denominators."""
+    if not lat.is_even():
+        raise GlueError("gluing is defined here for even lattices only")
+    n = lat.rank
+    g = [list(r) for r in lat.gram]
+    rows = [[Fraction(x) for x in row] for row in intlinalg.identity(n)]
+    for gen in generators:
+        pairings = [sum(gen[i] * g[i][j] for i in range(n)) for j in range(n)]
+        if any(p.denominator != 1 for p in pairings):
+            raise GlueError("glue vector does not lie in the dual lattice")
+        nrm = sum(gen[i] * g[i][j] * gen[j] for i in range(n) for j in range(n))
+        if nrm % 2 != 0:
+            raise GlueError("glue vector is not isotropic (norm not in 2Z)")
+        rows.append(list(gen))
+    den = lcm(*[x.denominator for row in rows for x in row])
+    h = intlinalg.hnf([[int(x * den) for x in row] for row in rows])
+    if len(h) != n:
+        raise GlueError("glue vectors do not preserve the rank (bug)")
+    scaled_gram = intlinalg.mat_mul(intlinalg.mat_mul(h, g), intlinalg.transpose(h))
+    den_sq = den * den
+    if any(x % den_sq for row in scaled_gram for x in row):
+        raise GlueError("resulting pairings are not integral")
+    result = Lattice(tuple(tuple(x // den_sq for x in row) for row in scaled_gram),
+                     name=(lat.name or "L") + " glued")
+    if not result.is_even():
+        raise GlueError("resulting lattice is odd")
+    index = isqrt(abs(lat.det()) // abs(result.det()))
+    det_h, adj_h = intlinalg.adjugate(h)
+    return GluedLattice(
+        lattice=result,
+        old_in_new=tuple(tuple(den * x // det_h for x in row) for row in adj_h),
+        glue_order=index,
+    )
+
+
+def glue_outcome(glue):
+    """What a glue call yields: its Gram, name, old_in_new and glue order, or GlueError."""
+    try:
+        glued = glue()
+    except GlueError:
+        return GlueError
+    return glued.lattice.gram, glued.lattice.name, glued.old_in_new, glued.glue_order
+
+
+def overlattice_outcome(lat, data, elements):
+    return glue_outcome(lambda: overlattice(lat, data, elements))
+
+
+def glue_both_ways(lat, data, elements):
+    """The outcomes of the integer and of the reference glue of the same elements."""
+    lifts = [fraction_lift(data, e) for e in elements]
+    return (overlattice_outcome(lat, data, elements),
+            glue_outcome(lambda: reference_overlattice(lat, lifts)))
+
+
+def test_lift_is_the_fraction_lift_times_the_exponent():
+    for label in ("A11+D7+E6", "D4+D4", "A2+A5", "E7"):
+        comps = [standard_lattice(c) for c in label.split("+")]
+        data = discriminant_data(direct_sum(*comps))
+        n_exp = data.exponent
+        assert n_exp == data.form.invariant_factors[-1]
+        for element in data.form.elements():
+            assert data.lift(element) == tuple(n_exp * x for x in fraction_lift(data, element))
+    assert discriminant_data(standard_lattice("E8")).exponent == 1
+
+
+def test_overlattice_matches_the_fraction_reference_on_every_niemeier_subgroup(time_budget):
+    counts, accepted = {}, 0
+    for entry in entries_with_e_summand():
+        comps = [standard_lattice(f"{f}{n}") for f, n in entry.root_system.components]
+        base = direct_sum(*comps, name=str(entry.root_system))
+        data = discriminant_data(base)
+        subgroups = list(isotropic_subgroups(data, isqrt(data.form.order)))
+        counts[str(entry.root_system)] = len(subgroups)
+        for subgroup in subgroups:
+            new, ref = glue_both_ways(base, data, _minimal_generators(data.form, subgroup))
+            assert new == ref
+            accepted += new is not GlueError
+            # every element of the subgroup spans the same glue as its generators
+            assert overlattice_outcome(base, data, subgroup) == new
+    assert counts == {"D16+E8": 2, "E8^3": 1, "A17+E7": 1, "D10+E7^2": 2,
+                      "A11+D7+E6": 4, "E6^4": 8}
+    assert accepted == 18  # all isotropic; unimodularity and roots pick among them
+
+
+def test_overlattice_matches_the_fraction_reference_on_e6_a2_and_26_2_glues():
+    base = direct_sum(standard_lattice("E6"), standard_lattice("A2"))
+    data = discriminant_data(base)
+    outcomes = [glue_both_ways(base, data, [e]) for e in data.form.elements() if any(e)]
+    assert all(new == ref for new, ref in outcomes)
+    # the nonzero elements of the two isotropic subgroups glue, the other four do not
+    assert sum(new is not GlueError for new, _ in outcomes) == 4
+    # one element from each: both isotropic, but they pair to a third mod Z
+    x, y = (next(e for e in s if any(e)) for s in isotropic_subgroups(data, 3))
+    with pytest.raises(GlueError, match="not integral"):
+        overlattice(base, data, [x, y])
+    assert glue_both_ways(base, data, [x, y]) == (GlueError, GlueError)
+    total = direct_sum(build_period_model().core_lattice(), standard_lattice("E6"))
+    data = discriminant_data(total)
+    subgroup = next(isotropic_subgroups(data, 3))
+    new, ref = glue_both_ways(total, data, [next(e for e in subgroup if any(e))])
+    assert new == ref
+    assert abs(Lattice(new[0]).det()) == 1
 
 
 def test_overlattice_index_law_all_glues():

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import product
 
@@ -189,10 +188,20 @@ def test_cusp_spectrum_milnor_cap():
         cusp_spectrum(2, 3, 10 ** 9)
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
-    alt = tmp_path / "singularities.json"
-    alt.write_text(json.dumps({"entries": [
-        {"name": "only_node", "kind": "du_val", "weights": ["1/2", "1/2", "1/2"]}]}))
-    monkeypatch.setenv("CF_LATTICE_DATA", str(tmp_path))
+def test_catalog_milnor_numbers_are_the_root_system_ranks():
+    # a du Val X_n has Milnor number n, the rank of its Dynkin diagram; the
+    # simple elliptic Etilde6, Etilde7, Etilde8 have 8, 9 and 10
     cat = surface_catalog()
-    assert [e.name for e in cat] == ["only_node"]
+    assert [e.name for e in cat] == (
+        [f"A{n}_surface" for n in range(1, 13)] + [f"D{n}_surface" for n in range(4, 13)]
+        + ["E6_surface", "E7_surface", "E8_surface",
+           "Etilde6_surface", "Etilde7_surface", "Etilde8_surface"])
+    for entry in cat:
+        label = entry.name.removesuffix("_surface")
+        mu = entry.singularity.milnor_number()
+        if entry.kind == "du_val":
+            assert mu == int(label[1:])
+        else:
+            assert entry.kind == "simple_elliptic"
+            assert mu == {"Etilde6": 8, "Etilde7": 9, "Etilde8": 10}[label]
+        assert entry.singularity.name == entry.name
