@@ -37,7 +37,7 @@ print("\nboundary dictionary:")
 for entry in entries_with_e_summand():
     glued = construct_niemeier(entry)
     lat = glued.lattice
-    sub = embed_e6(lat)
+    sub = embed_e6(lat, glued.roots)
     comp = orthogonal_complement(lat, sub)
     comp_lat = comp.lattice()
     label = identify_root_system(comp_lat, roots(comp_lat))

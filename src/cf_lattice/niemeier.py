@@ -50,6 +50,13 @@ class GluedLattice:
     glue_order: int
 
 
+@dataclass(frozen=True)
+class NiemeierLattice(GluedLattice):
+    """A glued rank-24 lattice together with its roots, `short_vectors(lattice, 2)`."""
+
+    roots: tuple[Vector, ...]
+
+
 class GlueError(ValueError):
     """Invalid glue: non-isotropic vector or non-integral resulting pairings."""
 
@@ -183,13 +190,15 @@ def _component_lattice(family: str, n: int) -> Lattice:
     return standard_lattice(f"{family}{n}")
 
 
-@lru_cache(maxsize=None)
-def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
+def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
     """Build the even unimodular lattice for one of the six E-containing entries.
 
     Glues the root-lattice direct sum along an isotropic subgroup of its
     discriminant form of the right order; the first candidate (in canonical
     search order) that is even, unimodular and adds no roots is returned.
+    The roots enumerated for that census come back with it as `roots`, in
+    the order of `roots(lattice)`, so later stages pass them on instead of
+    walking the lattice again. Nothing is memoized: each call glues anew.
     """
     if not any(f == "E" for f, _ in entry.root_system.components):
         raise ValueError("only the six E-containing entries are supported")
@@ -208,12 +217,14 @@ def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
         lat = glued.lattice
         if abs(lat.det()) != 1:
             continue
-        if len(roots(lat)) != entry.root_count():
+        rts = roots(lat)
+        if len(rts) != entry.root_count():
             continue
-        return GluedLattice(
+        return NiemeierLattice(
             lattice=Lattice(lat.gram, name=f"Niemeier({entry.root_system})"),
             old_in_new=glued.old_in_new,
             glue_order=glued.glue_order,
+            roots=tuple(rts),
         )
     raise RuntimeError(f"no valid glue found for {entry.root_system} (data or search bug)")
 
@@ -230,15 +241,17 @@ def _minimal_generators(form: FiniteQuadraticForm, subgroup):
     return gens
 
 
-@lru_cache(maxsize=None)
-def embed_e6(lat: Lattice) -> Sublattice:
+def embed_e6(lat: Lattice, root_list) -> Sublattice:
     """An E6 root subsystem inside an E_r component of the root system of L.
 
-    Greedy Dynkin-subgraph search over the roots of the chosen component;
-    the returned basis consists of six simple roots, so the induced Gram is
-    the E6 Cartan matrix exactly.
+    `root_list` must be all the roots of L, as `roots(lat)` returns them or
+    as a `construct_niemeier` result carries them; they are not enumerated
+    again, and the result depends on their order. Greedy Dynkin-subgraph
+    search over the roots of the chosen component; the returned basis
+    consists of six simple roots, so the induced Gram is the E6 Cartan
+    matrix exactly.
     """
-    halves = next((vectors for (family, _), vectors in root_components(lat, roots(lat))
+    halves = next((vectors for (family, _), vectors in root_components(lat, root_list)
                    if family == "E"), None)
     if halves is None:
         raise ValueError("root system of the input has no E_r component")

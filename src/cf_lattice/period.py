@@ -33,6 +33,8 @@ from .lattices import (
     vector_divisibility,
 )
 from .niemeier import (
+    NiemeierEntry,
+    NiemeierLattice,
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
@@ -390,12 +392,24 @@ class BoundaryComponent:
 
 
 @lru_cache(maxsize=1)
+def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, Sublattice], ...]:
+    """(entry, glued lattice with its roots, embedded E6) for the six E-containing entries.
+
+    The one shared stage of the boundary checks: each lattice is glued, its
+    roots walked and E6 embedded once per process. It takes no argument, so
+    it holds these six and nothing a caller passes in.
+    """
+    stage = []
+    for entry in entries_with_e_summand():
+        glued = construct_niemeier(entry)
+        stage.append((entry, glued, embed_e6(glued.lattice, glued.roots)))
+    return tuple(stage)
+
+
 def classify_boundary_components() -> tuple[BoundaryComponent, ...]:
     """The six complement root systems from the six E-containing rank-24 lattices."""
     by_system = {}
-    for entry in entries_with_e_summand():
-        glued = construct_niemeier(entry)
-        sub = embed_e6(glued.lattice)
+    for entry, glued, sub in niemeier_e6_stage():
         comp = orthogonal_complement(glued.lattice, sub)
         comp_lat = comp.lattice()
         label = identify_root_system(comp_lat, roots(comp_lat))
@@ -482,8 +496,9 @@ class E8Dictionary:
 @lru_cache(maxsize=1)
 def e8_dictionary() -> E8Dictionary:
     e8 = standard_lattice("E8")
-    e6 = embed_e6(e8)
-    in_e6, orthogonal, mixed_by_line = _split_roots_by_e6(e8, e6)
+    e8_roots = roots(e8)
+    e6 = embed_e6(e8, e8_roots)
+    in_e6, orthogonal, mixed_by_line = _split_roots_by_e6(e8, e6, e8_roots)
     return E8Dictionary(
         lattice=e8,
         e6=e6,
@@ -494,8 +509,8 @@ def e8_dictionary() -> E8Dictionary:
     )
 
 
-def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice):
-    """Split the roots of lat into (in E6, orthogonal to E6, mixed by line).
+def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice, root_list):
+    """Split `root_list`, all roots of lat, into (in E6, orthogonal to E6, mixed by line).
 
     A mixed root has a nonzero projection to the orthogonal complement of the
     E6 span; `mixed_by_line` maps the primitive vector on the line of that
@@ -507,17 +522,17 @@ def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice):
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
+    basis_cols = intlinalg.transpose(e6sub.basis)
     in_e6 = []
     orthogonal = []
     mixed_by_line: dict = {}
-    for root in roots(lat):
+    for root in root_list:
         pair = [sum(map(mul, bp, root)) for bp in basis_pairings]
         if not any(pair):
             orthogonal.append(root)
             continue
         coeffs = intlinalg.mat_vec(adj6, pair)
-        proj = [det6 * r - sum(c * row[j] for c, row in zip(coeffs, e6sub.basis))
-                for j, r in enumerate(root)]
+        proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(root, basis_cols)]
         if not any(proj):
             in_e6.append(root)
             continue
@@ -570,29 +585,27 @@ def intersection_codimension_check() -> VerificationReport:
     for l1, l2 in combinations(dic.mixed_lines, 2):
         sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, l1, l2]))
         lat = sat.lattice()
-        okay = (sat.rank == 8 and abs(lat.det()) == 1 and len(roots(lat)) == 240)
-        pairwise_ok = pairwise_ok and okay
-        pair_summaries.append({"rank": sat.rank, "det": lat.det(),
-                               "root_count": len(roots(lat))})
+        det = lat.det()
+        root_count = len(roots(lat))
+        pairwise_ok = pairwise_ok and sat.rank == 8 and abs(det) == 1 and root_count == 240
+        pair_summaries.append({"rank": sat.rank, "det": det, "root_count": root_count})
     actual = {"pairwise_saturations": "all E8" if pairwise_ok else pair_summaries}
 
     expected_ranks = {"E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
                       "E8^3": 2, "D16+E8": 2}
     actual_ranks = {}
-    for entry in entries_with_e_summand():
-        glued = construct_niemeier(entry)
-        lat = glued.lattice
-        sub = embed_e6(lat)
-        actual_ranks[str(entry.root_system)] = _qualifying_projection_rank(lat, sub)
+    for entry, glued, sub in niemeier_e6_stage():
+        actual_ranks[str(entry.root_system)] = _qualifying_projection_rank(
+            glued.lattice, sub, glued.roots)
     expected["projection_ranks"] = expected_ranks
     actual["projection_ranks"] = actual_ranks
     return make_report("intersection-codims", expected, actual,
                        citation=_INTERSECTION_CITATION)
 
 
-def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice) -> int:
+def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice, root_list) -> int:
     """Rank of the complement projections of roots whose span with E6 saturates to E7."""
-    _, _, lines = _split_roots_by_e6(lat, e6sub)
+    _, _, lines = _split_roots_by_e6(lat, e6sub, root_list)
     qualifying = []
     for w in lines:
         sat = saturation(lat, span_sublattice(lat, [*e6sub.basis, w]))

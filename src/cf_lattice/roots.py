@@ -201,20 +201,18 @@ def _enumerate_norm(gram, target: int):
     return results
 
 
-def _canonical_key(v: Vector):
+def _half(v: Vector) -> Vector:
+    """Of +-v, the one whose first nonzero coordinate is positive."""
     first = next((x for x in v if x), 0)
-    canon = v if first > 0 else tuple(-x for x in v)
-    return (canon, 0 if first > 0 else 1)
+    return v if first > 0 else tuple(-x for x in v)
 
 
 @lru_cache(maxsize=None)
 def _short_vectors_cached(gram, norm: int):
-    halves = _enumerate_norm(gram, norm)
     full = []
-    for v in halves:
+    for v in sorted(map(_half, _enumerate_norm(gram, norm))):
         full.append(v)
         full.append(tuple(-x for x in v))
-    full.sort(key=_canonical_key)
     return tuple(full)
 
 
@@ -269,7 +267,7 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     Components are listed in the order of their first representative in the
     input, each with its (family, rank) label and its halves sorted.
     """
-    halves = list(dict.fromkeys(_canonical_key(v)[0] for v in root_list))
+    halves = list(dict.fromkeys(map(_half, root_list)))
     g = [list(r) for r in lat.gram]
     simple, gs, parent = [], [], []  # simple roots, their G s, union-find links
     home = {}  # half -> index of the first simple root it pairs nonzero with

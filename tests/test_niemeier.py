@@ -261,13 +261,13 @@ def test_embed_e6_gives_cartan_gram():
     for name in ("E8^3", "E6^4", "A17+E7"):
         entry = next(e for e in niemeier_table() if str(e.root_system) == name)
         lat = construct_niemeier(entry).lattice
-        sub = embed_e6(lat)
+        sub = embed_e6(lat, roots(lat))
         assert sub.induced_gram() == e6_cartan
 
 
 def test_embed_e6_into_e8_directly():
     e8 = standard_lattice("E8")
-    sub = embed_e6(e8)
+    sub = embed_e6(e8, roots(e8))
     assert sub.induced_gram() == standard_lattice("E6").gram
     comp = orthogonal_complement(e8, sub)
     lat = comp.lattice()
@@ -277,22 +277,23 @@ def test_embed_e6_into_e8_directly():
 def test_embed_e6_complement_within_e7():
     # inside E7 the orthogonal complement of an embedded E6 is a norm-6 line
     e7 = standard_lattice("E7")
-    sub = embed_e6(e7)
+    sub = embed_e6(e7, roots(e7))
     comp = orthogonal_complement(e7, sub)
     assert comp.rank == 1
     assert comp.induced_gram() == ((6,),)
 
 
 def test_embed_e6_requires_an_e_component():
+    d4 = standard_lattice("D4")
     with pytest.raises(ValueError):
-        embed_e6(standard_lattice("D4"))
+        embed_e6(d4, roots(d4))
 
 
 def test_saturating_e6_plus_norm6_line_gives_e7():
     # E6 + its norm-6 complement line spans an index-3 sublattice of E7
     # (det 3*6 = 18 against 2); the saturation recovers the 126-root census
     e7 = standard_lattice("E7")
-    sub = embed_e6(e7)
+    sub = embed_e6(e7, roots(e7))
     comp = orthogonal_complement(e7, sub)
     rows = list(sub.basis) + list(comp.basis)
     span = span_sublattice(e7, rows)

@@ -1,6 +1,11 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +235,38 @@ def test_boundary_components_match_table():
     got = {c.label: str(c.root_sublattice) for c in comps}
     assert got == BOUNDARY_MATCHING
     assert len(set(got.values())) == 6
+
+
+_SUITE_CACHE_PROBE = """
+import json
+from cf_lattice import checks, period
+from cf_lattice.roots import _short_vectors_cached, short_vectors
+reports = checks.run_suite()
+info = _short_vectors_cached.cache_info()
+print(json.dumps({
+    "statuses": [r.status for r in reports],
+    "hits": info.hits,
+    "misses": info.misses,
+    "roots_match": [list(glued.roots) == short_vectors(glued.lattice, 2)
+                    for _, glued, _ in period.niemeier_e6_stage()],
+}))
+"""
+
+
+def test_suite_walks_each_lattice_once_and_passes_roots_on():
+    """From a fresh import, `run_suite` walks 18 distinct Grams, each once, and looks
+    the short-vector table up again at most 12 times: the Niemeier lattices and E8
+    hand their roots to the E6 stages instead of asking for them again."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _SUITE_CACHE_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(result.stdout)
+    assert got["statuses"] == ["pass"] * 12
+    assert got["misses"] == 18
+    assert got["hits"] <= 12
+    assert got["roots_match"] == [True] * 6
 
 
 def test_unimodular_26_2(model):
