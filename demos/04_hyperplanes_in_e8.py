@@ -6,13 +6,8 @@ either lies in E6, is orthogonal to it (the A2 complement), or spans an E7
 with it. Counting these classes gives the weight and vanishing orders of
 the discriminant automorphic form.
 """
-from cf_lattice import direct_sum, standard_lattice
-from cf_lattice.period import (
-    automorphic_weight_and_orders,
-    e8_dictionary,
-    hyperplane_dictionary_check,
-    intersection_codimension_check,
-)
+from cf_lattice import checks, direct_sum, standard_lattice
+from cf_lattice.period import e8_dictionary
 from cf_lattice.roots import roots
 
 dic = e8_dictionary()
@@ -22,12 +17,12 @@ print("  orthogonal:   ", len(dic.orthogonal))
 print("  mixed:        ", sum(len(v) for v in dic.mixed_by_line.values()))
 print("  mixed classes:", {line: len(v) for line, v in dic.mixed_by_line.items()})
 
-report = hyperplane_dictionary_check()
+report = checks.run_check("dictionary-counts")
 print("\ndictionary check:", report.status)
 for summary in report.actual["mixed_saturations"]:
     print("  mixed saturation:", summary)
 
-report = intersection_codimension_check()
+report = checks.run_check("intersection-codims")
 print("\nintersection check:", report.status)
 print("  pairwise saturations:", report.actual["pairwise_saturations"])
 print("  projection ranks by boundary type:")
@@ -43,5 +38,5 @@ e7 = standard_lattice("E7")
 e6a1 = direct_sum(e6, standard_lattice("A1"))
 print("\nroot counts: E6 =", len(roots(e6)), " E7 =", len(roots(e7)),
       " E6+A1 =", len(roots(e6a1)))
-report = automorphic_weight_and_orders()
+report = checks.run_check("automorphic-weight-orders")
 print("weight and orders:", report.actual)

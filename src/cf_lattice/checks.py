@@ -1,30 +1,38 @@
-"""Declarative registry of the named verification checks.
+"""The twelve named verification checks and the suite that runs them.
 
-Each check is (id, citation, runner); runners are pure and return a
-VerificationReport. New checks are one-line registrations. The suite runs
-the checks one after another in check-id order, so the shared cached stages
-are built once: the period model, the E8 dictionary and the bounded
-`period.niemeier_e6_stage` (the six E-containing rank-24 lattices with
-their roots and an embedded E6), each an argument-free `lru_cache(maxsize=1)`.
+Every report is built here: each registered runner takes no argument,
+compares the paper's expected values with computed ones, and returns a
+VerificationReport whose status is `pass` or `fail`. The mathematics lives
+in the library modules. The suite runs the checks one after another in
+check-id order, so the shared cached stages are built once: the period
+model, the E8 dictionary and the bounded `period.niemeier_e6_stage` (the
+six E-containing rank-24 lattices with their roots and an embedded E6),
+each an argument-free `lru_cache(maxsize=1)`.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from itertools import combinations
 
-from . import period, plethysm, spectra
-from .lattices import discriminant_data, vector_divisibility
+from . import intlinalg, period, plethysm, spectra
+from .lattices import (
+    Sublattice,
+    direct_sum,
+    discriminant_data,
+    genus_invariants,
+    orthogonal_complement,
+    saturation,
+    span_sublattice,
+    standard_lattice,
+    vector_divisibility,
+)
 from .niemeier import entries_with_e_summand
-from .report import UNREALIZED, VerificationReport, jsonable, make_report
+from .report import VerificationReport, make_report
+from .roots import disc_action, reflection, roots
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    checks: tuple[str, ...] = ("all",)
-    search_bound: int = 6
-
-
-def _check_model_build(config: SuiteConfig) -> VerificationReport:
+def _check_model_build() -> VerificationReport:
     model = period.build_period_model()
     core_lat = model.core_lattice()
     disc = discriminant_data(core_lat).form
@@ -49,10 +57,9 @@ def _check_model_build(config: SuiteConfig) -> VerificationReport:
                                 "even complement of signature (20,2) and discriminant Z/3")
 
 
-def _check_hyperplane_dets(config: SuiteConfig) -> VerificationReport:
+def _check_hyperplane_dets() -> VerificationReport:
     model = period.build_period_model()
-    result = period.realizable_determinants(model, 2, 14,
-                                            search_bound=config.search_bound)
+    result = period.realizable_determinants(model, 2, 14)
     expected = {"realized": [2, 6, 8, 12, 14],
                 "impossible_mod6": [3, 4, 5, 7, 9, 10, 11, 13],
                 "root_family": "H_Delta", "long_root_family": "H_infinity"}
@@ -60,22 +67,70 @@ def _check_hyperplane_dets(config: SuiteConfig) -> VerificationReport:
               "impossible_mod6": list(result.impossible),
               "root_family": result.realized.get(6, {}).get("family"),
               "long_root_family": result.realized.get(2, {}).get("family")}
-    status = None
-    if result.unrealized_at_bound and jsonable(actual) != jsonable(expected):
-        status = UNREALIZED
-        actual["unrealized_at_bound"] = list(result.unrealized_at_bound)
     witnesses = [result.realized[d] for d in sorted(result.realized)]
-    return make_report("hyperplane-dets", expected, actual, status=status,
-                       witnesses=witnesses,
+    return make_report("hyperplane-dets", expected, actual, witnesses=witnesses,
                        citation="nonempty determinant-d loci exactly for d = 0, 2 mod 6; "
                                 "roots give determinant 6, long roots determinant 2")
 
 
-def _check_monodromy(config: SuiteConfig) -> VerificationReport:
-    return period.verify_monodromy_lemma(period.build_period_model())
+_MONODROMY_CITATION = ("long-root involution: trivial on a rank-2 lattice of Gram "
+                       "[[3,2],[2,2]] containing the polarization, minus identity on "
+                       "its complement of genus (21,(19,2),even,Z/2), nontrivial on "
+                       "the order-3 discriminant group")
 
 
-def _check_boundary_components(config: SuiteConfig) -> VerificationReport:
+def _check_monodromy() -> VerificationReport:
+    """Check every assertion of the long-root monodromy involution at once."""
+    model = period.build_period_model()
+    ambient = model.ambient
+    h = model.polarization
+    delta = model.long_root
+    g = period.monodromy_involution(model)
+    mid = tuple((a + b) // 3 for a, b in zip(h, delta))   # (h + delta)/3, integral
+    second = tuple(a - b for a, b in zip(h, mid))         # h - (h + delta)/3
+    fixed = span_sublattice(ambient, [h, second])
+    actual: dict = {}
+    expected: dict = {}
+    expected["fixes_rank2_pointwise"] = True
+    actual["fixes_rank2_pointwise"] = (g.apply(h) == h and g.apply(second) == second)
+    expected["gram_of_fixed"] = [[3, 2], [2, 2]]
+    actual["gram_of_fixed"] = [list(r) for r in
+                               Sublattice(ambient, (h, second)).induced_gram()]
+    comp = orthogonal_complement(ambient, fixed)
+    expected["minus_identity_on_complement"] = True
+    actual["minus_identity_on_complement"] = all(
+        g.apply(row) == tuple(-x for x in row) for row in comp.basis)
+    comp_lat = comp.lattice()
+    inv = genus_invariants(comp_lat)
+    reference = genus_invariants(direct_sum(
+        standard_lattice("A1"), standard_lattice("E8"), standard_lattice("E8"),
+        standard_lattice("U"), standard_lattice("U")))
+    expected["complement_genus"] = {"rank": 21, "signature": [19, 2], "even": True,
+                                    "disc_order": 2, "matches_A1_E8_E8_U_U": True}
+    actual["complement_genus"] = {
+        "rank": inv.rank, "signature": list(inv.signature), "even": inv.even,
+        "disc_order": inv.disc.order, "matches_A1_E8_E8_U_U": inv.matches(reference)}
+    expected["involution"] = True
+    actual["involution"] = g.is_involution()
+    expected["eigenvalue_ranks"] = {"fixed": 2, "negated": 21}
+    ident = intlinalg.identity(ambient.rank)
+    m = [list(r) for r in g.matrix]
+    minus = [[m[i][j] - ident[i][j] for j in range(ambient.rank)] for i in range(ambient.rank)]
+    plus = [[m[i][j] + ident[i][j] for j in range(ambient.rank)] for i in range(ambient.rank)]
+    actual["eigenvalue_ranks"] = {"fixed": ambient.rank - intlinalg.rank(minus),
+                                  "negated": ambient.rank - intlinalg.rank(plus)}
+    expected["determinant"] = -1
+    actual["determinant"] = g.det()
+    core_lat = model.core_lattice()
+    refl = reflection(core_lat, model.core.from_ambient(delta))
+    expected["disc_action_nontrivial"] = True
+    actual["disc_action_nontrivial"] = not disc_action(core_lat, refl).is_trivial()
+    witnesses = [{"long_root": list(delta), "h_plus_delta_over_3": list(mid)}]
+    return make_report("monodromy-lemma", expected, actual,
+                       witnesses=witnesses, citation=_MONODROMY_CITATION)
+
+
+def _check_boundary_components() -> VerificationReport:
     components = period.classify_boundary_components()
     expected_map = dict(period.BOUNDARY_MATCHING)
     actual_map = {c.label: str(c.root_sublattice) for c in components}
@@ -99,7 +154,7 @@ def _check_boundary_components(config: SuiteConfig) -> VerificationReport:
                                 "E-containing rank-24 unimodular lattices")
 
 
-def _check_lambda_prime(config: SuiteConfig) -> VerificationReport:
+def _check_lambda_prime() -> VerificationReport:
     ext = period.glue_unimodular_26_2(period.build_period_model())
     lat = ext.lattice
     expected = {"rank": 28, "abs_det": 1, "signature": [26, 2], "even": True,
@@ -113,19 +168,88 @@ def _check_lambda_prime(config: SuiteConfig) -> VerificationReport:
                                 "discriminants gives the even unimodular (26,2) lattice")
 
 
-def _check_dictionary(config: SuiteConfig) -> VerificationReport:
-    return period.hyperplane_dictionary_check()
+_DICTIONARY_CITATION = ("degree-2 hyperplanes correspond to roots spanning an E7 "
+                        "with the fixed E6; the 240 roots of E8 split 72/6/162")
 
 
-def _check_intersections(config: SuiteConfig) -> VerificationReport:
-    return period.intersection_codimension_check()
+def _check_dictionary() -> VerificationReport:
+    """Partition counts and the E7 saturation census inside E8."""
+    dic = period.e8_dictionary()
+    e8 = dic.lattice
+    mixed_count = sum(len(v) for v in dic.mixed_by_line.values())
+    expected = {"in_e6": 72, "orthogonal": 6, "mixed": 162, "total": 240,
+                "mixed_saturations": [{"rank": 7, "root_count": 126}] * 3}
+    sat_summaries = []
+    for line in dic.mixed_lines:
+        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, line]))
+        lat = sat.lattice()
+        sat_summaries.append({"rank": sat.rank, "root_count": len(roots(lat))})
+    actual = {"in_e6": len(dic.in_e6), "orthogonal": len(dic.orthogonal),
+              "mixed": mixed_count,
+              "total": len(dic.in_e6) + len(dic.orthogonal) + mixed_count,
+              "mixed_saturations": sat_summaries}
+    witnesses = [{"mixed_line_classes": [list(l) for l in dic.mixed_lines],
+                  "mixed_class_sizes": [len(dic.mixed_by_line[l]) for l in dic.mixed_lines]}]
+    return make_report("dictionary-counts", expected, actual,
+                       witnesses=witnesses, citation=_DICTIONARY_CITATION)
 
 
-def _check_weight_orders(config: SuiteConfig) -> VerificationReport:
-    return period.automorphic_weight_and_orders()
+_INTERSECTION_CITATION = ("pairwise intersections of degree-2 hyperplanes saturate to "
+                          "E8 (codimension 2); near each boundary component the "
+                          "qualifying projections span rank 0/0/1/1/2/2")
 
 
-def _check_boundary_matching(config: SuiteConfig) -> VerificationReport:
+def _check_intersections() -> VerificationReport:
+    """Codimension-2 saturation in E8 and the per-boundary projection ranks."""
+    dic = period.e8_dictionary()
+    e8 = dic.lattice
+    expected: dict = {"pairwise_saturations": "all E8"}
+    pairwise_ok = True
+    pair_summaries = []
+    for l1, l2 in combinations(dic.mixed_lines, 2):
+        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, l1, l2]))
+        lat = sat.lattice()
+        det = lat.det()
+        root_count = len(roots(lat))
+        pairwise_ok = pairwise_ok and sat.rank == 8 and abs(det) == 1 and root_count == 240
+        pair_summaries.append({"rank": sat.rank, "det": det, "root_count": root_count})
+    actual = {"pairwise_saturations": "all E8" if pairwise_ok else pair_summaries}
+
+    expected_ranks = {"E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
+                      "E8^3": 2, "D16+E8": 2}
+    actual_ranks = {}
+    for entry, glued, sub in period.niemeier_e6_stage():
+        actual_ranks[str(entry.root_system)] = period._qualifying_projection_rank(
+            glued.lattice, sub, glued.roots)
+    expected["projection_ranks"] = expected_ranks
+    actual["projection_ranks"] = actual_ranks
+    return make_report("intersection-codims", expected, actual,
+                       citation=_INTERSECTION_CITATION)
+
+
+_WEIGHT_CITATION = ("discriminant form weight 12 + 36 = 48; vanishing orders "
+                    "(126-72)/2 = 27 and (74-72)/2 = 1 along the degree-2 and "
+                    "degree-6 arrangements")
+
+
+def _check_weight_orders() -> VerificationReport:
+    """Weight and vanishing orders from actual root counts of E6, E7, E6+A1."""
+    e6 = standard_lattice("E6")
+    e7 = standard_lattice("E7")
+    e6a1 = direct_sum(e6, standard_lattice("A1"))
+    n6 = len(roots(e6))
+    n7 = len(roots(e7))
+    n6a1 = len(roots(e6a1))
+    expected = {"weight": 48, "order_H_infinity": 27, "order_H_Delta": 1}
+    actual = {"weight": 12 + n6 // 2,
+              "order_H_infinity": (n7 - n6) // 2,
+              "order_H_Delta": (n6a1 - n6) // 2}
+    witnesses = [{"roots_E6": n6, "roots_E7": n7, "roots_E6_A1": n6a1}]
+    return make_report("automorphic-weight-orders", expected, actual,
+                       witnesses=witnesses, citation=_WEIGHT_CITATION)
+
+
+def _check_boundary_matching() -> VerificationReport:
     expected: dict = {}
     actual: dict = {}
     for label in sorted(period.BOUNDARY_MATCHING):
@@ -148,7 +272,7 @@ def _check_boundary_matching(config: SuiteConfig) -> VerificationReport:
                                 "documented ambiguities, reported not patched")
 
 
-def _check_plethysm_omega(config: SuiteConfig) -> VerificationReport:
+def _check_plethysm_omega() -> VerificationReport:
     v = plethysm.standard_character(plethysm.SL3)
     w = plethysm.sym_power(v, 2)
     cube = plethysm.decompose(plethysm.sym_power(w, 3))
@@ -168,7 +292,7 @@ def _check_plethysm_omega(config: SuiteConfig) -> VerificationReport:
                                 "the normal slice is Sym^6 V of dimension 28")
 
 
-def _check_plethysm_chi(config: SuiteConfig) -> VerificationReport:
+def _check_plethysm_chi() -> VerificationReport:
     v = plethysm.standard_character(plethysm.SL2)
     w = plethysm.sym_power(v, 4) + plethysm.trivial_character(plethysm.SL2)
     cube = plethysm.decompose(plethysm.sym_power(w, 3))
@@ -188,7 +312,7 @@ def _check_plethysm_chi(config: SuiteConfig) -> VerificationReport:
                                 "decomposition; the normal slice is Sym^12 V + Sym^8 V + C")
 
 
-def _check_spectra_catalog(config: SuiteConfig) -> VerificationReport:
+def _check_spectra_catalog() -> VerificationReport:
     catalog = spectra.surface_catalog()
     du_val_strict = True
     elliptic_closed = True
@@ -260,14 +384,17 @@ def resolve_check_ids(requested) -> tuple[str, ...]:
     return tuple(sorted(set(requested)))
 
 
-def run_check(check_id: str, config: SuiteConfig | None = None) -> VerificationReport:
-    config = config or SuiteConfig()
+def run_check(check_id: str) -> VerificationReport:
     runner = REGISTRY[check_id]
     start = time.monotonic()
-    report = runner(config)
+    report = runner()
     return replace(report, elapsed_ms=int((time.monotonic() - start) * 1000))
 
 
-def run_suite(config: SuiteConfig | None = None) -> list[VerificationReport]:
-    config = config or SuiteConfig()
-    return [run_check(c, config) for c in resolve_check_ids(config.checks)]
+def run_suite(requested=("all",)) -> list[VerificationReport]:
+    """Run the requested checks in id order.
+
+    Each goes through the module attribute `run_check`, so a caller that
+    replaces it (to time each check, say) sees every check.
+    """
+    return [run_check(c) for c in resolve_check_ids(requested)]

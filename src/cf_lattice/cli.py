@@ -72,7 +72,8 @@ def _parse_rows(text: str):
     except json.JSONDecodeError as exc:
         raise _fail(EXIT_PARSE, f"--rows: malformed JSON at column {exc.colno}: {exc.msg}")
     if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows)):
+            # type(), not isinstance(): JSON true and false load as bool, an int subclass
+            or not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)):
         raise _fail(EXIT_PARSE, "--rows must be a JSON array of integer arrays")
     return [tuple(r) for r in rows]
 
@@ -296,38 +297,30 @@ def _cmd_verify(args) -> int:
         requested = checks.resolve_check_ids(tuple(args.checks) or ("all",))
     except KeyError as exc:
         raise _fail(EXIT_PARSE, str(exc.args[0]))
-    config = checks.SuiteConfig(checks=requested, search_bound=args.search_bound)
-    reports = checks.run_suite(config)
-    failures = 0
+    reports = checks.run_suite(requested)
+    failures = sum(1 for r in reports if r.status == "fail")
     if args.output == "json":
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
-        failures = sum(1 for r in reports if r.status == "fail")
-    else:
-        for r in reports:
-            mark = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "?BOUND")
-            print(f"[{mark}] {r.check}  ({r.elapsed_ms} ms)")
-            print(f"    claim:    {r.paper_ref}")
-            if r.status != "pass":
-                print(f"    expected: {json.dumps(r.expected, sort_keys=True)}")
-                print(f"    actual:   {json.dumps(r.actual, sort_keys=True)}")
-            failures += 1 if r.status == "fail" else 0
-        print(f"{len(reports)} checks, {failures} failures")
+        return failures
+    for r in reports:
+        print(f"[{r.status.upper()}] {r.check}  ({r.elapsed_ms} ms)")
+        print(f"    claim:    {r.paper_ref}")
+        if r.status == "fail":
+            print(f"    expected: {json.dumps(r.expected, sort_keys=True)}")
+            print(f"    actual:   {json.dumps(r.actual, sort_keys=True)}")
+    print(f"{len(reports)} checks, {failures} failures")
     return failures
 
 
 def _common_flags(defaults: bool) -> argparse.ArgumentParser:
-    """Shared flags, accepted both before and after the subcommand.
+    """The shared `--output` flag, accepted both before and after the subcommand.
 
-    The subparser copies suppress their defaults so they never overwrite
-    values already parsed at the top level.
+    The subparser copies suppress the default so it never overwrites a
+    value already parsed at the top level.
     """
     p = argparse.ArgumentParser(add_help=False)
-    supp = argparse.SUPPRESS
     p.add_argument("--output", choices=("text", "json"),
-                   default="text" if defaults else supp)
-    p.add_argument("--search-bound", type=_non_negative_int,
-                   default=6 if defaults else supp,
-                   help="coefficient bound for witness searches (default 6)")
+                   default="text" if defaults else argparse.SUPPRESS)
     return p
 
 

@@ -160,9 +160,6 @@ class FiniteQuadraticForm:
     def add(self, x, y):
         return tuple((a + c) % d for a, c, d in zip(x, y, self.invariant_factors))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
-
     def element_order(self, x) -> int:
         return lcm(*(d // gcd(a, d) for a, d in zip(x, self.invariant_factors)))
 

@@ -13,7 +13,6 @@ from operator import mul
 from . import intlinalg
 from .lattices import (
     DiscriminantData,
-    FiniteQuadraticForm,
     Lattice,
     Sublattice,
     Vector,
@@ -211,7 +210,7 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
         raise ArithmeticError("discriminant order is not a perfect square (bad entry)")
     for subgroup in isotropic_subgroups(data, glue_order):
         try:
-            glued = overlattice(root_sum, data, _minimal_generators(data.form, subgroup))
+            glued = overlattice(root_sum, data, subgroup)
         except GlueError:
             continue
         lat = glued.lattice
@@ -227,18 +226,6 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
             roots=tuple(rts),
         )
     raise RuntimeError(f"no valid glue found for {entry.root_system} (data or search bug)")
-
-
-def _minimal_generators(form: FiniteQuadraticForm, subgroup):
-    """A small generating set of a subgroup given as a tuple of elements."""
-    gens, generated = [], form.span([])
-    for e in sorted(subgroup, key=lambda x: (-form.element_order(x), x)):
-        if e not in generated:
-            gens.append(e)
-            generated = form.span(gens)
-            if len(generated) == len(subgroup):
-                break
-    return gens
 
 
 def embed_e6(lat: Lattice, root_list) -> Sublattice:

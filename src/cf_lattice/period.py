@@ -1,11 +1,13 @@
-"""Verification pipelines around the degree-3 polarized lattice model.
+"""The mathematics of the degree-3 polarized lattice model.
 
 The model is the odd unimodular lattice I_{21,2} with polarization class
 h = (1,...,1,3,3): h has square 3 and all its coordinates are odd, which
-forces the orthogonal complement to be even. Everything downstream (the
-determinant arrangement, the monodromy involution, boundary classification,
-the degree-2/6 hyperplane dictionary inside E8, and the weight/vanishing
-bookkeeping of the discriminant automorphic form) is exact arithmetic.
+forces the orthogonal complement to be even. Built on it, in exact
+arithmetic: the determinant arrangement and its witness search, the
+monodromy involution, the boundary classification through the six
+E-containing rank-24 lattices, the gluing to the even unimodular (26,2)
+lattice, the degree-2/6 hyperplane dictionary inside E8, and the boundary
+matching rules. The verification reports over these are built in `checks`.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import gcd
 from operator import mul
 
@@ -25,7 +27,6 @@ from .lattices import (
     Vector,
     direct_sum,
     discriminant_data,
-    genus_invariants,
     orthogonal_complement,
     saturation,
     span_sublattice,
@@ -41,14 +42,11 @@ from .niemeier import (
     isotropic_subgroups,
     overlattice,
 )
-from .report import VerificationReport, make_report
 from .roots import (
     Isometry,
     RootSystemLabel,
-    disc_action,
     find_long_root,
     identify_root_system,
-    reflection,
     roots,
 )
 
@@ -305,62 +303,6 @@ def monodromy_involution(model: PeriodModel) -> Isometry:
     return Isometry(ambient, tuple(tuple(x // 3 for x in row) for row in triple))
 
 
-_MONODROMY_CITATION = ("long-root involution: trivial on a rank-2 lattice of Gram "
-                       "[[3,2],[2,2]] containing the polarization, minus identity on "
-                       "its complement of genus (21,(19,2),even,Z/2), nontrivial on "
-                       "the order-3 discriminant group")
-
-
-def verify_monodromy_lemma(model: PeriodModel) -> VerificationReport:
-    """Check every assertion of the long-root monodromy involution at once."""
-    ambient = model.ambient
-    h = model.polarization
-    delta = model.long_root
-    g = monodromy_involution(model)
-    mid = tuple((a + b) // 3 for a, b in zip(h, delta))   # (h + delta)/3, integral
-    second = tuple(a - b for a, b in zip(h, mid))         # h - (h + delta)/3
-    fixed = span_sublattice(ambient, [h, second])
-    actual: dict = {}
-    expected: dict = {}
-    expected["fixes_rank2_pointwise"] = True
-    actual["fixes_rank2_pointwise"] = (g.apply(h) == h and g.apply(second) == second)
-    expected["gram_of_fixed"] = [[3, 2], [2, 2]]
-    actual["gram_of_fixed"] = [list(r) for r in
-                               Sublattice(ambient, (h, second)).induced_gram()]
-    comp = orthogonal_complement(ambient, fixed)
-    expected["minus_identity_on_complement"] = True
-    actual["minus_identity_on_complement"] = all(
-        g.apply(row) == tuple(-x for x in row) for row in comp.basis)
-    comp_lat = comp.lattice()
-    inv = genus_invariants(comp_lat)
-    reference = genus_invariants(direct_sum(
-        standard_lattice("A1"), standard_lattice("E8"), standard_lattice("E8"),
-        standard_lattice("U"), standard_lattice("U")))
-    expected["complement_genus"] = {"rank": 21, "signature": [19, 2], "even": True,
-                                    "disc_order": 2, "matches_A1_E8_E8_U_U": True}
-    actual["complement_genus"] = {
-        "rank": inv.rank, "signature": list(inv.signature), "even": inv.even,
-        "disc_order": inv.disc.order, "matches_A1_E8_E8_U_U": inv.matches(reference)}
-    expected["involution"] = True
-    actual["involution"] = g.is_involution()
-    expected["eigenvalue_ranks"] = {"fixed": 2, "negated": 21}
-    ident = intlinalg.identity(ambient.rank)
-    m = [list(r) for r in g.matrix]
-    minus = [[m[i][j] - ident[i][j] for j in range(ambient.rank)] for i in range(ambient.rank)]
-    plus = [[m[i][j] + ident[i][j] for j in range(ambient.rank)] for i in range(ambient.rank)]
-    actual["eigenvalue_ranks"] = {"fixed": ambient.rank - intlinalg.rank(minus),
-                                  "negated": ambient.rank - intlinalg.rank(plus)}
-    expected["determinant"] = -1
-    actual["determinant"] = g.det()
-    core_lat = model.core_lattice()
-    refl = reflection(core_lat, model.core.from_ambient(delta))
-    expected["disc_action_nontrivial"] = True
-    actual["disc_action_nontrivial"] = not disc_action(core_lat, refl).is_trivial()
-    witnesses = [{"long_root": list(delta), "h_plus_delta_over_3": list(mid)}]
-    return make_report("monodromy-lemma", expected, actual,
-                       witnesses=witnesses, citation=_MONODROMY_CITATION)
-
-
 # -- Boundary classification ----------------------------------------------------
 
 # Matching of the six degeneration strata to complement root systems.
@@ -544,65 +486,6 @@ def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice, root_list):
     return in_e6, orthogonal, mixed_by_line
 
 
-_DICTIONARY_CITATION = ("degree-2 hyperplanes correspond to roots spanning an E7 "
-                        "with the fixed E6; the 240 roots of E8 split 72/6/162")
-
-
-def hyperplane_dictionary_check() -> VerificationReport:
-    """Partition counts and the E7 saturation census inside E8."""
-    dic = e8_dictionary()
-    e8 = dic.lattice
-    mixed_count = sum(len(v) for v in dic.mixed_by_line.values())
-    expected = {"in_e6": 72, "orthogonal": 6, "mixed": 162, "total": 240,
-                "mixed_saturations": [{"rank": 7, "root_count": 126}] * 3}
-    sat_summaries = []
-    for line in dic.mixed_lines:
-        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, line]))
-        lat = sat.lattice()
-        sat_summaries.append({"rank": sat.rank, "root_count": len(roots(lat))})
-    actual = {"in_e6": len(dic.in_e6), "orthogonal": len(dic.orthogonal),
-              "mixed": mixed_count,
-              "total": len(dic.in_e6) + len(dic.orthogonal) + mixed_count,
-              "mixed_saturations": sat_summaries}
-    witnesses = [{"mixed_line_classes": [list(l) for l in dic.mixed_lines],
-                  "mixed_class_sizes": [len(dic.mixed_by_line[l]) for l in dic.mixed_lines]}]
-    return make_report("dictionary-counts", expected, actual,
-                       witnesses=witnesses, citation=_DICTIONARY_CITATION)
-
-
-_INTERSECTION_CITATION = ("pairwise intersections of degree-2 hyperplanes saturate to "
-                          "E8 (codimension 2); near each boundary component the "
-                          "qualifying projections span rank 0/0/1/1/2/2")
-
-
-def intersection_codimension_check() -> VerificationReport:
-    """Codimension-2 saturation in E8 and the per-boundary projection ranks."""
-    dic = e8_dictionary()
-    e8 = dic.lattice
-    expected: dict = {"pairwise_saturations": "all E8"}
-    pairwise_ok = True
-    pair_summaries = []
-    for l1, l2 in combinations(dic.mixed_lines, 2):
-        sat = saturation(e8, span_sublattice(e8, [*dic.e6.basis, l1, l2]))
-        lat = sat.lattice()
-        det = lat.det()
-        root_count = len(roots(lat))
-        pairwise_ok = pairwise_ok and sat.rank == 8 and abs(det) == 1 and root_count == 240
-        pair_summaries.append({"rank": sat.rank, "det": det, "root_count": root_count})
-    actual = {"pairwise_saturations": "all E8" if pairwise_ok else pair_summaries}
-
-    expected_ranks = {"E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
-                      "E8^3": 2, "D16+E8": 2}
-    actual_ranks = {}
-    for entry, glued, sub in niemeier_e6_stage():
-        actual_ranks[str(entry.root_system)] = _qualifying_projection_rank(
-            glued.lattice, sub, glued.roots)
-    expected["projection_ranks"] = expected_ranks
-    actual["projection_ranks"] = actual_ranks
-    return make_report("intersection-codims", expected, actual,
-                       citation=_INTERSECTION_CITATION)
-
-
 def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice, root_list) -> int:
     """Rank of the complement projections of roots whose span with E6 saturates to E7."""
     _, _, lines = _split_roots_by_e6(lat, e6sub, root_list)
@@ -615,28 +498,6 @@ def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice, root_list) -> i
     if not qualifying:
         return 0
     return intlinalg.rank(qualifying)
-
-
-_WEIGHT_CITATION = ("discriminant form weight 12 + 36 = 48; vanishing orders "
-                    "(126-72)/2 = 27 and (74-72)/2 = 1 along the degree-2 and "
-                    "degree-6 arrangements")
-
-
-def automorphic_weight_and_orders() -> VerificationReport:
-    """Weight and vanishing orders from actual root counts of E6, E7, E6+A1."""
-    e6 = standard_lattice("E6")
-    e7 = standard_lattice("E7")
-    e6a1 = direct_sum(e6, standard_lattice("A1"))
-    n6 = len(roots(e6))
-    n7 = len(roots(e7))
-    n6a1 = len(roots(e6a1))
-    expected = {"weight": 48, "order_H_infinity": 27, "order_H_Delta": 1}
-    actual = {"weight": 12 + n6 // 2,
-              "order_H_infinity": (n7 - n6) // 2,
-              "order_H_Delta": (n6a1 - n6) // 2}
-    witnesses = [{"roots_E6": n6, "roots_E7": n7, "roots_E6_A1": n6a1}]
-    return make_report("automorphic-weight-orders", expected, actual,
-                       witnesses=witnesses, citation=_WEIGHT_CITATION)
 
 
 # -- Boundary matching heuristic -------------------------------------------------

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 PASS = "pass"
 FAIL = "fail"
-UNREALIZED = "unrealized-at-bound"
 
 
 def jsonable(value):
@@ -44,13 +43,11 @@ class VerificationReport:
         }
 
 
-def make_report(check: str, expected, actual, *, witnesses=(), citation: str = "",
-                status: str | None = None) -> VerificationReport:
-    if status is None:
-        status = PASS if jsonable(expected) == jsonable(actual) else FAIL
+def make_report(check: str, expected, actual, *, witnesses=(),
+                citation: str = "") -> VerificationReport:
     return VerificationReport(
         check=check,
-        status=status,
+        status=PASS if jsonable(expected) == jsonable(actual) else FAIL,
         expected=jsonable(expected),
         actual=jsonable(actual),
         witnesses=tuple(jsonable(list(witnesses))),

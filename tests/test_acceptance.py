@@ -41,7 +41,7 @@ def test_criterion_01_lattice_model():
 
 def test_criterion_02_monodromy_involution():
     t0 = time.monotonic()
-    report = period.verify_monodromy_lemma(period.build_period_model())
+    report = checks.run_check("monodromy-lemma")
     assert report.status == "pass"
     assert report.actual["gram_of_fixed"] == [[3, 2], [2, 2]]
     assert report.actual["minus_identity_on_complement"] is True
@@ -54,7 +54,7 @@ def test_criterion_02_monodromy_involution():
 def test_criterion_03_determinant_arrangement():
     t0 = time.monotonic()
     model = period.build_period_model()
-    result = period.realizable_determinants(model, 2, 14, search_bound=6)
+    result = period.realizable_determinants(model, 2, 14)
     assert sorted(result.realized) == [2, 6, 8, 12, 14]
     assert result.unrealized_at_bound == ()
     assert result.realized[6]["family"] == "H_Delta"
@@ -92,7 +92,7 @@ def test_criterion_05_niemeier_invariants():
 
 def test_criterion_06_dictionary_counts():
     t0 = time.monotonic()
-    report = period.hyperplane_dictionary_check()
+    report = checks.run_check("dictionary-counts")
     assert report.status == "pass"
     assert (report.actual["in_e6"], report.actual["orthogonal"],
             report.actual["mixed"]) == (72, 6, 162)
@@ -103,7 +103,7 @@ def test_criterion_06_dictionary_counts():
 
 def test_criterion_07_intersection_codimensions():
     t0 = time.monotonic()
-    report = period.intersection_codimension_check()
+    report = checks.run_check("intersection-codims")
     assert report.status == "pass"
     ranks = report.actual["projection_ranks"]
     assert [ranks[k] for k in ("E6^4", "A11+D7+E6", "D10+E7^2", "A17+E7",
@@ -114,7 +114,7 @@ def test_criterion_07_intersection_codimensions():
 
 def test_criterion_08_automorphic_form_data():
     t0 = time.monotonic()
-    report = period.automorphic_weight_and_orders()
+    report = checks.run_check("automorphic-weight-orders")
     assert report.status == "pass"
     assert report.actual == {"weight": 48, "order_H_infinity": 27,
                              "order_H_Delta": 1}
@@ -215,7 +215,7 @@ def test_criterion_12_boundary_matching():
 
 def test_full_registry_green():
     # every registered check passes end to end; exit-code semantics: 0 failures
-    reports = checks.run_suite(checks.SuiteConfig(checks=("all",)))
+    reports = checks.run_suite()
     assert len(reports) == 12
     failing = [r.check for r in reports if r.status == "fail"]
     assert failing == []

@@ -136,6 +136,15 @@ def test_lattice_rows_of_wrong_length_exit_2(tmp_path, capsys, action, rows):
     assert "length 2" in err
 
 
+@pytest.mark.parametrize("rows", ["[[true, false]]", "[[1, 1.5]]", "[]", "{}", '[[1, "2"]]'])
+def test_lattice_rows_not_an_array_of_integer_arrays_exit_2(tmp_path, capsys, rows):
+    path = write_lattice(tmp_path, "A2")
+    code, out, err = run_exit(capsys, ["lattice", "saturate", path, "--rows", rows])
+    assert code == 2
+    assert out == ""
+    assert "--rows must be" in err
+
+
 def test_lattice_rows_required(tmp_path, capsys):
     path = write_lattice(tmp_path, "U")
     code, _, _ = run_exit(capsys, ["lattice", "saturate", path])
@@ -380,10 +389,11 @@ def test_spectra_negative_suspend_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--search-bound", "-3", "verify", "model-build"],
-    ["verify", "model-build", "--search-bound", "-1"],
+    ["--search-bound=6", "verify", "hyperplane-dets"],
+    ["verify", "hyperplane-dets", "--search-bound", "0"],
 ])
-def test_negative_search_bound_exits_2(capsys, argv):
+def test_search_bound_flag_exits_2(capsys, argv):
+    # the witness search of hyperplane-dets runs at one fixed bound
     code, _, err = run_exit(capsys, argv)
     assert code == 2
     assert "--search-bound" in err
@@ -455,7 +465,7 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch):
     from cf_lattice import checks
     from cf_lattice.report import make_report
 
-    def failing(config):
+    def failing():
         return make_report("always-fails", expected=1, actual=2, citation="synthetic")
 
     monkeypatch.setitem(checks.REGISTRY, "always-fails", failing)

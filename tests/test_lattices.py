@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -25,6 +27,7 @@ from cf_lattice import (
     vector_divisibility,
 )
 from cf_lattice import intlinalg
+from cf_lattice.niemeier import entries_with_e_summand
 
 I_21_2 = standard_lattice("I_{21,2}")
 H = tuple([1] * 21 + [3, 3])
@@ -288,6 +291,61 @@ def test_disc_quadratic_values():
     assert q_core == q_a2
     assert str(q_e6) == "4/3"
     assert (q_core + q_e6) % 2 == 0
+
+
+def _milgram_sides(form, signature):
+    """Both sides of Milgram's formula for an even lattice's discriminant form:
+    sum over x in A of exp(pi i q(x)), and sqrt|A| exp(2 pi i (p - n) / 8).
+    Complex floats, in this oracle only; the library stays exact."""
+    p, n = signature
+    gauss = sum(cmath.exp(1j * cmath.pi * float(form.q_of(x))) for x in form.elements())
+    return gauss, cmath.sqrt(form.order) * cmath.exp(2j * cmath.pi * (p - n) / 8)
+
+
+def _milgram_lattices():
+    e6_negative = Lattice(tuple(tuple(-x for x in r) for r in standard_lattice("E6").gram))
+    cases = {label: standard_lattice(label)
+             for label in ("A1", "A2", "A7", "D4", "D5", "E6", "E7", "E8")}
+    cases["core_20_2"] = orthogonal_complement(I_21_2, span_sublattice(I_21_2, [H])).lattice()
+    cases["A2+E6"] = direct_sum(standard_lattice("A2"), standard_lattice("E6"))
+    cases["U+A2"] = direct_sum(standard_lattice("U"), standard_lattice("A2"))
+    cases["E6(-1)+A1"] = direct_sum(e6_negative, standard_lattice("A1"))
+    for entry in entries_with_e_summand():  # the rank-24 root sums, |A| up to 144
+        cases[str(entry.root_system)] = direct_sum(
+            *(standard_lattice(f"{f}{n}") for f, n in entry.root_system.components))
+    rng = random.Random(41)
+    for labels in (("A3", "D5"), ("E6", "A2"), ("D4", "D4"), ("A1", "A1", "E7"), ("A4", "U")):
+        g = [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
+        n = len(g)
+        u = intlinalg.identity(n)
+        for _ in range(3 * n):  # row i += +-row j: unimodular, so the same lattice
+            i, j = rng.sample(range(n), 2)
+            sign = rng.choice((-1, 1))
+            u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+        skewed = intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u))
+        cases["skewed-" + "+".join(labels)] = Lattice(tuple(map(tuple, skewed)))
+    return cases
+
+
+MILGRAM_CASES = _milgram_lattices()
+
+
+@pytest.mark.parametrize("label", list(MILGRAM_CASES))
+def test_discriminant_form_satisfies_milgram(label):
+    lat = MILGRAM_CASES[label]
+    assert lat.is_even()
+    gauss, expected = _milgram_sides(discriminant_data(lat).form, lat.signature())
+    assert abs(gauss - expected) < 1e-9, label
+
+
+def test_milgram_rejects_a2_with_the_q_value_of_e6():
+    # A2 and E6 both have discriminant group Z/3; swapping in E6's q = 4/3
+    # conjugates the Gauss sum, which then matches signature 6, not 2
+    form = discriminant_data(standard_lattice("A2")).form
+    wrong = dataclasses.replace(form, q=(Fraction(4, 3),))
+    gauss, expected = _milgram_sides(wrong, (2, 0))
+    assert abs(gauss - expected) > 1
+    assert abs(gauss - _milgram_sides(wrong, (6, 0))[1]) < 1e-9
 
 
 def test_fqf_isomorphism():

@@ -9,14 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from cf_lattice import intlinalg, standard_lattice
+from cf_lattice import checks, intlinalg, standard_lattice
 from cf_lattice.lattices import Lattice
 from cf_lattice.period import (
     MAX_DETERMINANT,
     BOUNDARY_CONFIGURATIONS,
     BOUNDARY_MATCHING,
     KNOWN_MATCHING_DISCREPANCIES,
-    automorphic_weight_and_orders,
     boundary_matching,
     build_period_model,
     classify_boundary_components,
@@ -25,11 +24,8 @@ from cf_lattice.period import (
     determinant_allowed,
     e8_dictionary,
     glue_unimodular_26_2,
-    hyperplane_dictionary_check,
-    intersection_codimension_check,
     monodromy_involution,
     realizable_determinants,
-    verify_monodromy_lemma,
 )
 
 
@@ -220,8 +216,8 @@ def test_monodromy_involution_matrix(model):
     assert g.apply(delta) == delta
 
 
-def test_monodromy_lemma_report(model):
-    report = verify_monodromy_lemma(model)
+def test_monodromy_lemma_report():
+    report = checks.run_check("monodromy-lemma")
     assert report.status == "pass"
     assert report.actual["gram_of_fixed"] == [[3, 2], [2, 2]]
     assert report.actual["eigenvalue_ranks"] == {"fixed": 2, "negated": 21}
@@ -282,7 +278,7 @@ def test_unimodular_26_2(model):
 
 
 def test_dictionary_counts_pass():
-    report = hyperplane_dictionary_check()
+    report = checks.run_check("dictionary-counts")
     assert report.status == "pass"
     assert report.actual["in_e6"] == 72
     assert report.actual["orthogonal"] == 6
@@ -329,7 +325,7 @@ def test_dictionary_stability_across_e6_choices():
 
 
 def test_intersection_codims_pass():
-    report = intersection_codimension_check()
+    report = checks.run_check("intersection-codims")
     assert report.status == "pass"
     assert report.actual["projection_ranks"] == {
         "E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
@@ -338,7 +334,7 @@ def test_intersection_codims_pass():
 
 
 def test_automorphic_weight_and_orders():
-    report = automorphic_weight_and_orders()
+    report = checks.run_check("automorphic-weight-orders")
     assert report.status == "pass"
     assert report.actual == {"weight": 48, "order_H_infinity": 27, "order_H_Delta": 1}
 

@@ -1,0 +1,79 @@
+"""Where verification reports are built, found by an AST scan of src/cf_lattice.
+
+Every `make_report` call sits in checks.py, and period.py, which holds the
+mathematics of the period model, imports nothing from `report`. Each
+registered check is a zero-argument function of checks.py whose report
+carries its own id, and `run_suite` reaches every check through the module
+attribute `checks.run_check`, so a caller that replaces it (to time each
+check, say) sees all of them.
+"""
+import ast
+import inspect
+from pathlib import Path
+
+from cf_lattice import checks
+from cf_lattice.report import make_report
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cf_lattice"
+
+
+def report_uses(source: str) -> tuple[int, list[str]]:
+    """(number of `make_report` calls, names imported from the report module)."""
+    tree = ast.parse(source)
+    calls, imports = 0, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            calls += name == "make_report"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "report":
+                imports += [a.name for a in node.names]
+            else:
+                imports += [a.name for a in node.names if a.name == "report"]
+        elif isinstance(node, ast.Import):
+            imports += [a.name for a in node.names if a.name.split(".")[-1] == "report"]
+    return calls, imports
+
+
+def test_scan_finds_every_report_use():
+    sample = ("from .report import make_report, jsonable\n"
+              "from . import report, roots\n"
+              "import cf_lattice.report\n"
+              "from .roots import reflection\n"
+              "a = make_report('x', 1, 1)\n"
+              "b = report.make_report('y', 1, 2)\n"
+              "c = make_reports()\n")
+    assert report_uses(sample) == (2, ["make_report", "jsonable", "report",
+                                       "cf_lattice.report"])
+
+
+def test_reports_are_built_in_checks_only():
+    uses = {path.name: report_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, (calls, _) in uses.items() if calls} == {"checks.py"}
+    assert uses["period.py"][1] == []
+
+
+def test_registry_runners_take_no_argument_and_report_their_id():
+    assert len(checks.REGISTRY) == 12
+    for check_id, runner in checks.REGISTRY.items():
+        assert runner.__module__ == "cf_lattice.checks", check_id
+        assert not inspect.signature(runner).parameters, check_id
+        assert runner().check == check_id
+
+
+def test_run_suite_calls_the_module_run_check_once_per_check(monkeypatch):
+    called = []
+
+    def recording_run_check(check_id):
+        called.append(check_id)
+        return make_report(check_id, expected=1, actual=1)
+
+    monkeypatch.setattr(checks, "run_check", recording_run_check)
+    reports = checks.run_suite()
+    assert called == sorted(checks.REGISTRY)
+    assert [r.check for r in reports] == called
+    checks.run_suite(("plethysm-chi", "model-build"))
+    assert called[12:] == ["model-build", "plethysm-chi"]
