@@ -8,9 +8,12 @@ MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
 nodes, raises EnumerationCapError. Output order is canonical (sign fixed by
 first nonzero coordinate, then lexicographic) so results are reproducible.
 A root system is split into irreducible components through its simple roots
-(`root_components`): one lexicographic pass finds them, each root joins the
-component of a simple root it pairs with, and every component is checked
-against its Cartan block, so a list not closed under reflections raises.
+(`root_components`): one lexicographic pass over the positive halves either
+finds a simple root or descends to an earlier half by a simple root, so every
+half is a nonnegative integer combination of simple roots and has norm 2 once
+the simple roots do. Each component is then named by its Cartan determinant
+and root count; on a definite form a list not closed under reflections, or
+one with a vector of norm other than 2, raises ValueError.
 The action of an isometry on the discriminant group is read off the Smith
 transforms in integers.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 from . import intlinalg
 from .lattices import (
@@ -233,74 +236,76 @@ def identify_root_system(lat: Lattice, root_list) -> RootSystemLabel:
 
     Components come from the simple roots of the lexicographic positive
     system (`root_components`); each is recognized by (rank, Cartan det,
-    root count). A component outside the A-D-E census, or an input that is
-    not closed under its own reflections, is a ValueError.
+    root count). Precondition: the form is positive definite on the span of
+    the input. A vector of norm other than 2, a component outside the A-D-E
+    census, or an input that is not closed under its own reflections is a
+    ValueError; the norms are checked by the descent walk, not one by one.
     """
-    for v in root_list:
-        if lat.norm(v) != 2:
-            raise ValueError("input contains a vector of norm != 2")
     return RootSystemLabel(tuple(sorted(label for label, _ in root_components(lat, root_list))))
 
 
 def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list[Vector]]]:
     """The irreducible components of a root system, as (label, sorted halves).
 
-    Precondition: every vector has norm 2 and the form is positive definite
-    on their span (`identify_root_system` checks the norms).
+    Precondition: the form is positive definite on the span of the input.
     One representative is kept per +-pair (first nonzero coordinate
     positive); these halves are the positive roots for the lexicographic
-    order. Walking them in that order, a half is simple iff it pairs to 1
-    with no simple root found before it: for norm-2 roots, (a, b) = 1 means
-    a - b is a root, positive when b < a (Humphreys, Introduction to Lie
-    Algebras, 10.1). Components are the connected parts of the Dynkin graph
-    on the simple roots, and each half joins the component of the first
-    simple root it pairs nonzero with: O(m r n) for m halves, r simple roots
-    and rank n, with G s kept for the simple roots only.
-    The walk is only valid on a full root system, so each component is
-    checked: its Cartan block C must be nonsingular, its (rank, det C, root
-    count) must name an A-D-E family (`_ade_label`), and every half v must
-    have coefficients c = C^-1 p in the simple roots that are nonnegative
-    integers with c . p = 2, where p holds the pairings of v with the simple
-    roots; on a definite form that forces v = sum c_i s_i. An input that is
-    not closed under its own reflections fails one of these and raises
-    ValueError.
+    order, walked in that order. A half v that pairs to 1 with a simple
+    root s found before it is not simple: v - s is then a positive root,
+    lexicographically smaller than v (Humphreys, Introduction to Lie
+    Algebras, 9.4 and 10.2), so it must be a half already walked, and v
+    joins the component of s. A half that pairs to 1 with no earlier simple
+    root is simple: it must have norm 2, and it is joined (union-find) to
+    every earlier simple root it pairs nonzero with, so components are the
+    connected parts of the Dynkin graph. G s is built once per simple root;
+    a half costs one pairing per simple root scanned and one lookup.
+    By induction over the walk every half is an earlier half plus a simple
+    root of its component, so a nonnegative integer combination of that
+    component's simple roots, and has norm 2: (v, s) = 1 and s.s = 2 give
+    v.v = (v - s).(v - s). What is left to check is each component's Cartan
+    block C: det C = 0 means dependent simple roots, and (rank, det C, root
+    count) must name an A-D-E family (`_ade_label`). On a definite form C
+    is then that family's Cartan matrix and the halves are all of its
+    positive roots. Any failure raises ValueError, so a list that is not
+    closed under its own reflections, or has a vector of norm other than 2,
+    is rejected.
     Components are listed in the order of their first representative in the
     input, each with its (family, rank) label and its halves sorted.
     """
     halves = list(dict.fromkeys(map(_half, root_list)))
     g = [list(r) for r in lat.gram]
     simple, gs, parent = [], [], []  # simple roots, their G s, union-find links
-    home = {}  # half -> index of the first simple root it pairs nonzero with
+    home = {}  # half walked -> index of a simple root of its component
     for v in sorted(halves):
-        pairs = [sum(map(mul, v, w)) for w in gs]
-        if 1 not in pairs:
+        for i, gs_i in enumerate(gs):
+            if sum(map(mul, v, gs_i)) == 1:  # not simple: v - s_i is an earlier half
+                if tuple(map(sub, v, simple[i])) not in home:
+                    raise ValueError("root list is not closed under reflections")
+                home[v] = i
+                break
+        else:  # simple
+            gv = intlinalg.mat_vec(g, v)
+            if sum(map(mul, v, gv)) != 2:
+                raise ValueError("input contains a vector of norm != 2")
+            k = len(simple)
+            parent.append(k)
+            for i, s in enumerate(simple):
+                if sum(map(mul, s, gv)):
+                    parent[_find(parent, i)] = k
             simple.append(v)
-            gs.append(intlinalg.mat_vec(g, v))
-            parent.append(len(parent))
-            for i, x in enumerate(pairs):
-                if x:
-                    parent[_find(parent, i)] = len(parent) - 1
-            pairs.append(2)
-        home[v] = next(i for i, x in enumerate(pairs) if x)
+            gs.append(gv)
+            home[v] = k
     members: dict[int, list[Vector]] = {}
     for v in halves:
         members.setdefault(_find(parent, home[v]), []).append(v)
     comps = []
     for root, vectors in members.items():
         block = [i for i in range(len(simple)) if _find(parent, i) == root]
-        cartan = [[sum(map(mul, simple[i], gs[j])) for j in block] for i in block]
-        try:
-            det, adj = intlinalg.adjugate(cartan)
-        except ValueError:
+        det = intlinalg.det([[sum(map(mul, simple[i], gs[j])) for j in block] for i in block])
+        if det == 0:
             raise ValueError("simple roots of a component are dependent: "
-                             "not a root system") from None
-        label = _ade_label(len(block), det, 2 * len(vectors))
-        for v in vectors:
-            p = [sum(map(mul, v, gs[j])) for j in block]
-            c = intlinalg.mat_vec(adj, p)
-            if any(x < 0 or x % det for x in c) or sum(map(mul, c, p)) != 2 * det:
-                raise ValueError("root list is not closed under reflections")
-        comps.append((label, sorted(vectors)))
+                             "not a root system")
+        comps.append((_ade_label(len(block), det, 2 * len(vectors)), sorted(vectors)))
     return comps
 
 

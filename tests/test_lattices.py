@@ -238,15 +238,33 @@ def _seeded_nondegenerate_grams():
                 g[i][i] *= 2
         if sympy.Matrix(g).det():
             grams.append(g)
-    for labels in (("A3", "D5"), ("E6", "A2"), ("D4", "D4"), ("A1", "A1", "E7"), ("A4", "U")):
-        g = [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
-        n = len(g)
-        u = intlinalg.identity(n)
-        for _ in range(3 * n):
-            i, j = rng.sample(range(n), 2)
-            u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
-        grams.append(intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u)))
+    grams.extend(_skewed_sum(rng, labels) for labels in SKEWED_SUM_DETS)
     return grams
+
+
+# |det| of each A-D-E sum (U is the hyperbolic plane), which a unimodular basis change keeps
+SKEWED_SUM_DETS = {("A3", "D5"): 16, ("E6", "A2"): 9, ("D4", "D4"): 16, ("A1", "A1", "E7"): 8,
+                   ("A4", "U"): 5}
+
+
+def _skewed_sum(rng, labels):
+    """U G U^T for the direct sum of `labels`: 3n seeded row steps row i += sign * row j,
+    one sign per step, so U is unimodular and the lattice is the same."""
+    g = [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
+    n = len(g)
+    u = intlinalg.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((-1, 1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    return intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u))
+
+
+def test_seeded_skewed_sums_keep_their_determinant():
+    skewed = _seeded_nondegenerate_grams()[-len(SKEWED_SUM_DETS):]
+    assert [abs(sympy.Matrix(g).det()) for g in skewed] == list(SKEWED_SUM_DETS.values())
+    assert all(g != [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
+               for g, labels in zip(skewed, SKEWED_SUM_DETS))
 
 
 @pytest.mark.parametrize("g", _seeded_nondegenerate_grams())
@@ -314,16 +332,8 @@ def _milgram_lattices():
         cases[str(entry.root_system)] = direct_sum(
             *(standard_lattice(f"{f}{n}") for f, n in entry.root_system.components))
     rng = random.Random(41)
-    for labels in (("A3", "D5"), ("E6", "A2"), ("D4", "D4"), ("A1", "A1", "E7"), ("A4", "U")):
-        g = [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
-        n = len(g)
-        u = intlinalg.identity(n)
-        for _ in range(3 * n):  # row i += +-row j: unimodular, so the same lattice
-            i, j = rng.sample(range(n), 2)
-            sign = rng.choice((-1, 1))
-            u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
-        skewed = intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u))
-        cases["skewed-" + "+".join(labels)] = Lattice(tuple(map(tuple, skewed)))
+    for labels in SKEWED_SUM_DETS:
+        cases["skewed-" + "+".join(labels)] = Lattice(tuple(map(tuple, _skewed_sum(rng, labels))))
     return cases
 
 
@@ -336,6 +346,35 @@ def test_discriminant_form_satisfies_milgram(label):
     assert lat.is_even()
     gauss, expected = _milgram_sides(discriminant_data(lat).form, lat.signature())
     assert abs(gauss - expected) < 1e-9, label
+
+
+def _random_even_lattices(rng, definite, indefinite):
+    """Seeded random even nondegenerate lattices of rank 2-6 with 1 < |A| = |det| <= 3,000:
+    the first `definite` of them (positive or negative) definite, the rest indefinite."""
+    found = {True: [], False: []}
+    want = {True: definite, False: indefinite}
+    while any(len(found[k]) < want[k] for k in want):
+        n = rng.randint(2, 6)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-2, 4)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        lat = Lattice(tuple(map(tuple, g)))
+        if not 1 < abs(lat.det()) <= 3000:
+            continue
+        kind = 0 in lat.signature()
+        if len(found[kind]) < want[kind]:
+            found[kind].append(lat)
+    return found[True] + found[False]
+
+
+def test_milgram_on_seeded_random_even_lattices():
+    lattices = _random_even_lattices(random.Random(43), 17, 18)
+    assert len({lat.gram for lat in lattices}) == 35
+    for lat in lattices:
+        gauss, expected = _milgram_sides(discriminant_data(lat).form, lat.signature())
+        assert abs(gauss - expected) < 1e-9, lat.gram
 
 
 def test_milgram_rejects_a2_with_the_q_value_of_e6():

@@ -283,6 +283,50 @@ def test_identify_root_system_at_rank_48(label, time_budget):
     assert [len(halves) for _, halves in comps] == [len(rs) // (2 * int(mult))] * int(mult)
 
 
+def test_identify_root_system_builds_g_s_once_per_simple_root(monkeypatch):
+    """Cost guard on E8+E8 in a skewed basis: G v is built for the 16 simple roots only,
+    and no half is solved against a Cartan block or has its norm taken on its own."""
+    skewed, rs = _skewed_roots(random.Random(16), direct_sum(*[standard_lattice("E8")] * 2))
+    assert len(rs) == 480
+    built = []
+    mat_vec = intlinalg.mat_vec
+    monkeypatch.setattr(intlinalg, "mat_vec", lambda a, v: built.append(v) or mat_vec(a, v))
+
+    def forbidden(*args):
+        raise AssertionError("not called by the root-system walk")
+
+    for owner, name in ((intlinalg, "adjugate"), (Lattice, "inner"), (Lattice, "norm")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert str(identify_root_system(skewed, rs)) == "E8^2"
+    assert len(built) == 16
+
+
+def test_identify_rejects_wrong_norms_that_chain_like_a2():
+    """Under this Gram (1,0), (0,1), (1,1) have norms 4, 3, 1, yet they chain like the
+    positive roots of A2: (1,1) - (1,0) = (0,1), a Cartan block of det 3, six roots.
+    Only the norm of a simple root tells them apart."""
+    lat = Lattice(((4, -3), (-3, 3)))
+    with pytest.raises(ValueError):
+        identify_root_system(lat, [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
+
+
+@pytest.mark.parametrize("label", ["A2+D4", "D4+D4", "A1+D5+E6", "E7+A3+A1"])
+@pytest.mark.parametrize("extra", ["norm-4", "zero"])
+def test_full_root_list_with_one_vector_of_another_norm_raises(label, extra):
+    """A whole root system in a seeded skewed basis plus one vector of norm 4 or 0
+    at a random position, in a shuffled order."""
+    rng = random.Random(sum(map(ord, label + extra)))
+    skewed, rs = _skewed_roots(rng, direct_sum(*[standard_lattice(p) for p in label.split("+")]))
+    if extra == "zero":
+        vector = (0,) * skewed.rank
+    else:
+        vector = rng.choice(short_vectors(skewed, 4))
+    rng.shuffle(rs)
+    rs.insert(rng.randrange(len(rs) + 1), vector)
+    with pytest.raises(ValueError):
+        identify_root_system(skewed, rs)
+
+
 def _closed_under_reflections(lat, root_list):
     """Oracle: R u -R is closed under s_a(b) = b - (b, a) a for all a, b in it."""
     full = set(root_list) | {tuple(-x for x in v) for v in root_list}
