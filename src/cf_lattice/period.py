@@ -45,6 +45,7 @@ from .niemeier import (
 from .roots import (
     Isometry,
     RootSystemLabel,
+    _half,
     find_long_root,
     identify_root_system,
     roots,
@@ -334,27 +335,29 @@ class BoundaryComponent:
 
 
 @lru_cache(maxsize=1)
-def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, Sublattice], ...]:
-    """(entry, glued lattice with its roots, embedded E6) for the six E-containing entries.
+def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, E6Split], ...]:
+    """(entry, glued lattice with its roots, its E6 split) for the six E-containing entries.
 
     The one shared stage of the boundary checks: each lattice is glued, its
-    roots walked and E6 embedded once per process. It takes no argument, so
-    it holds these six and nothing a caller passes in.
+    roots walked, E6 embedded and the roots split once per process. It takes
+    no argument, so it holds these six and nothing a caller passes in.
     """
     stage = []
     for entry in entries_with_e_summand():
         glued = construct_niemeier(entry)
-        stage.append((entry, glued, embed_e6(glued.lattice, glued.roots)))
+        stage.append((entry, glued, split_by_e6(glued.lattice, glued.roots)))
     return tuple(stage)
 
 
 def classify_boundary_components() -> tuple[BoundaryComponent, ...]:
-    """The six complement root systems from the six E-containing rank-24 lattices."""
+    """The six complement root systems from the six E-containing rank-24 lattices.
+
+    The roots of E6^perp in L are by definition the roots of L orthogonal to
+    E6, so each label is read off `split.orthogonal`, in L's coordinates.
+    """
     by_system = {}
-    for entry, glued, sub in niemeier_e6_stage():
-        comp = orthogonal_complement(glued.lattice, sub)
-        comp_lat = comp.lattice()
-        label = identify_root_system(comp_lat, roots(comp_lat))
+    for entry, _, split in niemeier_e6_stage():
+        label = identify_root_system(split.lattice, split.orthogonal)
         by_system[str(label)] = str(entry.root_system)
     components = []
     for label in sorted(BOUNDARY_MATCHING):
@@ -421,53 +424,51 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
     )
 
 
-# -- Positive definite dictionary inside E8 -------------------------------------
+# -- Roots split by an embedded E6 ------------------------------------------------
 
 @dataclass(frozen=True)
-class E8Dictionary:
-    """Partition of the 240 roots of E8 relative to a fixed E6 subsystem."""
+class E6Split:
+    """The roots of a lattice L sorted relative to an embedded E6 (SPLAG ch. 16, 18).
+
+    `in_e6`: the roots in the rational span of E6. `orthogonal`: the roots of
+    E6^perp. `mixed_by_line`: every other root, keyed by the primitive vector
+    w on the line of its projection to E6^perp (first nonzero coordinate
+    positive), in order of first appearance. The roots of the saturation of
+    E6 + Zw, those of L in E6 (x) Q + Qw, are `in_e6` plus `mixed_by_line[w]`,
+    since no orthogonal root r lies on a mixed line: else some mixed root is
+    m = e + t r with e != 0 in E6*, and 2t = m.r in Z with m.m = e.e + 2t^2 = 2
+    forces t = +-1/2 and e.e = 3/2, but the norms of E6* lie in 2Z or 4/3 + 2Z.
+    """
 
     lattice: Lattice
     e6: Sublattice
     in_e6: tuple
     orthogonal: tuple
-    mixed_lines: tuple       # one primitive complement-projection per line
     mixed_by_line: dict      # line -> tuple of roots
 
+    @property
+    def mixed_lines(self) -> tuple:
+        return tuple(sorted(self.mixed_by_line))
 
-@lru_cache(maxsize=1)
-def e8_dictionary() -> E8Dictionary:
-    e8 = standard_lattice("E8")
-    e8_roots = roots(e8)
-    e6 = embed_e6(e8, e8_roots)
-    in_e6, orthogonal, mixed_by_line = _split_roots_by_e6(e8, e6, e8_roots)
-    return E8Dictionary(
-        lattice=e8,
-        e6=e6,
-        in_e6=tuple(in_e6),
-        orthogonal=tuple(orthogonal),
-        mixed_lines=tuple(sorted(mixed_by_line)),
-        mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()},
-    )
+    def saturation_roots(self, line) -> tuple:
+        """The roots of the saturation of E6 + Z line, a lattice of rank 7."""
+        return self.in_e6 + self.mixed_by_line[line]
 
 
-def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice, root_list):
-    """Split `root_list`, all roots of lat, into (in E6, orthogonal to E6, mixed by line).
+def split_by_e6(lat: Lattice, root_list) -> E6Split:
+    """Embed E6 in lat and split `root_list`, all roots of lat, relative to it.
 
-    A mixed root has a nonzero projection to the orthogonal complement of the
-    E6 span; `mixed_by_line` maps the primitive vector on the line of that
-    projection (first nonzero coordinate positive) to its roots, in order of
-    first appearance. The projection is computed in integers, scaled by
-    det(G6) > 0: det(G6) * r - (adj(G6) * pairings) . basis, with
-    adj(G6) = det(G6) * G6^-1; a positive scale leaves the line unchanged.
+    The roots are not enumerated again. The projection of a root r to E6^perp
+    is computed in integers, scaled by det(G6) > 0: det(G6) * r -
+    (adj(G6) * pairings) . basis, with adj(G6) = det(G6) * G6^-1; a positive
+    scale leaves the line unchanged.
     """
+    e6sub = embed_e6(lat, root_list)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
     basis_cols = intlinalg.transpose(e6sub.basis)
-    in_e6 = []
-    orthogonal = []
-    mixed_by_line: dict = {}
+    in_e6, orthogonal, mixed_by_line = [], [], {}
     for root in root_list:
         pair = [sum(map(mul, bp, root)) for bp in basis_pairings]
         if not any(pair):
@@ -479,25 +480,22 @@ def _split_roots_by_e6(lat: Lattice, e6sub: Sublattice, root_list):
             in_e6.append(root)
             continue
         gg = gcd(*proj)
-        first = next(x for x in proj if x)
-        if first < 0:
-            gg = -gg
-        mixed_by_line.setdefault(tuple(x // gg for x in proj), []).append(root)
-    return in_e6, orthogonal, mixed_by_line
+        mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(root)
+    return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
+                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()})
 
 
-def _qualifying_projection_rank(lat: Lattice, e6sub: Sublattice, root_list) -> int:
-    """Rank of the complement projections of roots whose span with E6 saturates to E7."""
-    _, _, lines = _split_roots_by_e6(lat, e6sub, root_list)
-    qualifying = []
-    for w in lines:
-        sat = saturation(lat, span_sublattice(lat, [*e6sub.basis, w]))
-        sat_lat = sat.lattice()
-        if sat.rank == 7 and len(roots(sat_lat)) == 126:
-            qualifying.append(list(w))
-    if not qualifying:
-        return 0
-    return intlinalg.rank(qualifying)
+@lru_cache(maxsize=1)
+def e8_dictionary() -> E6Split:
+    """The split of the 240 roots of E8 relative to a fixed E6: 72 / 6 / 162."""
+    e8 = standard_lattice("E8")
+    return split_by_e6(e8, roots(e8))
+
+
+def _qualifying_projection_rank(split: E6Split) -> int:
+    """Rank of the mixed lines whose saturation with E6 is an E7 (126 roots)."""
+    return intlinalg.rank([list(w) for w in split.mixed_by_line
+                           if len(split.saturation_roots(w)) == 126])
 
 
 # -- Boundary matching heuristic -------------------------------------------------

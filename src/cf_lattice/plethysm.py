@@ -13,7 +13,7 @@ counted in closed form. Work is bounded by `MAX_CHARACTER_WORK`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from operator import add
 
 SL2 = "SL2"
@@ -32,13 +32,13 @@ class WorkCapError(ValueError):
 # character, in steps (dictionary updates and table entries), checked before
 # anything is allocated. sym_power(a, k) is charged
 # (sum_w min(|c_w|, k) + 1) * k * W: its updates plus its table of k rows,
-# where W bounds the number of weights the result can have (the box spanned
-# by k times the extreme exponents of a). Gamma_{a,b} scans (n+1)(n+2)/2 contents, n = a + 2b, and is
+# W the points of the weights' coset in the box k times a's exponents span.
+# Gamma_{a,b} scans (n+1)(n+2)/2 contents, n = a + 2b, and is
 # charged n per content, one per box of its tableaux: almost every content is
 # a weight that each later step carries along, so Gamma_{60,60} (3.0e6) is
 # inside and Gamma_{2000,0} (2 million weights) is not. Sym^40(Sym^40(V))
-# (5.4e6) and Sym^2(V^1000000) (50) are inside; Sym^100000000(V) and
-# Sym^10000000(C) (2e7) are not.
+# (2.7e6), Sym^2(Sym^1500(V)) (9.0e6) and Sym^2(V^1000000) (30) are inside;
+# Sym^100000000(V) (3e16) and Sym^10000000(C) (2e7) are not.
 MAX_CHARACTER_WORK = 10 ** 7
 
 
@@ -183,10 +183,11 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
         return trivial_character(a.group)
     if not a.terms:
         return zero_character(a.group)
-    nweights = 1
+    nweights = 1  # per coordinate: k * min plus a multiple of g, the gcd of the offsets
     for i in range(a.nvars):
         column = [e[i] for e, _ in a.terms]
-        nweights *= k * (max(column) - min(column)) + 1
+        lo = min(column)
+        nweights *= k * (max(column) - lo) // (gcd(*(x - lo for x in column)) or 1) + 1
     # the updates, plus the table itself: k rows of at most nweights terms
     work = (sum(min(abs(c), k) for _, c in a.terms) + 1) * k * nweights
     if work > MAX_CHARACTER_WORK:

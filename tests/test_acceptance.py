@@ -5,8 +5,11 @@ criterion is printed (visible with pytest -s). Run:
 
     pytest -s tests/test_acceptance.py
 """
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 from cf_lattice import (
     Lattice,
@@ -220,3 +223,17 @@ def test_full_registry_green():
     failing = [r.check for r in reports if r.status == "fail"]
     assert failing == []
     assert [r.check for r in reports] == sorted(r.check for r in reports)
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_every_report_matches_its_recorded_digest():
+    """The twelve reports are byte-identical, apart from elapsed_ms, to the ones
+    recorded in perfbench/digests.json: sha256 of the sorted-key JSON of each."""
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = {}
+    for report in checks.run_suite():
+        body = {k: v for k, v in report.to_dict().items() if k != "elapsed_ms"}
+        got[report.check] = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert got == want

@@ -516,6 +516,19 @@ def test_plethysm_large_sym_power_answers(capsys):
     assert json.loads(out)["summands"] == [{"weight": [60, 60], "mult": 1}]
 
 
+def test_plethysm_cap_counts_the_weights_on_their_coset(capsys):
+    """The weights of Sym^k(V) for SL(2) share the parity of k, so the cap counts
+    every other point of the weight box: both answer instead of exiting 3."""
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "Sym^1500(V)"])
+    assert code == 0
+    assert json.loads(out)["dim"] == 1501
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "Sym^2(Sym^1500(V))"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == comb(1502, 2) == 1_127_251
+    assert len(doc["summands"]) == 751
+
+
 def test_plethysm_integer_past_the_digit_limit_exits_2(capsys):
     code, _, err = run_exit(capsys, ["plethysm", "Sym^" + "9" * 5000 + "(V)"])
     assert code == 2

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from cf_lattice import checks, intlinalg, standard_lattice
-from cf_lattice.lattices import Lattice
+from cf_lattice import checks, intlinalg, period, standard_lattice
+from cf_lattice.lattices import Lattice, orthogonal_complement, saturation, span_sublattice
+from cf_lattice.niemeier import entries_with_e_summand
 from cf_lattice.period import (
     MAX_DETERMINANT,
+    E6Split,
     BOUNDARY_CONFIGURATIONS,
     BOUNDARY_MATCHING,
     KNOWN_MATCHING_DISCREPANCIES,
@@ -27,6 +29,7 @@ from cf_lattice.period import (
     monodromy_involution,
     realizable_determinants,
 )
+from cf_lattice.roots import identify_root_system, roots
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +253,12 @@ print(json.dumps({
 
 
 def test_suite_walks_each_lattice_once_and_passes_roots_on():
-    """From a fresh import, `run_suite` walks 18 distinct Grams, each once, and looks
-    the short-vector table up again at most 12 times: the Niemeier lattices and E8
-    hand their roots to the E6 stages instead of asking for them again."""
+    """From a fresh import, `run_suite` walks 10 distinct Grams, each once, and looks
+    the short-vector table up again at most 3 times: the Niemeier lattices and E8
+    hand their roots to the E6 splits, and the complement and E7 saturation root
+    systems are read off the splits instead of walked. The 10 walks are E8, the
+    six Niemeier lattices and E6, E7, E6+A1; the hits are the pairwise E8
+    saturations of intersection-codims."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -260,9 +266,42 @@ def test_suite_walks_each_lattice_once_and_passes_roots_on():
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
-    assert got["misses"] == 18
-    assert got["hits"] <= 12
+    assert got["misses"] == 10
+    assert got["hits"] <= 3
     assert got["roots_match"] == [True] * 6
+
+
+def _split_named(name: str) -> E6Split:
+    if name == "E8":
+        return e8_dictionary()
+    return next(split for entry, _, split in period.niemeier_e6_stage()
+                if str(entry.root_system) == name)
+
+
+def _in_ambient(sub, coords):
+    return tuple(sum(c * row[j] for c, row in zip(coords, sub.basis))
+                 for j in range(sub.ambient.rank))
+
+
+@pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
+def test_split_agrees_with_complement_and_saturation_lattices(name):
+    """The reference route, walking the roots of the lattices themselves: the
+    complement E6^perp has the root system of `split.orthogonal`, and for every
+    mixed line w the saturation of E6 + Zw has rank 7 and exactly the roots
+    `split.saturation_roots(w)`, in_e6 included."""
+    split = _split_named(name)
+    lat = split.lattice
+    comp_lat = orthogonal_complement(lat, split.e6).lattice()
+    comp_roots = roots(comp_lat)
+    assert len(comp_roots) == len(split.orthogonal)
+    assert (identify_root_system(comp_lat, comp_roots)
+            == identify_root_system(lat, split.orthogonal))
+    for w in split.mixed_lines:
+        sat = saturation(lat, span_sublattice(lat, [*split.e6.basis, w]))
+        assert sat.rank == 7
+        sat_roots = {_in_ambient(sat, r) for r in roots(sat.lattice())}
+        assert sat_roots == set(split.saturation_roots(w))
+        assert len(sat_roots) == len(split.saturation_roots(w))
 
 
 def test_unimodular_26_2(model):
