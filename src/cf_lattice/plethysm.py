@@ -5,14 +5,19 @@ Characters are Weyl-invariant Laurent polynomials: one variable q for SL(2)
 SL(3) after eliminating x3 = (x1 x2)^{-1}. Everything is integer arithmetic.
 Symmetric powers come from the generating function
 prod_w (1 - t x^w)^{-c_w} of the complete homogeneous h_k (Macdonald,
-*Symmetric Functions*, I.2), one weight and its whole factor at a time;
-decompositions come from Weyl's character formula read as an alternating sum
-(Fulton-Harris section 24.1); SL(3) weight multiplicities are Kostka numbers
-counted in closed form. Work is bounded by `MAX_CHARACTER_WORK`.
+*Symmetric Functions*, I.2), one weight and its whole factor at a time, in
+one flat list of integers: row d of the table indexes its weights by their
+coordinates in a Hermite basis of the lattice the weight differences span,
+less d times the least ones, so multiplying by x^{jw} adds a constant to the
+index and each step is one slice update. Decompositions
+come from Weyl's character formula read as an alternating sum (Fulton-Harris
+section 24.1); SL(3) weight multiplicities are Kostka numbers counted in
+closed form. Work is bounded by `MAX_CHARACTER_WORK`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, product
 from math import comb, gcd
 from operator import add
 
@@ -29,17 +34,29 @@ class WorkCapError(ValueError):
 
 
 # Bound on the work of one `sym_power` call or one SL(3) irreducible
-# character, in steps (dictionary updates and table entries), checked before
+# character, in steps (entry updates and table slots), checked before
 # anything is allocated. sym_power(a, k) is charged
-# (sum_w min(|c_w|, k) + 1) * k * W: its updates plus its table of k rows,
-# W the points of the weights' coset in the box k times a's exponents span.
+# (sum_w min(|c_w|, k) + 1) * k * (W + ROW_STEPS), W the points of the box
+# that k times the range of a's weights spans in the Hermite basis of their
+# lattice (see sym_power): each of its slice updates touches at most W
+# entries and is charged ROW_STEPS more for its own overhead, and its table
+# is (k + 1) * W slots. A slot is one 8-byte pointer, so the same constant
+# bounds the table's slots (not the size of the integers in them) as well as
+# its time.
 # Gamma_{a,b} scans (n+1)(n+2)/2 contents, n = a + 2b, and is
 # charged n per content, one per box of its tableaux: almost every content is
 # a weight that each later step carries along, so Gamma_{60,60} (3.0e6) is
 # inside and Gamma_{2000,0} (2 million weights) is not. Sym^40(Sym^40(V))
-# (2.7e6), Sym^2(Sym^1500(V)) (9.0e6) and Sym^2(V^1000000) (30) are inside;
-# Sym^100000000(V) (3e16) and Sym^10000000(C) (2e7) are not.
+# (2.7e6), Sym^2(Sym^1500(V)) (9.0e6), Sym^500000(C) (9.0e6) and
+# Sym^2(V^1000000) (110) are inside; Sym^100000000(V) (3e16) and
+# Sym^4999999(C) (9.0e7) are not.
 MAX_CHARACTER_WORK = 10 ** 7
+# Steps charged per slice update besides its entries. An update of a few
+# entries costs about as much as 25 entry updates (1 us against 40 ns on a
+# 2-core x86 VM); 8 keeps Sym^500000(C) inside the cap, so a one-weight
+# Sym^k(C), charged 2k(1 + ROW_STEPS), is admitted up to k = 555,555
+# (about a second and 22 MB in a fresh interpreter).
+ROW_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -173,9 +190,29 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
     coefficients of (1 - t x^w)^m. For c < 0 the factor is that polynomial:
     d descending, h[d] += sum_{j=1..min(d,m)} b_j x^{jw} h[d-j] over the old
     rows. For c > 0 it divides by it: d ascending, h[d] -= the same sum over
-    the new rows. So virtual input keeps its lambda-ring meaning, and a weight
-    costs at most min(m, k) * k * W updates, W the number of weights the
-    result can have. Raises WorkCapError past MAX_CHARACTER_WORK.
+    the new rows. So virtual input keeps its lambda-ring meaning.
+
+    h is one flat list of (k+1) * W integers, indexed in a Hermite basis
+    (g0, s), (0, g1) of the lattice L that the differences of a's weights
+    span: g0, g1 > 0 and -g1/2 <= s < g1/2 (g1 = 1 and s = 0 for SL(2); a
+    pivot is 1 where L has no extent). A weight x of a, less the least
+    weight o, is t0 (g0, s) + t1 (0, g1) with t0 = (x - o)_0 / g0 >= 0 and
+    t1 = ((x - o)_1 - s t0) / g1; a sum of d weights, less d o, has the sums
+    of their (t0, t1) as coordinates (T0, T1), 0 <= T0 <= d * span0 and
+    d * lo1 <= T1 <= d * (lo1 + span1), span0, lo1 and span1 the ranges and
+    least value over a. Row d stores it at d * W + line * T0 + T1 - d * lo1,
+    line = k * span1 + 1 and W = (k * span0 + 1) * line. So x -> x + j * w
+    from row d - j to row d adds the constant j * off(w),
+    off(w) = line * t0 + t1 - lo1, to the index and never wraps, and each
+    (w, d, j) is one slice update. Ordering by (T0, T1) orders weights
+    lexicographically, so a's weights, in their sorted order, come with
+    ascending off; the entries of row d - j lie between d - j times the
+    first off and w's; and row k, read in index order, is already sorted.
+    For an SL(3) representation with more than one weight L is the root
+    lattice or the weight lattice; for Sym^m(V) it is the root lattice, and
+    the box of its weights is (2m + 1) * (m + 1) points, half the one that x1
+    and x2 span. A weight costs at most min(m, k) * k * (W + ROW_STEPS)
+    steps. Raises WorkCapError past MAX_CHARACTER_WORK.
     """
     if k < 0:
         raise ValueError("symmetric power degree must be >= 0")
@@ -183,29 +220,55 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
         return trivial_character(a.group)
     if not a.terms:
         return zero_character(a.group)
-    nweights = 1  # per coordinate: k * min plus a multiple of g, the gcd of the offsets
-    for i in range(a.nvars):
-        column = [e[i] for e, _ in a.terms]
-        lo = min(column)
-        nweights *= k * (max(column) - lo) // (gcd(*(x - lo for x in column)) or 1) + 1
-    # the updates, plus the table itself: k rows of at most nweights terms
-    work = (sum(min(abs(c), k) for _, c in a.terms) + 1) * k * nweights
+    sl3 = a.nvars == 2
+    origin = a.terms[0][0]  # the least weight
+    g0 = s = g1 = 0  # the Hermite basis (g0, s), (0, g1)
+    for e, _ in a.terms:
+        p, q = e[0] - origin[0], e[1] - origin[1] if sl3 else 0
+        while p:  # Euclid on the first coordinates, the second carried along
+            f = g0 // p
+            g0, s, p, q = p, q, g0 - f * p, s - f * q
+        g1 = gcd(g1, q)
+    g0, g1 = g0 or 1, g1 or 1
+    s -= (2 * s + g1) // (2 * g1) * g1
+    t0 = [(e[0] - origin[0]) // g0 for e, _ in a.terms]
+    t1 = ([(e[1] - origin[1] - s * t) // g1 for (e, _), t in zip(a.terms, t0)] if sl3
+          else [0] * len(t0))
+    span0, lo1 = max(t0), min(t1)
+    line = k * (max(t1) - lo1) + 1
+    width = (k * span0 + 1) * line
+    # the slice updates, plus one weight's worth for the (k + 1) * width slots of the table
+    work = (sum(min(abs(c), k) for _, c in a.terms) + 1) * k * (width + ROW_STEPS)
     if work > MAX_CHARACTER_WORK:
         raise WorkCapError(f"Sym^{k} of a character of {len(a.terms)} weights needs "
                            f"{work} steps, over the cap {MAX_CHARACTER_WORK}")
-    h: list[dict] = [{(0,) * a.nvars: 1}] + [{} for _ in range(k)]
-    for e, c in a.terms:
+    offsets = [line * t + u - lo1 for t, u in zip(t0, t1)]
+    least = offsets[0]
+    h = [0] * ((k + 1) * width)
+    h[0] = 1
+    for offset, (_, c) in zip(offsets, a.terms):
         m = abs(c)
         sign = -1 if c > 0 else 1
-        steps = [(tuple(j * x for x in e), sign * (-1) ** j * comb(m, j))
-                 for j in range(1, min(m, k) + 1)]
+        steps = [(j * offset, sign * (-1) ** j * comb(m, j)) for j in range(1, min(m, k) + 1)]
         for d in range(1, k + 1) if c > 0 else range(k, 0, -1):
-            hd = h[d]
             for j, (shift, b) in enumerate(steps[:d], 1):
-                for x, v in h[d - j].items():
-                    y = tuple(map(add, x, shift))
-                    hd[y] = hd.get(y, 0) + b * v
-    return CharacterPoly.make(a.group, h[k])
+                src = (d - j) * (width + least)
+                dst = d * width + shift + (d - j) * least
+                n = (d - j) * (offset - least) + 1
+                if b == 1:
+                    h[dst:dst + n] = map(add, h[dst:dst + n], h[src:src + n])
+                else:
+                    h[dst:dst + n] = [y + b * x for y, x in zip(h[dst:dst + n], h[src:src + n])]
+    top = h[k * width:]
+    x0 = k * origin[0]
+    if sl3:
+        x1 = k * (origin[1] + g1 * lo1)
+        weights = chain.from_iterable(
+            product((x0 + g0 * t,), range(x1 + s * t, x1 + s * t + g1 * line, g1))
+            for t in range(k * span0 + 1))
+    else:
+        weights = product(range(x0, x0 + g0 * width, g0))
+    return CharacterPoly(a.group, tuple(compress(zip(weights, top), top)))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,11 @@ class QhSingularity:
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
-    """Multiset of exact rationals, symmetric about (nvars - 2) / 2."""
+    """Multiset of exact rationals, symmetric about (nvars - 2) / 2.
+
+    `entries` is sorted ascending: `spectrum` and `suspend` build it in
+    order, and `make` sorts unsorted input (the cusp spectra, tests).
+    """
 
     entries: tuple[Fraction, ...]
     nvars: int
@@ -58,9 +62,9 @@ class SpectrumMultiset:
         return self.entries[-1]
 
     def is_symmetric(self) -> bool:
-        pivot = Fraction(self.nvars - 2, 2)
-        reflected = sorted(2 * pivot - e for e in self.entries)
-        return reflected == list(self.entries)
+        """The reflections nvars - 2 - e of the entries, reversed, are the entries."""
+        return all(e + f == self.nvars - 2
+                   for e, f in zip(self.entries, reversed(self.entries)))
 
     def counts(self) -> dict:
         out: dict = {}
@@ -70,7 +74,11 @@ class SpectrumMultiset:
 
 
 def spectrum(s: QhSingularity) -> SpectrumMultiset:
-    """Exact spectrum; errors if the weight system is not a valid one."""
+    """Exact spectrum; errors if the weight system is not a valid one.
+
+    The coefficient of x^k counts the entry k/d - 1; reading them with k
+    ascending builds the entries sorted, one Fraction per distinct entry.
+    """
     mu = s.milnor_number()
     d = lcm(*[w.denominator for w in s.weights])
     exps = [int(w * d) for w in s.weights]
@@ -89,12 +97,13 @@ def spectrum(s: QhSingularity) -> SpectrumMultiset:
         num.pop()
     if any(c < 0 for c in num):
         raise ValueError("expansion has negative coefficients: invalid weight system")
+    if sum(num) != mu:
+        raise ValueError("expansion size disagrees with the Milnor number: invalid weights")
     entries = []
     for k, c in enumerate(num):
-        entries.extend([Fraction(k, d) - 1] * c)
-    if len(entries) != mu:
-        raise ValueError("expansion size disagrees with the Milnor number: invalid weights")
-    return SpectrumMultiset.make(entries, s.nvars)
+        if c:
+            entries += [Fraction(k - d, d)] * c
+    return SpectrumMultiset(tuple(entries), s.nvars)
 
 
 def _divide_by_one_minus_power(poly, a: int):
@@ -117,7 +126,7 @@ def suspend(sp: SpectrumMultiset, k: int) -> SpectrumMultiset:
     if k < 0:
         raise ValueError("suspension count must be >= 0")
     shift = Fraction(k, 2)
-    return SpectrumMultiset.make([e + shift for e in sp.entries], sp.nvars + k)
+    return SpectrumMultiset(tuple(e + shift for e in sp.entries), sp.nvars + k)
 
 
 def interval_check(sp: SpectrumMultiset, lo, hi,

@@ -11,6 +11,7 @@ import pytest
 from cf_lattice import direct_sum, lattice_to_json, standard_lattice
 from cf_lattice.cli import main
 from cf_lattice.intlinalg import identity, mat_mul, transpose
+from cf_lattice.plethysm import MAX_CHARACTER_WORK, ROW_STEPS
 
 
 def write_lattice(tmp_path, label, name=None):
@@ -527,6 +528,24 @@ def test_plethysm_cap_counts_the_weights_on_their_coset(capsys):
     doc = json.loads(out)
     assert doc["dim"] == comb(1502, 2) == 1_127_251
     assert len(doc["summands"]) == 751
+
+
+def test_plethysm_row_charge_bounds_memory(capsys, time_budget):
+    """Each table row is charged ROW_STEPS steps besides its slots, so Sym^k(C) is
+    charged 2k(1 + ROW_STEPS): the largest k the cap admits answers in a fresh
+    process under 40 MB (one 8-byte slot per row on top of the interpreter's
+    ~18 MB), and the next one, or Sym^4999999(C), exits 3 before any table is
+    made."""
+    largest = MAX_CHARACTER_WORK // (2 * (1 + ROW_STEPS))
+    assert largest >= 500_000
+    result = run_fresh("--output", "json", "plethysm", f"Sym^{largest}(C)")
+    assert result["code"] == 0
+    assert json.loads(result["stdout"])["dim"] == 1
+    assert result["peak_kb"] < 40 * 1024
+    for k in (largest + 1, 4_999_999):
+        code, _, err = run_exit(capsys, ["plethysm", f"Sym^{k}(C)"])
+        assert code == 3
+        assert "work cap" in err
 
 
 def test_plethysm_integer_past_the_digit_limit_exits_2(capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cf_lattice.plethysm import (
     MAX_CHARACTER_WORK,
     MAX_NESTING,
+    ROW_STEPS,
     SL2,
     SL3,
     CharacterPoly,
@@ -38,6 +40,26 @@ def sym_power_oracle(char, k):
         key = tuple(sum(slots[i][j] for i in combo) for j in range(char.nvars))
         out[key] = out.get(key, 0) + 1
     return CharacterPoly.make(char.group, out)
+
+
+def reference_sym_power(char, k):
+    """Reference for sym_power: the same recursion over a list of k + 1 dicts
+    from weight to coefficient, with no work cap: each weight w with its whole
+    factor (1 - t x^w)^{-c}, d ascending for c > 0 (division) and descending
+    for c < 0 (multiplication)."""
+    h = [{(0,) * char.nvars: 1}] + [{} for _ in range(k)]
+    for e, c in char.terms:
+        m = abs(c)
+        sign = -1 if c > 0 else 1
+        steps = [(tuple(j * x for x in e), sign * (-1) ** j * comb(m, j))
+                 for j in range(1, min(m, k) + 1)]
+        for d in range(1, k + 1) if c > 0 else range(k, 0, -1):
+            hd = h[d]
+            for j, (shift, b) in enumerate(steps[:d], 1):
+                for x, v in h[d - j].items():
+                    y = tuple(p + q for p, q in zip(x, shift))
+                    hd[y] = hd.get(y, 0) + b * v
+    return CharacterPoly.make(char.group, h[k])
 
 
 def exterior_power_oracle(char, k):
@@ -340,3 +362,78 @@ def test_sym_power_large_multiplicities_newton(a):
 def test_parse_rejects_integers_past_the_digit_limit():
     with pytest.raises(ParseError):
         parse_rep_expression("Sym^" + "1" * 5000 + "(V)", SL2)
+
+
+def _seeded_character(rng, group):
+    """A genuine character (irreducibles with multiplicities) or a virtual one
+    (random weights, coefficients of either sign), multiplicities up to 10^6."""
+    big = rng.choice((3, 10 ** 6))
+    if rng.random() < 0.5:
+        weights = range(5) if group == SL2 else [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+        summands = [(rng.choice(weights), rng.randint(1, big)) for _ in range(rng.randint(1, 2))]
+        return decomposition_from_summands(group, summands).character()
+    mapping = {}
+    for _ in range(rng.randint(1, 4)):
+        e = (rng.randint(-3, 3),) if group == SL2 else (rng.randint(-2, 2), rng.randint(-2, 2))
+        mapping[e] = rng.choice((-1, 1)) * rng.randint(1, big)
+    return CharacterPoly.make(group, mapping)
+
+
+@pytest.mark.parametrize("group", [SL2, SL3])
+def test_sym_power_matches_the_dict_reference_on_seeded_characters(group):
+    rng = random.Random(f"sym-power-reference:{group}")
+    virtual = 0
+    for _ in range(40):
+        chi, k = _seeded_character(rng, group), rng.randint(0, 8)
+        virtual += any(c < 0 for _, c in chi.terms)
+        assert sym_power(chi, k).terms == reference_sym_power(chi, k).terms
+    assert 10 <= virtual <= 30
+
+
+# Sym^k(Sym^m(V)) and Sym^k(Sym^m(V) + C): small, medium and large shapes for
+# each group, up to results of dimension about 4 * 10^7
+_SWEEP_SHAPES = (
+    [(SL2, k, m) for k in range(2, 5) for m in range(2, 5)]
+    + [(SL2, k, m) for k in range(5, 8) for m in range(5, 8)]
+    + [(SL2, k, m) for k in range(9, 12) for m in range(8, 11)]
+    + [(SL2, 13, 15), (SL2, 14, 14), (SL2, 15, 13)]
+    + [(SL3, k, m) for k, m in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4),
+                                (4, 4), (5, 3), (6, 3), (3, 4))])
+
+
+@pytest.mark.parametrize("group,k,m", _SWEEP_SHAPES)
+def test_sym_power_matches_the_dict_reference_on_sweep_shapes(group, k, m):
+    inner = reference_sym_power(standard_character(group), m)
+    assert sym_power(standard_character(group), m) == inner
+    for w in (inner, inner + trivial_character(group)):
+        assert sym_power(w, k).terms == reference_sym_power(w, k).terms
+
+
+# Weight sets whose differences span lattices of every shape the Hermite basis
+# of sym_power meets: one point, a horizontal, vertical or slanted line, the
+# SL(3) root lattice and a sheared sublattice of index 2, with coefficients of
+# either sign
+@pytest.mark.parametrize("group,mapping", [
+    (SL2, {(4,): 2}),
+    (SL2, {(-6,): 1, (3,): -2, (9,): 1}),
+    (SL3, {(1, -2): 3}),
+    (SL3, {(-2, 5): 1, (0, 5): -1, (4, 5): 2}),
+    (SL3, {(3, -3): 1, (3, 0): 2, (3, 6): -1}),
+    (SL3, {(-1, 2): 1, (1, 5): 1, (5, 11): -3}),
+    (SL3, {(0, 0): -1, (2, 1): 1, (1, 2): 2, (-1, 1): 1, (3, 0): -2}),
+    (SL3, {(0, 0): 1, (1, 1): -1, (0, 2): 1, (2, 0): 2, (3, 1): 1}),
+    (SL3, {(-12, -3): -1, (12, 0): 10 ** 6, (9, -2): -10 ** 6, (-4, 2): 5}),
+])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_sym_power_matches_the_dict_reference_on_sublattices(group, mapping, k):
+    chi = CharacterPoly.make(group, mapping)
+    assert sym_power(chi, k).terms == reference_sym_power(chi, k).terms
+
+
+def test_sl3_symmetric_powers_are_charged_in_the_root_lattice():
+    """The 66 weights of Sym^10(V) span the root lattice, index 3, and fill a
+    triangle: its Hermite coordinates span 20 and 10, so W for Sym^20 is
+    401 * 201, not the 401 * 401 that x1 and x2 span."""
+    chi = sym_power(standard_character(SL3), 10)
+    with pytest.raises(WorkCapError, match=f" {67 * 20 * (401 * 201 + ROW_STEPS)} steps"):
+        sym_power(chi, 20)

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -205,3 +207,40 @@ def test_catalog_milnor_numbers_are_the_root_system_ranks():
             assert entry.kind == "simple_elliptic"
             assert mu == {"Etilde6": 8, "Etilde7": 9, "Etilde8": 10}[label]
         assert entry.singularity.name == entry.name
+
+
+def _seeded_brieskorn_pham(count):
+    rng = random.Random("spectra-sorted")
+    out = []
+    while len(out) < count:
+        exponents = [rng.randint(2, 9) for _ in range(rng.choice((2, 3, 4)))]
+        if prod(m - 1 for m in exponents) <= 600:  # the Milnor number
+            out.append(QhSingularity(tuple(Fraction(1, m) for m in exponents)))
+    return out
+
+
+def test_spectra_are_built_sorted():
+    """spectrum, suspend and cusp_spectrum build their entries in order, so each
+    equals the multiset that sorts the same entries."""
+    results = []
+    for sing in [e.singularity for e in surface_catalog()] + _seeded_brieskorn_pham(20):
+        sp = spectrum(sing)
+        results += [sp, suspend(sp, 1), suspend(sp, 2)]
+    for p, q, r in [(2, 3, 7), (2, 3, 8), (2, 4, 5), (3, 3, 4), (2, 3, 9), (3, 3, 5)]:
+        sp = cusp_spectrum(p, q, r)
+        results += [sp, suspend(sp, 2)]
+    assert len(results) == 3 * (27 + 20) + 2 * 6
+    for sp in results:
+        assert sp == SpectrumMultiset.make(sp.entries, sp.nvars)
+        assert sp.is_symmetric()
+
+
+@pytest.mark.parametrize("entries, nvars, symmetric", [
+    ([0, Fraction(1, 3), 1], 3, False),
+    ([0, Fraction(1, 3), Fraction(2, 3), 1], 3, True),
+    ([Fraction(1, 2)], 3, True),
+    ([Fraction(1, 2)], 4, False),
+    ([0, 0, 1], 3, False),
+])
+def test_is_symmetric_pairs_each_entry_with_its_mirror(entries, nvars, symmetric):
+    assert SpectrumMultiset.make(entries, nvars).is_symmetric() is symmetric
