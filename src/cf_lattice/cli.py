@@ -3,8 +3,9 @@
 Subcommands: lattice, roots, niemeier, plethysm, spectra, verify.
 Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
-indefinite or over-cap enumeration input, out-of-range parameters, virtual
-characters, characters past the plethysm work cap); 141 when the reader
+indefinite or over-cap enumeration input, a Gram whose determinant may
+pass MAX_DET_DIGITS, out-of-range parameters, virtual characters,
+characters past the plethysm work cap); 141 when the reader
 of stdout closes it early.
 """
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .lattices import (
     Lattice,
     discriminant_data,
     genus_invariants,
+    hadamard_bits,
     lattice_from_json,
     orthogonal_complement,
     saturation,
@@ -32,6 +34,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+
+# `lattice info` and `disc` print |det G| and integers below it, and Python
+# refuses str() of an int past 4,300 digits: a Gram whose Hadamard bound on
+# |det G| reaches 10^MAX_DET_DIGITS exits 3 before any elimination
+MAX_DET_DIGITS = 4_000
 
 
 def _non_negative_int(text: str) -> int:
@@ -159,6 +166,12 @@ def _inline(v, room: int) -> str | None:
 
 def _cmd_lattice(args) -> int:
     lat = _load_lattice(args.file)
+    # 2^b >= 10^D exactly when b reaches the bit length of 10^D
+    if (args.action in ("info", "disc")
+            and hadamard_bits(lat.gram) >= (10 ** MAX_DET_DIGITS).bit_length()):
+        raise _fail(EXIT_PRECONDITION,
+                    f"lattice {args.action}: Hadamard's bound on |det G| has more than "
+                    f"{MAX_DET_DIGITS} digits, past what this command prints")
     if args.action == "info":
         try:
             inv = genus_invariants(lat)

@@ -163,7 +163,7 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
         m, p = _hermite_pass(m, p, ncols)
         mt, qt = _hermite_pass(transpose(m), transpose(q), nrows)
         m, q = transpose(mt), transpose(qt)
-        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
             continue
         d = [m[i][i] for i in range(min(nrows, ncols))]
         i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)

@@ -371,12 +371,13 @@ def discriminant_data(lat: Lattice) -> DiscriminantData:
 
     P G Q = D gives G^-1 = Q D^-1 P, so generator i of L*/L lifts to
     Q e_i / d_i, and b_ij = (Q^T G Q)_ij / (d_i d_j) (Nikulin 1979; Cohen,
-    GTM 138, 2.4): one integer product, no inverse of P or G.
+    GTM 138, 2.4): one integer product, no inverse of P or G. A zero
+    invariant factor means det G = 0, and raises DegenerateLatticeError.
     """
-    if lat.is_degenerate():
-        raise DegenerateLatticeError("discriminant group requires det != 0")
     g = [list(r) for r in lat.gram]
     d, _p, q = smith_normal_form(g)
+    if 0 in d:
+        raise DegenerateLatticeError("discriminant group requires det != 0")
     keep = [i for i, di in enumerate(d) if di > 1]
     cols = [[row[i] for row in q] for i in keep]
     g_cols = [intlinalg.mat_vec(g, c) for c in cols]
@@ -446,6 +447,15 @@ def fqf_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
         return False
 
     return extend(0, [])
+
+
+def hadamard_bits(gram) -> int:
+    """A b with |det G| <= 2^b, from Hadamard's bound |det G| <= prod_i |g_i|.
+
+    Row i has |g_i|^2 = s_i < 2^L_i, L_i the bit length of s_i, so its length
+    is below 2^ceil(L_i / 2): no elimination and no square root is taken.
+    """
+    return sum((sum(x * x for x in row).bit_length() + 1) // 2 for row in gram)
 
 
 def vector_divisibility(lat: Lattice, v: Vector) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 from . import intlinalg
@@ -66,10 +66,19 @@ def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
     `data` is the discriminant data of L and `elements` are exponent tuples
     of its group. Everything is an integer over N, the exponent of L*/L: L
     is N*I and each glue row is N times a lift, so v lies in L* iff
-    G v = 0 mod N and is isotropic iff v^T G v = 0 mod 2N^2. Index over L
-    equals the glue order; the discriminant order drops by its square.
+    G v = 0 mod N and is isotropic iff v^T G v = 0 mod 2N^2. The Hermite
+    form h of those rows is n x n and upper triangular with a positive
+    diagonal (N*I is among them), and the new basis is h / N, so:
+    - the new Gram is h G h^T / N^2, and it must be integral;
+    - the index over L (the glue order) is N^n / det h, det h being the
+      product of the diagonal, and |det| drops from the discriminant order
+      of `data` by its square;
+    - the old basis in the new one is N h^-1, solved row by row from the
+      bottom by back-substitution.
     Errors out if a glue vector is not in L*, not isotropic, or the
-    resulting pairings are not integral.
+    resulting pairings are not integral. Isotropic glue with integral
+    pairings gives an even lattice: every new vector is an integer sum of
+    even-norm vectors that pair integrally.
     """
     if not lat.is_even():
         raise GlueError("gluing is defined here for even lattices only")
@@ -86,29 +95,31 @@ def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
             raise GlueError("glue vector is not isotropic (norm not in 2Z)")
         rows.append(list(v))
     h = intlinalg.hnf(rows)
-    if len(h) != n:
-        raise GlueError("glue vectors do not preserve the rank (bug)")
-    # the new basis is h / den, so its Gram matrix is h G h^T / den^2
     scaled_gram = intlinalg.mat_mul(intlinalg.mat_mul(h, g), intlinalg.transpose(h))
     den_sq = den * den
     if any(x % den_sq for row in scaled_gram for x in row):
         raise GlueError("resulting pairings are not integral: glue is not a subgroup"
                         " of the discriminant form")
-    new_gram = tuple(tuple(x // den_sq for x in row) for row in scaled_gram)
-    result = Lattice(new_gram, name=(lat.name or "L") + " glued")
-    if not result.is_even():
-        raise GlueError("resulting lattice is odd: glue vector not isotropic mod 2Z")
-    old_det = abs(lat.det())
-    new_det = abs(result.det())
-    index_sq = old_det // new_det if new_det else 0
-    index = isqrt(index_sq)
-    if index * index != index_sq or new_det * index_sq != old_det:
+    index, rest = divmod(den ** n, prod(h[i][i] for i in range(n)))
+    if rest or data.form.order % (index * index):
         raise ArithmeticError("overlattice index is not integral (bug)")
-    # the old basis in the new one is den * h^-1 = den * adj(h) / det(h)
-    det_h, adj_h = intlinalg.adjugate(h)
+    # row i of x = den h^-1 solves x_i h_ii = den e_i - sum_(k>i) h_ik x_k
+    old_in_new = [None] * n
+    for i in reversed(range(n)):
+        row = [0] * n
+        row[i] = den
+        for k in range(i + 1, n):
+            c = h[i][k]
+            if c:
+                row = [a - c * b for a, b in zip(row, old_in_new[k])]
+        p = h[i][i]
+        if any(a % p for a in row):
+            raise ArithmeticError("old basis is not integral in the new one (bug)")
+        old_in_new[i] = [a // p for a in row]
     return GluedLattice(
-        lattice=result,
-        old_in_new=tuple(tuple(den * x // det_h for x in row) for row in adj_h),
+        lattice=Lattice(tuple(tuple(x // den_sq for x in row) for row in scaled_gram),
+                        name=(lat.name or "L") + " glued"),
+        old_in_new=tuple(map(tuple, old_in_new)),
         glue_order=index,
     )
 
@@ -194,7 +205,8 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
 
     Glues the root-lattice direct sum along an isotropic subgroup of its
     discriminant form of the right order; the first candidate (in canonical
-    search order) that is even, unimodular and adds no roots is returned.
+    search order) that is even, unimodular and adds no roots is returned;
+    it is unimodular when its glue order squared is the discriminant order.
     The roots enumerated for that census come back with it as `roots`, in
     the order of `roots(lattice)`, so later stages pass them on instead of
     walking the lattice again. Nothing is memoized: each call glues anew.
@@ -213,9 +225,9 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
             glued = overlattice(root_sum, data, subgroup)
         except GlueError:
             continue
-        lat = glued.lattice
-        if abs(lat.det()) != 1:
+        if glued.glue_order ** 2 != disc_order:  # not unimodular
             continue
+        lat = glued.lattice
         rts = roots(lat)
         if len(rts) != entry.root_count():
             continue

@@ -404,7 +404,8 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
         raise AssertionError("no isotropic Z/3 in the glued discriminant (bug)")
     glued = overlattice(total, data, [next(e for e in subgroup if any(e))])
     lat = glued.lattice
-    if not lat.is_even() or abs(lat.det()) != 1 or lat.signature() != (26, 2):
+    unimodular = glued.glue_order ** 2 == data.form.order
+    if not lat.is_even() or not unimodular or lat.signature() != (26, 2):
         raise AssertionError("glued lattice is not even unimodular of signature (26,2)")
     n_core = core_lat.rank
     core_rows = glued.old_in_new[:n_core]

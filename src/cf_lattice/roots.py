@@ -3,10 +3,12 @@
 Enumeration is Fincke-Pohst in integers: the fraction-free LDL^T of
 `intlinalg.symmetric_bareiss` (leading minors and integer rows) gives integer
 centres, weights and budget directly, and the search touches ints only;
-definite lattices only. A walk past
+definite lattices only. The walk takes the first coordinate outermost and
+every coordinate in increasing order, so it emits one vector of each +-pair
+(first nonzero coordinate positive) already in lexicographic order, the
+canonical order of the output; nothing is sorted afterwards. A walk past
 MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
-nodes, raises EnumerationCapError. Output order is canonical (sign fixed by
-first nonzero coordinate, then lexicographic) so results are reproducible.
+nodes, raises EnumerationCapError.
 A root system is split into irreducible components through its simple roots
 (`root_components`): one lexicographic pass over the positive halves either
 finds a simple root or descends to an earlier half by a simple root, so every
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from . import intlinalg
 from .lattices import (
@@ -135,11 +137,11 @@ class Isometry:
         return self.compose(self).is_identity()
 
 
-# Bound on the work of one enumeration: search-tree nodes (recursive calls,
-# leaves included), plus `rank` nodes for every vector stored, so that the cap
-# bounds memory as well as time. The largest walk of the test suite, norm 4 on
-# a Niemeier lattice, charges 655,365 nodes and at most 24 x 98,280 for its
-# vectors, about 3.0 million; `cf-lattice verify` needs at most 5,415 nodes.
+# Bound on the work of one enumeration: search-tree nodes (leaves included),
+# plus `rank` nodes for every vector stored, so that the cap bounds memory as
+# well as time. The largest walk of the test suite, norm 4 on D16+E8, charges
+# 2,681,735 in all (24 x 89,640 for its vectors); the largest walk of
+# `cf-lattice verify` charges 12,669, and its ten walks 59,779.
 MAX_ENUMERATION_NODES = 6_600_000
 
 
@@ -148,74 +150,90 @@ class EnumerationCapError(ValueError):
 
 
 def _enumerate_norm(gram, target: int):
-    """All x (up to sign: last nonzero coordinate positive) with x^T G x = target.
+    """All x with x^T G x = target whose first nonzero coordinate is positive, sorted.
 
-    Fincke-Pohst in integers on the fraction-free LDL^T of G
-    (`intlinalg.symmetric_bareiss`): leading minors D_i and integer rows a_ij,
-    so that x^T G x = sum_i (D_i x_i + C_i)^2 / (D_(i-1) D_i) (D_0 = 1) with
-    C_i = sum_(j>i) a_ij x_j. With s the lcm of the D_(i-1) D_i, term i is
-    w_i (D_i x_i + C_i)^2 / s for the integer weight w_i = s / (D_(i-1) D_i).
-    The budget is target * s; each x_i runs over the exact integer interval
-    |D_i x_i + C_i| <= isqrt(budget // w_i), in increasing order.
-    Raises ValueError unless G is positive definite (r = n and every D_i > 0,
-    Sylvester), and EnumerationCapError past MAX_ENUMERATION_NODES nodes, a
-    stored vector counted as n nodes.
+    Fincke-Pohst in integers on the fraction-free LDL^T of G with its
+    coordinates reversed (`intlinalg.symmetric_bareiss`), so that the first
+    coordinate is the outermost level of the walk and the last the
+    innermost. In walk order k = 0..n-1 (coordinate n-1-k of x), with
+    leading minors D_k and integer rows a_kj,
+    x^T G x = sum_k (D_k y_k + C_k)^2 / (D_(k-1) D_k) (D_(-1) = 1) with
+    C_k = sum_(j>k) a_kj y_j. With s the lcm of the D_(k-1) D_k, term k is
+    w_k (D_k y_k + C_k)^2 / s for the integer weight w_k = s / (D_(k-1) D_k).
+    The budget is target * s; each y_k runs over the exact integer interval
+    |D_k y_k + C_k| <= isqrt(budget // w_k), in increasing order, and a
+    level whose outer coordinates are all zero starts at 0. So the vectors
+    come out in lexicographic order, each once up to sign. At the innermost
+    level the budget left must be spent exactly: only the two ends of the
+    interval can be hits, and they are tested without a walk.
+    Raises ValueError unless G is positive definite (r = n and every D_k > 0,
+    Sylvester), and EnumerationCapError past MAX_ENUMERATION_NODES: every
+    node counts 1, every value of the innermost coordinate (a leaf) 1, and a
+    stored vector n.
     """
     n = len(gram)
     if n == 0:
         return []
-    dens, pivot_rows, _ = intlinalg.symmetric_bareiss(gram)
+    dens, pivot_rows, _ = intlinalg.symmetric_bareiss([row[::-1] for row in gram[::-1]])
     if len(dens) < n or min(dens) <= 0:
         raise ValueError("lattice is not positive definite")
-    rows = [[(j, row[j]) for j in range(i + 1, n) if row[j]]
-            for i, row in enumerate(pivot_rows)]
+    # a node at level k >= 1 gives its children the centre base + a * y_k: a is
+    # a_(k-1,k) and base sums a_(k-1,j) y_j over j > k, once for all the children
+    heads = [row[k] for k, row in enumerate(pivot_rows[:-1], 1)]
+    tails = [row[k + 1:] for k, row in enumerate(pivot_rows[:-1], 1)]
     steps = [a * b for a, b in zip([1] + dens, dens)]
     s = lcm(*steps)
     weights = [s // e for e in steps]
     results = []
-    x = [0] * n
+    y = [0] * n  # walk coordinates: y[k] is x[n-1-k]
     nodes = 0
 
-    def descend(i, budget, zeros_so_far):
+    def descend(k, budget, zeros_so_far, c):
         nonlocal nodes
-        nodes += 1
-        if nodes > MAX_ENUMERATION_NODES:
-            raise EnumerationCapError(f"norm-{target} enumeration passes the cap of "
-                                      f"{MAX_ENUMERATION_NODES} search nodes")
-        if i < 0:
-            if budget == 0 and not zeros_so_far:
-                results.append(tuple(x))
-                nodes += n  # a stored vector holds n ints: charged as n nodes
-            return
-        c = sum(m * x[j] for j, m in rows[i])
-        w, den = weights[i], dens[i]
+        w, den = weights[k], dens[k]
         r = isqrt(budget // w)
         lo = -((c + r) // den)
         hi = (r - c) // den
         if zeros_so_far and lo < 0:
             lo = 0
-        for xi in range(lo, hi + 1):
-            t = den * xi + c
-            x[i] = xi
-            descend(i - 1, budget - w * t * t, zeros_so_far and xi == 0)
-        x[i] = 0
+        nodes += 1
+        if not k:
+            # innermost level: hi - lo + 1 leaves; a leaf is a hit only if it spends
+            # the budget exactly, so D y + C is -r (at lo) or r (at hi)
+            nodes += hi - lo + 1
+            if w * r * r == budget:
+                for yk, t in ((lo, -r), (hi, r)) if r else ((lo, 0),):
+                    if den * yk + c == t and (yk or not zeros_so_far):
+                        y[0] = yk
+                        results.append(tuple(y[::-1]))
+                        nodes += n  # a stored vector holds n ints: charged as n nodes
+                y[0] = 0
+        if nodes > MAX_ENUMERATION_NODES:
+            raise EnumerationCapError(f"norm-{target} enumeration passes the cap of "
+                                      f"{MAX_ENUMERATION_NODES} search nodes")
+        if k:
+            a, base = heads[k - 1], sum(map(mul, tails[k - 1], y[k + 1:]))
+            for yk in range(lo, hi + 1):
+                t = den * yk + c
+                y[k] = yk
+                descend(k - 1, budget - w * t * t, zeros_so_far and yk == 0, base + a * yk)
+            y[k] = 0
 
-    descend(n - 1, target * s, True)
+    descend(n - 1, target * s, True, 0)
     return results
 
 
 def _half(v: Vector) -> Vector:
     """Of +-v, the one whose first nonzero coordinate is positive."""
-    first = next((x for x in v if x), 0)
-    return v if first > 0 else tuple(-x for x in v)
+    return v if v > (0,) * len(v) else tuple(map(neg, v))
 
 
 @lru_cache(maxsize=None)
 def _short_vectors_cached(gram, norm: int):
     full = []
-    for v in sorted(map(_half, _enumerate_norm(gram, norm))):
+    for v in _enumerate_norm(gram, norm):
         full.append(v)
-        full.append(tuple(-x for x in v))
+        full.append(tuple(map(neg, v)))
     return tuple(full)
 
 

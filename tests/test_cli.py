@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from cf_lattice import direct_sum, lattice_to_json, standard_lattice
-from cf_lattice.cli import main
-from cf_lattice.intlinalg import identity, mat_mul, transpose
+from cf_lattice.lattices import hadamard_bits
+from cf_lattice.cli import MAX_DET_DIGITS, main
+from cf_lattice.intlinalg import det, identity, mat_mul, transpose
 from cf_lattice.plethysm import MAX_CHARACTER_WORK, ROW_STEPS
 
 
@@ -567,3 +568,59 @@ def test_a_reader_closing_stdout_early_exits_141_without_a_traceback(tmp_path, t
     assert child.wait() == 141
     assert "Traceback" not in stderr
     assert not stderr
+
+
+def _wide_gram(tmp_path, digits):
+    """[[2m, m], [m, 4m]] with m = 77...7 of `digits` digits: det 7 m^2, twice as long."""
+    m = int("7" * digits)
+    gram = [[2 * m, m], [m, 4 * m]]
+    path = tmp_path / f"wide{digits}.json"
+    path.write_text(json.dumps({"gram": [[str(x) for x in row] for row in gram]}))
+    return str(path), 7 * m * m
+
+
+@pytest.mark.parametrize("action", ["info", "disc"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_lattice_determinant_past_the_digit_cap_exits_3(tmp_path, action, output):
+    """3,001-digit entries give a determinant of about 6,000 digits, past Python's
+    4,300-digit str() limit: the Hadamard bound stops the command with one line, in a
+    fresh process, before any elimination."""
+    path, _ = _wide_gram(tmp_path, 3001)
+    result = run_fresh("--output", output, "lattice", action, path)
+    assert result["code"] == 3
+    assert not result["stdout"]
+    assert result["stderr"].count("\n") == 1
+    assert f"more than {MAX_DET_DIGITS} digits" in result["stderr"]
+    assert "Traceback" not in result["stderr"]
+
+
+def test_lattice_determinant_under_the_digit_cap_answers(tmp_path, capsys):
+    """1,990-digit entries: the bound stays under 10^4000, and the 3,980-digit
+    determinant and group order print in full."""
+    path, det = _wide_gram(tmp_path, 1990)
+    gram = [[int(x) for x in row] for row in json.loads(Path(path).read_text())["gram"]]
+    assert 2 ** hadamard_bits(gram) < 10 ** MAX_DET_DIGITS
+    code, out, _ = run(capsys, ["--output", "json", "lattice", "info", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["det"] == det
+    assert doc["disc"]["order"] == det
+
+
+def test_hadamard_bits_bounds_the_determinant():
+    """|det G| <= 2^b on seeded Grams of rank 1-6 with entries of up to 40 digits, and
+    b is at most one bit per row past the exact Hadamard bound: 4^b <= 4^n prod |g_i|^2."""
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        scale = 10 ** rng.randint(0, 40)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-scale, scale)
+        b = hadamard_bits(g)
+        assert abs(det(g)) <= 2 ** b
+        norms = 1
+        for row in g:
+            norms *= sum(x * x for x in row)
+        assert 2 ** (2 * b) <= norms * 4 ** n or not norms

@@ -207,6 +207,20 @@ def test_discriminant_group_orders():
         discriminant_data(Lattice(((0,),)))
 
 
+def test_discriminant_data_reads_degeneracy_off_the_smith_form(monkeypatch):
+    """No determinant before the Smith form: a zero invariant factor is det G = 0."""
+    def forbidden(*args):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(intlinalg, "det", forbidden)
+    monkeypatch.setattr(Lattice, "det", forbidden)
+    assert discriminant_data(standard_lattice("E7")).form.invariant_factors == (2,)
+    assert discriminant_data(Lattice(())).form.is_trivial()
+    for gram in (((0,),), ((2, 2), (2, 2)), ((2, 1, 3), (1, 2, 3), (3, 3, 6))):
+        with pytest.raises(DegenerateLatticeError):
+            discriminant_data(Lattice(gram))
+
+
 def test_disc_group_order_equals_det_on_random_lattices():
     rng = random.Random(11)
     done = 0

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 import pytest
 
@@ -303,3 +305,150 @@ def test_saturating_e6_plus_norm6_line_gives_e7():
     lat = closed.lattice()
     assert len(roots(lat)) == 126
     assert saturation_index(e7, span) == 3
+
+
+def bareiss_overlattice(lat, data, elements):
+    """The integer gluing that `overlattice` replaced: two Bareiss determinants for the
+    index and a Gauss-Jordan adjugate of h for the old basis in the new one."""
+    if not lat.is_even():
+        raise GlueError("gluing is defined here for even lattices only")
+    n = lat.rank
+    g = [list(r) for r in lat.gram]
+    den = data.exponent
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for e in filter(any, elements):
+        v = data.lift(e)
+        gv = intlinalg.mat_vec(g, v)
+        if any(x % den for x in gv):
+            raise GlueError("glue vector does not lie in the dual lattice")
+        if sum(map(mul, v, gv)) % (2 * den * den):
+            raise GlueError("glue vector is not isotropic (norm not in 2Z)")
+        rows.append(list(v))
+    h = intlinalg.hnf(rows)
+    if len(h) != n:
+        raise GlueError("glue vectors do not preserve the rank (bug)")
+    scaled_gram = intlinalg.mat_mul(intlinalg.mat_mul(h, g), intlinalg.transpose(h))
+    den_sq = den * den
+    if any(x % den_sq for row in scaled_gram for x in row):
+        raise GlueError("resulting pairings are not integral: glue is not a subgroup"
+                        " of the discriminant form")
+    new_gram = tuple(tuple(x // den_sq for x in row) for row in scaled_gram)
+    result = Lattice(new_gram, name=(lat.name or "L") + " glued")
+    if not result.is_even():
+        raise GlueError("resulting lattice is odd: glue vector not isotropic mod 2Z")
+    old_det = abs(lat.det())
+    new_det = abs(result.det())
+    index_sq = old_det // new_det if new_det else 0
+    index = isqrt(index_sq)
+    if index * index != index_sq or new_det * index_sq != old_det:
+        raise ArithmeticError("overlattice index is not integral (bug)")
+    det_h, adj_h = intlinalg.adjugate(h)
+    return GluedLattice(
+        lattice=result,
+        old_in_new=tuple(tuple(den * x // det_h for x in row) for row in adj_h),
+        glue_order=index,
+    )
+
+
+def glue_message(glue):
+    """The message of the GlueError a glue call raises, or its full outcome."""
+    try:
+        glued = glue()
+    except GlueError as exc:
+        return str(exc)
+    return glued.lattice.gram, glued.lattice.name, glued.old_in_new, glued.glue_order
+
+
+def assert_glues_like_bareiss(lat, data, elements):
+    new = glue_message(lambda: overlattice(lat, data, elements))
+    assert new == glue_message(lambda: bareiss_overlattice(lat, data, elements))
+    return new
+
+
+def test_overlattice_matches_the_bareiss_reference_on_the_niemeier_and_26_2_glues(
+        time_budget):
+    accepted = 0
+    for entry in entries_with_e_summand():
+        comps = [standard_lattice(f"{f}{n}") for f, n in entry.root_system.components]
+        base = direct_sum(*comps, name=str(entry.root_system))
+        data = discriminant_data(base)
+        for subgroup in isotropic_subgroups(data, isqrt(data.form.order)):
+            accepted += not isinstance(assert_glues_like_bareiss(base, data, subgroup), str)
+    assert accepted == 18
+    total = direct_sum(build_period_model().core_lattice(), standard_lattice("E6"))
+    data = discriminant_data(total)
+    subgroup = next(isotropic_subgroups(data, 3))
+    gram, _, _, glue_order = assert_glues_like_bareiss(total, data, subgroup)
+    assert glue_order == 3
+    assert abs(Lattice(gram).det()) == 1
+
+
+_SMALL_SUMMANDS = ("A1", "A2", "A3", "A4", "A5", "A7", "A8", "D4", "D5", "D6", "D8",
+                   "E6", "E7")
+
+
+def test_overlattice_matches_the_bareiss_reference_on_seeded_glues(time_budget):
+    """Seeded A-D-E sums of rank at most 12: every isotropic subgroup of order k > 1
+    with k^2 dividing the discriminant order glues alike (up to three per order), and
+    so do random pairs of group elements and of isotropic elements."""
+    rng = random.Random(16)
+    glued, kinds = 0, set()
+    while glued < 40:
+        labels, used = [], 0
+        while used < 4 or rng.random() < 0.6:
+            label = rng.choice([c for c in _SMALL_SUMMANDS if used + int(c[1:]) <= 12] or ["A1"])
+            if used + int(label[1:]) > 12:
+                break
+            labels.append(label)
+            used += int(label[1:])
+        base = direct_sum(*map(standard_lattice, labels))
+        data = discriminant_data(base)
+        order = data.form.order
+        if order > 600:
+            continue
+        for k in range(2, isqrt(order) + 1):
+            if order % (k * k):
+                continue
+            for subgroup, _ in zip(isotropic_subgroups(data, k), range(3)):
+                outcome = assert_glues_like_bareiss(base, data, subgroup)
+                assert not isinstance(outcome, str)
+                assert outcome[3] == k
+                glued += 1
+        elements = list(data.form.elements())
+        isotropic = [e for e in elements if data.form.q_of(e) == 0]
+        for pool in (elements, elements, isotropic):
+            if len(pool) > 1:
+                outcome = assert_glues_like_bareiss(base, data, rng.sample(pool, 2))
+                kinds.add(outcome if isinstance(outcome, str) else "glued")
+    assert len(kinds) == 3  # some glue, some are not isotropic, some pair non-integrally
+
+
+def test_overlattice_rejects_each_invalid_glue_like_the_bareiss_reference():
+    a2 = standard_lattice("A2")
+    e6_a2 = direct_sum(standard_lattice("E6"), a2)
+    data = discriminant_data(e6_a2)
+    x, y = (next(e for e in s if any(e)) for s in isotropic_subgroups(data, 3))
+    odd = Lattice(((1, 0), (0, 3)))
+    cases = [
+        (odd, discriminant_data(odd), [(1,)], "even lattices only"),
+        (a2, discriminant_data(Lattice(((2, 0), (0, 6)))), [(1, 0)], "dual lattice"),
+        (a2, discriminant_data(a2), [(1,)], "not isotropic"),
+        (e6_a2, data, [x, y], "not integral"),
+    ]
+    for lat, lat_data, elements, message in cases:
+        with pytest.raises(GlueError, match=message):
+            overlattice(lat, lat_data, elements)
+        assert message in assert_glues_like_bareiss(lat, lat_data, elements)
+
+
+def test_overlattice_and_construct_niemeier_take_no_determinant_or_inverse(monkeypatch):
+    """The glue order, |det| and the old basis come from the triangular Hermite form
+    and the discriminant order: no Bareiss det, no adjugate."""
+    def forbidden(*args):
+        raise AssertionError("a determinant or an adjugate was computed")
+
+    for owner, name in ((intlinalg, "det"), (intlinalg, "adjugate"), (Lattice, "det")):
+        monkeypatch.setattr(owner, name, forbidden)
+    entry = next(e for e in niemeier_table() if str(e.root_system) == "A11+D7+E6")
+    glued = construct_niemeier(entry)
+    assert glued.glue_order == 12

@@ -1,7 +1,7 @@
 import inspect
 import random
 from itertools import combinations, permutations, product
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 import sympy
@@ -16,7 +16,10 @@ from cf_lattice import (
 )
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import smith_normal_form
+from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
 from cf_lattice.roots import (
+    _enumerate_norm,
+    _half,
     Isometry,
     RootSystemLabel,
     ade_root_count,
@@ -576,3 +579,96 @@ def test_package_attribute_roots_is_the_submodule():
     assert inspect.ismodule(cf_lattice.roots)
     assert inspect.ismodule(roots_module)
     assert roots_module.roots is roots
+
+
+def reference_enumerate_norm(gram, target):
+    """The walk `_enumerate_norm` replaced, with its halves sorted afterwards, as
+    `short_vectors` sorted them: last coordinate outermost, sparse rows, every leaf a
+    call. Its output must equal the new walk's item for item; no cap here."""
+    n = len(gram)
+    if n == 0:
+        return []
+    dens, pivot_rows, _ = intlinalg.symmetric_bareiss(gram)
+    rows = [[(j, row[j]) for j in range(i + 1, n) if row[j]]
+            for i, row in enumerate(pivot_rows)]
+    steps = [a * b for a, b in zip([1] + dens, dens)]
+    s = lcm(*steps)
+    weights = [s // e for e in steps]
+    results = []
+    x = [0] * n
+
+    def descend(i, budget, zeros_so_far):
+        if i < 0:
+            if budget == 0 and not zeros_so_far:
+                results.append(tuple(x))
+            return
+        c = sum(m * x[j] for j, m in rows[i])
+        w, den = weights[i], dens[i]
+        r = isqrt(budget // w)
+        lo = -((c + r) // den)
+        hi = (r - c) // den
+        if zeros_so_far and lo < 0:
+            lo = 0
+        for xi in range(lo, hi + 1):
+            t = den * xi + c
+            x[i] = xi
+            descend(i - 1, budget - w * t * t, zeros_so_far and xi == 0)
+        x[i] = 0
+
+    descend(n - 1, target * s, True)
+    return sorted(tuple(v) if next((a for a in v if a), 0) > 0 else tuple(-a for a in v)
+                  for v in results)
+
+
+# summands of rank at most 6 keep norm 6 at rank 16 to tens of thousands of vectors;
+# E7 and E8 come in through the Niemeier Grams
+_WALK_COMPONENTS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
+
+
+def _seeded_skewed_gram(rank):
+    """A seeded A-D-E sum of the given rank in a basis skewed by `rank` elementary
+    operations row_i += +-row_j."""
+    rng = random.Random(1000 + rank)
+    labels, used = [], 0
+    while used < rank:
+        label = rng.choice([c for c in _WALK_COMPONENTS if int(c[1:]) <= rank - used])
+        labels.append(label)
+        used += int(label[1:])
+    g = [list(r) for r in direct_sum(*map(standard_lattice, labels)).gram]
+    u = intlinalg.identity(rank)
+    for _ in range(rank if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return tuple(map(tuple, intlinalg.mat_mul(intlinalg.mat_mul(u, g), intlinalg.transpose(u))))
+
+
+def assert_walk_matches_reference(gram, norm):
+    got = _enumerate_norm(gram, norm)
+    assert got == reference_enumerate_norm(gram, norm)
+    assert got == sorted(got)  # emitted in order, nothing sorted after the walk
+    assert all(_half(v) == v for v in got)
+    return got
+
+
+@pytest.mark.parametrize("rank", range(1, 17))
+def test_walk_matches_the_sorted_reference_on_skewed_ade_bases(rank, time_budget):
+    gram = _seeded_skewed_gram(rank)
+    for norm in (2, 4, 6):
+        assert_walk_matches_reference(gram, norm)
+
+
+def test_walk_matches_the_sorted_reference_on_the_niemeier_grams(time_budget):
+    for entry in entries_with_e_summand():
+        lat = construct_niemeier(entry).lattice
+        assert len(assert_walk_matches_reference(lat.gram, 2)) == entry.root_count() // 2
+
+
+def test_half_fixes_the_sign_of_the_first_nonzero_coordinate():
+    assert _half(()) == ()
+    assert _half((0,)) == (0,)
+    assert _half((0, 0, 0)) == (0, 0, 0)
+    assert _half((3,)) == (3,)
+    assert _half((-3,)) == (3,)
+    assert _half((0, -1, 2)) == (0, 1, -2)
+    assert _half((0, 1, -2)) == (0, 1, -2)
