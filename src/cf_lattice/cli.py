@@ -5,8 +5,8 @@ Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
 indefinite or over-cap enumeration input, a Gram whose determinant may
 pass MAX_DET_DIGITS, out-of-range parameters, virtual characters,
-characters past the plethysm work cap); 141 when the reader
-of stdout closes it early.
+characters past the plethysm work cap or whose multiplicities may pass
+plethysm.MAX_DIGITS); 141 when the reader of stdout closes it early.
 """
 from __future__ import annotations
 

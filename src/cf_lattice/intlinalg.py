@@ -7,10 +7,11 @@ list-of-list matrices and never mutate their arguments.
 One integer elimination loop, `_echelon` (Euclid down each column with the
 smallest entry as pivot), serves `hnf`, `kernel` and `smith_normal_form`; the
 Smith form is alternating row and column Hermite normal forms
-(Kannan-Bachem), not a loop of its own. Inverses come from one fraction-free
-(Bareiss) Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in
-integers; `rational_inverse` is its Fraction view and the one place here
-that builds Fractions. `det` is the forward half of the same elimination,
+(Kannan-Bachem), not a loop of its own, and each divisibility fix-up runs one
+row and one column pass on the 2x2 block it touches. Inverses come from one
+fraction-free (Bareiss) Gauss-Jordan loop, `adjugate`, which returns
+(det A, adj A) in integers; `rational_inverse` is its Fraction view and the
+one place here that builds Fractions. `det` is the forward half of the same elimination,
 without the right block. Symmetric matrices have one fraction-free
 elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
 as pivots); `signature` and the Fincke-Pohst walk in `roots` both read it.
@@ -137,7 +138,8 @@ def rank(a) -> int:
 
 
 def _hermite_pass(m, t, width: int) -> tuple[Matrix, Matrix]:
-    """HNF of [m | t] split back at column `width`; t is unimodular, so no row is lost."""
+    """HNF of [m | t] split back at column `width`; t is unimodular or m is square
+    nonsingular, so no row is lost."""
     h = hnf([r + s for r, s in zip(m, t)])
     return [r[:width] for r in h], [r[width:] for r in h]
 
@@ -151,8 +153,23 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
     Each pass is `hnf`, which reduces the entries above its pivots, and the
     leading pivot of the unfinished block only ever shrinks to a proper
     divisor, so the loop ends.
-    If d_i does not divide d_{i+1}, column i+1 is added to column i, and the
-    next row pass replaces d_i by gcd(d_i, d_{i+1}).
+    If d_i does not divide d_{i+1}, column i+1 is added to column i, which
+    leaves the 2x2 block [[d_i, 0], [d_{i+1}, d_{i+1}]] on rows and columns
+    i, i+1, and one row pass and one column pass run on that block alone, the
+    row pass carrying rows i, i+1 of P and the column pass columns i, i+1 of
+    Q. The row pass gives [[g, x], [0, y]] with g = gcd(d_i, d_{i+1}), which
+    divides x, so the column pass leaves diag(g, y). Then the divisibility is
+    scanned again from d_0.
+    On square nonsingular input this is exactly the full-width loop that runs
+    both passes over all of [M | P] and [M^T | Q^T] again: with M diagonal but
+    for (i+1, i), every other row and column of M holds one nonzero entry and
+    every pivot of a full pass lies in M, so a full pass only touches rows (or
+    columns) i and i+1, and does to them what the block pass does. On singular
+    or non-square input a full pass would also pivot inside P or Q and reduce
+    rows i, i+1 against those pivots, so P and Q can differ from the
+    full-width loop's while meeting the same contract; no library caller
+    passes such input (`discriminant_data` raises on a zero factor,
+    `disc_action` takes nondegenerate Grams).
     """
     m = [list(r) for r in a]
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -163,14 +180,20 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
         m, p = _hermite_pass(m, p, ncols)
         mt, qt = _hermite_pass(transpose(m), transpose(q), nrows)
         m, q = transpose(mt), transpose(qt)
-        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
-            continue
-        d = [m[i][i] for i in range(min(nrows, ncols))]
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
+            break
+    d = [m[i][i] for i in range(min(nrows, ncols))]
+    while True:
         i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
         if i is None:
             return d, p, q
-        for row in m + q:
-            row[i] += row[i + 1]
+        j = i + 1
+        block, (p[i], p[j]) = _hermite_pass([[d[i], 0], [d[j], d[j]]], [p[i], p[j]], 2)
+        qt = [[row[i] + row[j] for row in q], [row[j] for row in q]]
+        block, qt = _hermite_pass(transpose(block), qt, 2)
+        for row, x, y in zip(q, *qt):
+            row[i], row[j] = x, y
+        d[i], d[j] = block[0][0], block[1][1]
 
 
 def adjugate(a) -> tuple[int, Matrix]:

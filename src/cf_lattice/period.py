@@ -462,7 +462,10 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
     The roots are not enumerated again. The projection of a root r to E6^perp
     is computed in integers, scaled by det(G6) > 0: det(G6) * r -
     (adj(G6) * pairings) . basis, with adj(G6) = det(G6) * G6^-1; a positive
-    scale leaves the line unchanged.
+    scale leaves the line unchanged. r and -r have negated pairings and
+    projections, so they fall in the same bucket: the pairings, projection
+    and line are computed once per `_half(r)`, and every root is appended to
+    its bucket in input order.
     """
     e6sub = embed_e6(lat, root_list)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
@@ -470,18 +473,24 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
     basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
     basis_cols = intlinalg.transpose(e6sub.basis)
     in_e6, orthogonal, mixed_by_line = [], [], {}
+    bucket_of_half = {}
     for root in root_list:
-        pair = [sum(map(mul, bp, root)) for bp in basis_pairings]
-        if not any(pair):
-            orthogonal.append(root)
-            continue
-        coeffs = intlinalg.mat_vec(adj6, pair)
-        proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(root, basis_cols)]
-        if not any(proj):
-            in_e6.append(root)
-            continue
-        gg = gcd(*proj)
-        mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(root)
+        half = _half(root)
+        bucket = bucket_of_half.get(half)
+        if bucket is None:
+            pair = [sum(map(mul, bp, half)) for bp in basis_pairings]
+            if not any(pair):
+                bucket = orthogonal
+            else:
+                coeffs = intlinalg.mat_vec(adj6, pair)
+                proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(half, basis_cols)]
+                if not any(proj):
+                    bucket = in_e6
+                else:
+                    gg = gcd(*proj)
+                    bucket = mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), [])
+            bucket_of_half[half] = bucket
+        bucket.append(root)
     return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
                    mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()})
 

@@ -57,6 +57,13 @@ MAX_CHARACTER_WORK = 10 ** 7
 # Sym^k(C), charged 2k(1 + ROW_STEPS), is admitted up to k = 555,555
 # (about a second and 22 MB in a fresh interpreter).
 ROW_STEPS = 8
+# Python refuses str() of an int past 4,300 digits (sys.get_int_max_str_digits),
+# and a decomposition prints its multiplicities and dimension, each at most
+# sum_w |c_w| of the character decomposed. A character or a Sym^k whose bound
+# on that sum reaches 10^MAX_DIGITS raises WorkCapError; `sym_power` checks its
+# bound before any work.
+MAX_DIGITS = 4_200
+_MAX_BITS = (10 ** MAX_DIGITS).bit_length()  # an int >= 10^MAX_DIGITS has at least these bits
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,11 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
     the box of its weights is (2m + 1) * (m + 1) points, half the one that x1
     and x2 span. A weight costs at most min(m, k) * k * (W + ROW_STEPS)
     steps. Raises WorkCapError past MAX_CHARACTER_WORK.
+    Every coefficient of Sym^k(a), and so every integer a decomposition of it
+    prints, is at most dim Sym^k(|a|) = C(D + k - 1, k), D = sum_w |c_w|; it
+    is built up as C(n, 1), C(n, 2), ..., which only grow up to the middle
+    C(n, min(k, D - 1)), and past 10^MAX_DIGITS raises WorkCapError before the
+    table is allocated.
     """
     if k < 0:
         raise ValueError("symmetric power degree must be >= 0")
@@ -242,6 +254,13 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
     if work > MAX_CHARACTER_WORK:
         raise WorkCapError(f"Sym^{k} of a character of {len(a.terms)} weights needs "
                            f"{work} steps, over the cap {MAX_CHARACTER_WORK}")
+    n = sum(abs(c) for _, c in a.terms) + k - 1
+    bound = 1
+    for i in range(min(k, n - k)):
+        bound = bound * (n - i) // (i + 1)
+        if bound.bit_length() >= _MAX_BITS:
+            raise WorkCapError(f"Sym^{k} of a character of {len(a.terms)} weights may have "
+                               f"coefficients of more than {MAX_DIGITS} digits")
     offsets = [line * t + u - lo1 for t, u in zip(t0, t1)]
     least = offsets[0]
     h = [0] * ((k + 1) * width)
@@ -506,4 +525,7 @@ def parse_rep_expression(text: str, group: str) -> CharacterPoly:
     parser.skip_ws()
     if parser.pos != len(text):
         raise ParseError("unexpected trailing input", parser.pos)
+    if sum(abs(c) for _, c in result.terms).bit_length() >= _MAX_BITS:
+        raise WorkCapError(f"the character may have multiplicities of more than "
+                           f"{MAX_DIGITS} digits")
     return result

@@ -12,7 +12,7 @@ from cf_lattice import direct_sum, lattice_to_json, standard_lattice
 from cf_lattice.lattices import hadamard_bits
 from cf_lattice.cli import MAX_DET_DIGITS, main
 from cf_lattice.intlinalg import det, identity, mat_mul, transpose
-from cf_lattice.plethysm import MAX_CHARACTER_WORK, ROW_STEPS
+from cf_lattice.plethysm import MAX_CHARACTER_WORK, MAX_DIGITS, ROW_STEPS
 
 
 def write_lattice(tmp_path, label, name=None):
@@ -553,6 +553,76 @@ def test_plethysm_integer_past_the_digit_limit_exits_2(capsys):
     code, _, err = run_exit(capsys, ["plethysm", "Sym^" + "9" * 5000 + "(V)"])
     assert code == 2
     assert "integer too long" in err
+
+
+_N = 10 ** 1000
+# labelled so that the test ids stay short
+_PLETHYSM_PAST_DIGITS = {
+    "Sym5": f"Sym^5(V^{_N})",  # coefficients of about 5,000 digits
+    "Sym40": f"Sym^40(V^{_N})",  # 40,000 digits: without the bound, 14 s, then a traceback
+    "multiple": f"Sym^1(V^{_N ** 3})^{_N ** 3}",  # a 6,000-digit multiple, no Sym^k past it
+}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("label", list(_PLETHYSM_PAST_DIGITS))
+def test_plethysm_past_the_digit_cap_exits_3(label, output, time_budget):
+    """A result whose multiplicities or dimension may pass MAX_DIGITS digits, past what
+    Python's str() takes, stops with one line in a fresh process: Sym^k before its
+    table is allocated, from the bound C(D + k - 1, k), D = sum |c|."""
+    result = run_fresh("--output", output, "plethysm", "--sl2", _PLETHYSM_PAST_DIGITS[label])
+    assert result["code"] == 3
+    assert not result["stdout"]
+    assert result["stderr"].count("\n") == 1
+    assert f"more than {MAX_DIGITS} digits" in result["stderr"]
+    assert "Traceback" not in result["stderr"]
+
+
+def test_plethysm_sym4_of_a_1001_digit_multiple_answers(capsys):
+    """Sym^4(V^N), N = 10^1000: the bound C(2N + 3, 4) has 4,000 digits, under the cap,
+    and the multiplicities and the dimension print in full, in text and in JSON."""
+    expression = f"Sym^4(V^{_N})"
+    code, out, _ = run(capsys, ["--output", "json", "plethysm", "--sl2", expression])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == comb(2 * _N + 3, 4)
+    assert [s["weight"] for s in doc["summands"]] == [4, 2, 0]
+    code, out, _ = run(capsys, ["plethysm", "--sl2", expression])
+    assert code == 0
+    assert out.endswith(f"(dim {comb(2 * _N + 3, 4)})\n")
+
+
+def _near_limit_expression(rng, atoms, depth=0):
+    """Sums, multiples and Sym^0..6 of `atoms`, multiplicities of up to 4,291 digits."""
+    if depth < 2 and rng.random() < 0.4:
+        return f"Sym^{rng.randint(0, 6)}({_near_limit_expression(rng, atoms, depth + 1)})"
+    term = rng.choice(atoms)
+    if rng.random() < 0.5:
+        term += f"^{rng.choice((1, 9)) * 10 ** rng.choice((0, 3, 500, 1000, 2000, 4290))}"
+    if rng.random() < 0.3:
+        term += "+" + _near_limit_expression(rng, atoms, depth + 1)
+    return term
+
+
+def test_plethysm_near_the_parse_limit_answers_or_exits_3(capsys):
+    """Seeded fuzz over both groups and both outputs: every expression either prints
+    (every integer under Python's str() limit) or exits 3 with one stderr line."""
+    rng = random.Random(11)
+    codes = []
+    for _ in range(300):
+        group, atoms = rng.choice([("--sl2", ["V", "C"]),
+                                   ("--sl3", ["V", "C", "Gamma_{1,0}", "Gamma_{1,1}"])])
+        argv = ["--output", rng.choice(["text", "json"]), "plethysm", group,
+                _near_limit_expression(rng, atoms)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert code in (0, 3), argv
+        assert out.err.count("\n") == (code == 3) and bool(out.out) == (code == 0)
+        codes.append(code)
+    assert codes.count(0) > 100 and codes.count(3) > 20
 
 
 def test_a_reader_closing_stdout_early_exits_141_without_a_traceback(tmp_path, time_budget):

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -19,7 +24,9 @@ from cf_lattice.intlinalg import (
     smith_normal_form,
     symmetric_bareiss,
 )
-from cf_lattice.lattices import cartan_gram
+from cf_lattice.lattices import cartan_gram, direct_sum, standard_lattice
+from cf_lattice.niemeier import entries_with_e_summand
+from cf_lattice.period import build_period_model
 
 
 def random_matrix(rng, n, m, bound=6):
@@ -140,6 +147,160 @@ def test_smith_normal_form_degenerate_shapes():
     assert smith_normal_form([[0, 3], [0, 0]])[0] == [3, 0]
     assert smith_normal_form([[]]) == ([], [[1]], [])
     assert smith_normal_form([]) == ([], [], [])
+
+
+def kannan_bachem_reference(a):
+    """The full-width loop: every divisibility fix-up adds column i+1 to column i
+    and runs full row and column passes over [M | P] and [M^T | Q^T] again."""
+    m = [list(r) for r in a]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    p, q = intlinalg.identity(nrows), intlinalg.identity(ncols)
+    if not nrows or not ncols:
+        return [], p, q
+    while True:
+        m, p = intlinalg._hermite_pass(m, p, ncols)
+        mt, qt = intlinalg._hermite_pass(intlinalg.transpose(m), intlinalg.transpose(q), nrows)
+        m, q = intlinalg.transpose(mt), intlinalg.transpose(qt)
+        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
+            continue
+        d = [m[i][i] for i in range(min(nrows, ncols))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
+            return d, p, q
+        for row in m + q:
+            row[i] += row[i + 1]
+
+
+_ADE_SUMMANDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A11", "D4", "D5", "D6",
+                 "D8", "D10", "E6", "E7", "E8")
+
+
+def _seeded_ade_gram(rng):
+    """The Gram of a seeded A-D-E sum of rank at most 24."""
+    labels, rank_ = [], 0
+    while not labels or rng.random() < 0.7:
+        label = rng.choice(_ADE_SUMMANDS)
+        if rank_ + int(label[1:]) > 24:
+            break
+        labels.append(label)
+        rank_ += int(label[1:])
+    return [list(r) for r in direct_sum(*(standard_lattice(x) for x in labels)).gram]
+
+
+def _signed_permutation(rng, g):
+    n = len(g)
+    perm = rng.sample(range(n), n)
+    sign = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[sign[i] * sign[j] * g[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _square_nonsingular_inputs():
+    """The Smith inputs on which the 2x2 fix-up must equal the full-width loop."""
+    grams = [[list(r) for r in direct_sum(*(standard_lattice(f"{f}{n}")
+                                            for f, n in e.root_system.components)).gram]
+             for e in entries_with_e_summand()]
+    core = build_period_model().core_lattice()
+    grams.append([list(r) for r in direct_sum(core, standard_lattice("E6")).gram])
+    rng = random.Random(1717)
+    for _ in range(40):
+        g = _seeded_ade_gram(rng)
+        grams.append(_signed_permutation(rng, g))
+        grams.append(_skewed(rng, g))
+    grams += [[[x * (i == j) for j in range(len(diag))] for i, x in enumerate(diag)]
+              for diag in ([4, 6, 9, 10], [6, 4], [-9, 6, 4], [2, 3, 5, 7, 11, 13],
+                           [12, 18, 8, 27, 10, 15, 6])]
+    for n in range(1, 7):
+        for _ in range(10):
+            a = random_matrix(rng, n, n)
+            while not det(a):
+                a = random_matrix(rng, n, n)
+            grams.append(a)
+    return grams
+
+
+def test_smith_normal_form_equals_the_full_width_loop_on_square_nonsingular_input(
+        monkeypatch, time_budget):
+    """d, P and Q item by item: the six Niemeier root sums, the rank-28 sum glued to
+    II_{26,2}, seeded A-D-E sums up to rank 24 in signed-permutation and skewed
+    bases, diagonals whose entries do not divide each other, and dense 1x1 to 6x6."""
+    inputs = _square_nonsingular_inputs()
+    assert [len(a) for a in inputs[:7]] == [24] * 6 + [28]
+    hermite_pass, passes = intlinalg._hermite_pass, []
+
+    def counted(m, t, width):
+        passes.append(len(t) < len(t[0]))  # two rows of a wider P or Q^T: a 2x2 block
+        return hermite_pass(m, t, width)
+
+    monkeypatch.setattr(intlinalg, "_hermite_pass", counted)
+    fixed_up = []
+    for a in inputs:
+        passes.clear()
+        out = smith_normal_form(a)
+        fixed_up.append(any(passes))
+        assert out == kannan_bachem_reference(a)
+    # six of the seven large sums, and over a third of all inputs, take a 2x2 fix-up
+    assert fixed_up[:7].count(True) == 6 and sum(fixed_up) > len(inputs) // 3
+    assert smith_normal_form([[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0], [0, 0, 0, 10]])[0] \
+        == [1, 2, 6, 180]
+
+
+def _unimodular(rng, n):
+    """3n seeded row steps row i += sign * row j on the n x n identity, n >= 2."""
+    u = intlinalg.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def test_smith_normal_form_meets_the_contract_on_singular_and_rectangular_input():
+    """Here P and Q may differ from the full-width loop's: only the contract and
+    sympy's invariant factors are checked, on non-dividing diagonals padded with
+    zero rows or columns in mixed bases, and on rank-deficient products."""
+    rng = random.Random(1718)
+    cases = []
+    for diag in ([4, 6, 9, 10], [6, 4], [2, 3, 5], [12, 18, 8]):
+        for extra_rows, extra_cols in ((1, 0), (0, 2), (2, 1), (1, 1)):
+            n, m = len(diag) + extra_rows, len(diag) + extra_cols
+            # square and singular when extra_rows == extra_cols
+            a = [[diag[i] if i == j and i < len(diag) else 0 for j in range(m)]
+                 for i in range(n)]
+            cases.append(intlinalg.mat_mul(intlinalg.mat_mul(_unimodular(rng, n), a),
+                                           _unimodular(rng, m)))
+    for _ in range(30):
+        n, m = rng.randint(2, 7), rng.randint(2, 7)
+        inner = rng.randint(1, min(n, m) - 1)
+        cases.append(intlinalg.mat_mul(random_matrix(rng, n, inner),
+                                       random_matrix(rng, inner, m)))
+    for a in cases:
+        _assert_smith(a, smith_normal_form(a))
+
+
+_PASS_COUNT_PROBE = """
+import json
+from cf_lattice import checks, intlinalg
+hermite_pass, counts = intlinalg._hermite_pass, {"full": 0, "block": 0}
+def counted(m, t, width):
+    # a pass over a 2x2 block carries two rows of P or Q^T; a full pass carries all of them
+    counts["block" if len(t) < len(t[0]) else "full"] += 1
+    return hermite_pass(m, t, width)
+intlinalg._hermite_pass = counted
+reports = checks.run_suite()
+print(json.dumps({"statuses": [r.status for r in reports], **counts}))
+"""
+
+
+def test_one_verify_makes_28_full_width_and_264_block_hermite_passes():
+    """From a fresh import, `run_suite` takes 14 Smith forms (ranks 6 to 28), none of
+    them 2x2: one round of full passes each, and 264 passes on 2x2 blocks for the
+    divisibility fix-ups. The full-width loop made 292 full passes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _PASS_COUNT_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(result.stdout)
+    assert got == {"statuses": ["pass"] * 12, "full": 28, "block": 264}
 
 
 def test_det_matches_fraction_elimination():

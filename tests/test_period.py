@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from cf_lattice.period import (
     monodromy_involution,
     realizable_determinants,
 )
-from cf_lattice.roots import identify_root_system, roots
+from cf_lattice.roots import _half, identify_root_system, roots
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +283,51 @@ def _split_named(name: str) -> E6Split:
 def _in_ambient(sub, coords):
     return tuple(sum(c * row[j] for c, row in zip(coords, sub.basis))
                  for j in range(sub.ambient.rank))
+
+
+def per_root_split_reference(lat, root_list) -> E6Split:
+    """The split that projects every root, r and -r alike, to E6^perp."""
+    e6sub = period.embed_e6(lat, root_list)
+    det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
+    basis_pairings = [intlinalg.mat_vec([list(r) for r in lat.gram], list(row))
+                      for row in e6sub.basis]
+    basis_cols = intlinalg.transpose(e6sub.basis)
+    in_e6, orthogonal, mixed_by_line = [], [], {}
+    for root in root_list:
+        pair = [sum(map(mul, bp, root)) for bp in basis_pairings]
+        if not any(pair):
+            orthogonal.append(root)
+            continue
+        coeffs = intlinalg.mat_vec(adj6, pair)
+        proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(root, basis_cols)]
+        if not any(proj):
+            in_e6.append(root)
+            continue
+        gg = gcd(*proj)
+        mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(root)
+    return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
+                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()})
+
+
+def _assert_same_split(lat, root_list):
+    split, ref = period.split_by_e6(lat, root_list), per_root_split_reference(lat, root_list)
+    assert split == ref
+    assert list(split.mixed_by_line) == list(ref.mixed_by_line)  # key order too
+
+
+@pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
+def test_split_equals_the_per_root_reference(name):
+    """One projection per +-pair: the same buckets, in the same order, as projecting
+    every root, on the walk's order (each r next to -r) and on a shuffled root
+    list where r and -r are not adjacent."""
+    lat = _split_named(name).lattice
+    root_list = list(roots(lat))
+    _assert_same_split(lat, root_list)
+    random.Random(len(root_list)).shuffle(root_list)
+    where = {r: i for i, r in enumerate(root_list)}
+    apart = sum(abs(where[r] - where[tuple(-x for x in r)]) > 1 for r in root_list)
+    assert apart > 0.9 * len(root_list)
+    _assert_same_split(lat, root_list)
 
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
