@@ -15,7 +15,7 @@ from cf_lattice.niemeier import (
     niemeier_table,
     overlattice,
 )
-from cf_lattice.roots import identify_root_system, roots
+from cf_lattice.roots import identify_root_system, root_components, roots
 
 print("the 24 rank-24 root systems (24h roots each):")
 for entry in niemeier_table():
@@ -37,7 +37,9 @@ print("\nboundary dictionary:")
 for entry in entries_with_e_summand():
     glued = construct_niemeier(entry)
     lat = glued.lattice
-    sub = embed_e6(lat, glued.roots)
+    e_component = next(halves for (family, _), halves in root_components(lat, glued.roots)
+                       if family == "E")
+    sub = embed_e6(lat, e_component)
     comp = orthogonal_complement(lat, sub)
     comp_lat = comp.lattice()
     label = identify_root_system(comp_lat, roots(comp_lat))

@@ -15,6 +15,9 @@ one place here that builds Fractions. `det` is the forward half of the same elim
 without the right block. Symmetric matrices have one fraction-free
 elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
 as pivots); `signature` and the Fincke-Pohst walk in `roots` both read it.
+`mat_mul` adds up scaled rows of its right factor over the nonzero entries
+of each left row, because the Grams, bases and transforms multiplied here
+are mostly zero.
 """
 from __future__ import annotations
 
@@ -30,9 +33,22 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a, b):
-    """Matrix product; works for int or Fraction entries."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """Matrix product; works for int or Fraction entries.
+
+    Row i of the product is the sum of the rows of b, row k scaled by a_ik,
+    over the nonzero a_ik only: the Grams and bases multiplied here are
+    mostly zero, so a sparse row costs a few row updates instead of one dot
+    product per column. A row of a with no nonzero entry gives int zeros.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):

@@ -13,12 +13,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import intlinalg
-from .intlinalg import hnf, kernel, smith_normal_form
+from .intlinalg import Matrix, hnf, kernel, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -51,6 +52,11 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
+        return self._det
+
+    @cached_property
+    def _det(self) -> int:
+        """det of the Gram, eliminated on the first `det` or `is_degenerate` of this object."""
         return intlinalg.det(self.gram)
 
     def is_even(self) -> bool:
@@ -109,15 +115,22 @@ class Sublattice:
     def is_degenerate(self) -> bool:
         return intlinalg.det(self.induced_gram()) == 0
 
+    @cached_property
+    def _coordinate_solver(self) -> tuple[Matrix, int, Matrix]:
+        """(B, det(B B^T), adj(B B^T)), built on the first `from_ambient` of this object."""
+        b = [list(r) for r in self.basis]
+        return (b, *intlinalg.adjugate(intlinalg.mat_mul(b, intlinalg.transpose(b))))
+
     def from_ambient(self, v: Vector) -> Vector:
         """Coordinates c with c * B = v in this basis B; error if v is not in the sublattice.
 
         In integers: det(B B^T) * c = (v * B^T) * adj(B B^T), B having independent rows.
+        The det and adjugate are paid once per sublattice object; the span and
+        integrality checks run on every call.
         """
         if len(v) != self.ambient.rank:
             raise ValueError("vector length does not match the ambient rank")
-        b = [list(r) for r in self.basis]
-        d, adj = intlinalg.adjugate(intlinalg.mat_mul(b, intlinalg.transpose(b)))
+        b, d, adj = self._coordinate_solver
         scaled = intlinalg.mat_vec(adj, intlinalg.mat_vec(b, list(v)))
         if any(sum(c * row[j] for c, row in zip(scaled, b)) != d * x for j, x in enumerate(v)):
             raise ValueError("vector does not lie in the sublattice span")
@@ -395,8 +408,7 @@ def discriminant_data(lat: Lattice) -> DiscriminantData:
 
 
 def genus_invariants(lat: Lattice) -> GenusInvariants:
-    if lat.is_degenerate():
-        raise DegenerateLatticeError("genus invariants require det != 0")
+    """Raises DegenerateLatticeError on a degenerate Gram, through `Lattice.signature`."""
     return GenusInvariants(
         rank=lat.rank,
         signature=lat.signature(),

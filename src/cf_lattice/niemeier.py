@@ -22,8 +22,8 @@ from .lattices import (
 )
 from .roots import (
     RootSystemLabel,
+    _half,
     ade_coxeter_number,
-    root_components,
     roots,
 )
 
@@ -240,21 +240,20 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
     raise RuntimeError(f"no valid glue found for {entry.root_system} (data or search bug)")
 
 
-def embed_e6(lat: Lattice, root_list) -> Sublattice:
-    """An E6 root subsystem inside an E_r component of the root system of L.
+def embed_e6(lat: Lattice, component) -> Sublattice:
+    """An E6 root subsystem among the roots of one E_r component of L.
 
-    `root_list` must be all the roots of L, as `roots(lat)` returns them or
-    as a `construct_niemeier` result carries them; they are not enumerated
-    again, and the result depends on their order. Greedy Dynkin-subgraph
-    search over the roots of the chosen component; the returned basis
+    `component` holds the roots of that component, all of them or one of
+    each +-pair, as `root_components` returns them; they are not enumerated
+    again. The search never needs the other components: they are orthogonal
+    to this one, so an E6 (connected, hence irreducible) lies in one
+    component. Greedy Dynkin-subgraph search over the component's halves in
+    lexicographic order, each followed by its negative; the returned basis
     consists of six simple roots, so the induced Gram is the E6 Cartan
-    matrix exactly.
+    matrix exactly. Raises ValueError if the roots hold no E6.
     """
-    halves = next((vectors for (family, _), vectors in root_components(lat, root_list)
-                   if family == "E"), None)
-    if halves is None:
-        raise ValueError("root system of the input has no E_r component")
-    component_roots = [u for v in halves for u in (v, tuple(-x for x in v))]
+    component_roots = [u for v in sorted(set(map(_half, component)))
+                       for u in (v, tuple(-x for x in v))]
     g = [list(r) for r in lat.gram]
     target = standard_lattice("E6").gram
     chosen: list[Vector] = []
@@ -274,5 +273,5 @@ def embed_e6(lat: Lattice, root_list) -> Sublattice:
         return False
 
     if not extend(0):
-        raise RuntimeError("no E6 subsystem found (bug: component census said E_r)")
+        raise ValueError("no E6 subsystem among the given roots")
     return Sublattice(lat, tuple(chosen))

@@ -48,6 +48,7 @@ from .roots import (
     _half,
     find_long_root,
     identify_root_system,
+    root_components,
     roots,
 )
 
@@ -353,12 +354,14 @@ def classify_boundary_components() -> tuple[BoundaryComponent, ...]:
     """The six complement root systems from the six E-containing rank-24 lattices.
 
     The roots of E6^perp in L are by definition the roots of L orthogonal to
-    E6, so each label is read off `split.orthogonal`, in L's coordinates.
+    E6, so each label is `split.complement`, the root system of
+    `split.orthogonal`: the components of L other than the one holding E6,
+    which are orthogonal to it, plus the roots of that component orthogonal
+    to E6. No root is identified again here.
     """
     by_system = {}
     for entry, _, split in niemeier_e6_stage():
-        label = identify_root_system(split.lattice, split.orthogonal)
-        by_system[str(label)] = str(entry.root_system)
+        by_system[str(split.complement)] = str(entry.root_system)
     components = []
     for label in sorted(BOUNDARY_MATCHING):
         system = BOUNDARY_MATCHING[label]
@@ -434,11 +437,12 @@ class E6Split:
     `in_e6`: the roots in the rational span of E6. `orthogonal`: the roots of
     E6^perp. `mixed_by_line`: every other root, keyed by the primitive vector
     w on the line of its projection to E6^perp (first nonzero coordinate
-    positive), in order of first appearance. The roots of the saturation of
-    E6 + Zw, those of L in E6 (x) Q + Qw, are `in_e6` plus `mixed_by_line[w]`,
-    since no orthogonal root r lies on a mixed line: else some mixed root is
-    m = e + t r with e != 0 in E6*, and 2t = m.r in Z with m.m = e.e + 2t^2 = 2
-    forces t = +-1/2 and e.e = 3/2, but the norms of E6* lie in 2Z or 4/3 + 2Z.
+    positive), in order of first appearance. `complement`: the root system
+    of `orthogonal`. The roots of the saturation of E6 + Zw, those of L in
+    E6 (x) Q + Qw, are `in_e6` plus `mixed_by_line[w]`, since no orthogonal
+    root r lies on a mixed line: else some mixed root is m = e + t r with
+    e != 0 in E6*, and 2t = m.r in Z with m.m = e.e + 2t^2 = 2 forces
+    t = +-1/2 and e.e = 3/2, but the norms of E6* lie in 2Z or 4/3 + 2Z.
     """
 
     lattice: Lattice
@@ -446,10 +450,17 @@ class E6Split:
     in_e6: tuple
     orthogonal: tuple
     mixed_by_line: dict      # line -> tuple of roots
+    complement: RootSystemLabel
 
     @property
     def mixed_lines(self) -> tuple:
         return tuple(sorted(self.mixed_by_line))
+
+    @property
+    def root_count(self) -> int:
+        """The number of roots split: every root of the lattice."""
+        return (len(self.in_e6) + len(self.orthogonal)
+                + sum(map(len, self.mixed_by_line.values())))
 
     def saturation_roots(self, line) -> tuple:
         """The roots of the saturation of E6 + Z line, a lattice of rank 7."""
@@ -459,21 +470,36 @@ class E6Split:
 def split_by_e6(lat: Lattice, root_list) -> E6Split:
     """Embed E6 in lat and split `root_list`, all roots of lat, relative to it.
 
-    The roots are not enumerated again. The projection of a root r to E6^perp
-    is computed in integers, scaled by det(G6) > 0: det(G6) * r -
+    The roots are not enumerated again, and they are split into irreducible
+    components once (`root_components`). E6 is embedded in the first E_r
+    component (`embed_e6`). Roots of different components are orthogonal
+    (each is a nonnegative combination of its component's simple roots, and
+    simple roots of different components are orthogonal), and E6 lies in
+    the span of its own component, so every root of another component is
+    orthogonal to E6 without a pairing. Only the E_r component is
+    projected: the projection of a root r to E6^perp is computed in
+    integers, scaled by det(G6) > 0: det(G6) * r -
     (adj(G6) * pairings) . basis, with adj(G6) = det(G6) * G6^-1; a positive
     scale leaves the line unchanged. r and -r have negated pairings and
     projections, so they fall in the same bucket: the pairings, projection
     and line are computed once per `_half(r)`, and every root is appended to
-    its bucket in input order.
+    its bucket in input order. The complement root system is the other
+    components' labels plus that of the E_r component's roots orthogonal to
+    E6 (none, A1 or A2 for r = 6, 7, 8).
     """
-    e6sub = embed_e6(lat, root_list)
+    components = root_components(lat, root_list)
+    e_index = next((i for i, ((family, _), _) in enumerate(components) if family == "E"), None)
+    if e_index is None:
+        raise ValueError("root system of the input has no E_r component")
+    e6sub = embed_e6(lat, components[e_index][1])
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
     basis_cols = intlinalg.transpose(e6sub.basis)
     in_e6, orthogonal, mixed_by_line = [], [], {}
-    bucket_of_half = {}
+    bucket_of_half = {v: orthogonal for i, (_, halves) in enumerate(components)
+                      if i != e_index for v in halves}
+    inner_orthogonal = []  # halves of the E_r component orthogonal to E6
     for root in root_list:
         half = _half(root)
         bucket = bucket_of_half.get(half)
@@ -481,6 +507,7 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
             pair = [sum(map(mul, bp, half)) for bp in basis_pairings]
             if not any(pair):
                 bucket = orthogonal
+                inner_orthogonal.append(half)
             else:
                 coeffs = intlinalg.mat_vec(adj6, pair)
                 proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(half, basis_cols)]
@@ -491,8 +518,11 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
                     bucket = mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), [])
             bucket_of_half[half] = bucket
         bucket.append(root)
+    outside = [label for i, (label, _) in enumerate(components) if i != e_index]
+    inside = identify_root_system(lat, inner_orthogonal).components
     return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
-                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()})
+                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()},
+                   complement=RootSystemLabel(tuple(sorted(outside + list(inside)))))
 
 
 @lru_cache(maxsize=1)

@@ -538,6 +538,41 @@ def test_mat_mul_and_mat_vec_match_sympy(kind, n, k, m):
             assert all(type(x) is int for row in product_ for x in row)
 
 
+def _zip_sum_mat_mul(a, b):
+    """The product as one dot product per row-column pair: the reference body."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _sparse(rng, n, m, density, kind):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = rng.choice([c for c in range(-9, 10) if c])
+        return Fraction(x, rng.randint(1, 5)) if kind == "fraction" else x
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_mat_mul_matches_the_zip_sum_product(kind):
+    """Seeded: sparse, dense, rectangular and zero-width factors, int or Fraction
+    entries, including rows of a with no nonzero entry; the scaled-row product
+    equals the one that takes a dot product for every row-column pair."""
+    rng = random.Random(1811 if kind == "int" else 1812)
+    shapes = [(24, 24, 24), (7, 3, 11), (1, 9, 2), (5, 1, 5), (4, 6, 0), (3, 0, 0), (0, 4, 3)]
+    for n, k, m in shapes:
+        for density in (0.0, 0.1, 0.35, 0.9, 1.0):
+            a, b = _sparse(rng, n, k, density, kind), _sparse(rng, k, m, density, kind)
+            product_ = intlinalg.mat_mul(a, b)
+            assert product_ == _zip_sum_mat_mul(a, b)
+            assert len(product_) == n and all(len(row) == m for row in product_)
+            if kind == "int":
+                assert all(type(x) is int for row in product_ for x in row)
+    a = _sparse(rng, 6, 6, 0.5, kind)
+    assert intlinalg.mat_mul(a, intlinalg.identity(6)) == a == intlinalg.mat_mul(
+        intlinalg.identity(6), a)
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction"])
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 def test_lattice_inner_matches_sympy(kind, n):

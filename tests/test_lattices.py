@@ -435,6 +435,14 @@ def test_genus_invariants_examples():
     assert i212.disc.is_trivial()
 
 
+@pytest.mark.parametrize("gram", [((0,),), ((2, 2), (2, 2)), ((0, 1, 1), (1, 0, 1), (1, 1, 2))])
+def test_genus_invariants_reject_degenerate_grams(gram):
+    """A degenerate Gram has no signature pair, so `Lattice.signature` raises, and
+    no determinant is taken first."""
+    with pytest.raises(DegenerateLatticeError):
+        genus_invariants(Lattice(gram))
+
+
 def test_vector_divisibility():
     e8 = standard_lattice("E8")
     assert vector_divisibility(e8, (1, 0, 0, 0, 0, 0, 0, 0)) == 1

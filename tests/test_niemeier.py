@@ -25,7 +25,7 @@ from cf_lattice.niemeier import (
     overlattice,
 )
 from cf_lattice.period import build_period_model
-from cf_lattice.roots import _enumerate_norm, identify_root_system, roots
+from cf_lattice.roots import _enumerate_norm, identify_root_system, root_components, roots
 
 
 def test_table_has_24_entries_with_census_invariant():
@@ -262,9 +262,13 @@ def test_embed_e6_gives_cartan_gram():
     e6_cartan = standard_lattice("E6").gram
     for name in ("E8^3", "E6^4", "A17+E7"):
         entry = next(e for e in niemeier_table() if str(e.root_system) == name)
-        lat = construct_niemeier(entry).lattice
-        sub = embed_e6(lat, roots(lat))
+        glued = construct_niemeier(entry)
+        lat = glued.lattice
+        component = next(halves for (family, _), halves in root_components(lat, glued.roots)
+                         if family == "E")
+        sub = embed_e6(lat, component)
         assert sub.induced_gram() == e6_cartan
+        assert set(sub.basis) <= set(component) | {tuple(-x for x in v) for v in component}
 
 
 def test_embed_e6_into_e8_directly():

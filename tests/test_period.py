@@ -31,7 +31,7 @@ from cf_lattice.period import (
     monodromy_involution,
     realizable_determinants,
 )
-from cf_lattice.roots import _half, identify_root_system, roots
+from cf_lattice.roots import _half, identify_root_system, root_components, roots
 
 
 @pytest.fixture(scope="module")
@@ -255,12 +255,12 @@ print(json.dumps({
 
 
 def test_suite_walks_each_lattice_once_and_passes_roots_on():
-    """From a fresh import, `run_suite` walks 10 distinct Grams, each once, and looks
-    the short-vector table up again at most 3 times: the Niemeier lattices and E8
-    hand their roots to the E6 splits, and the complement and E7 saturation root
-    systems are read off the splits instead of walked. The 10 walks are E8, the
-    six Niemeier lattices and E6, E7, E6+A1; the hits are the pairwise E8
-    saturations of intersection-codims."""
+    """From a fresh import, `run_suite` walks 10 distinct Grams, each once, and never
+    looks the short-vector table up again: the Niemeier lattices and E8 hand their
+    roots to the E6 splits, and the complement and E7 saturation root systems are
+    read off the splits instead of walked. The 10 walks are E8, the six Niemeier
+    lattices and E6, E7, E6+A1. The pairwise E8 saturations of intersection-codims
+    have the identity basis, so their roots are those of the E8 split."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -269,8 +269,43 @@ def test_suite_walks_each_lattice_once_and_passes_roots_on():
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
     assert got["misses"] == 10
-    assert got["hits"] <= 3
+    assert got["hits"] == 0
     assert got["roots_match"] == [True] * 6
+
+
+_ROOT_COMPONENTS_PROBE = """
+import importlib
+import json
+from cf_lattice import checks, period
+roots = importlib.import_module("cf_lattice.roots")  # the package's `roots` is the function
+original = roots.root_components
+sizes = []
+
+def counted(lat, root_list):
+    root_list = list(root_list)
+    sizes.append(len(root_list))
+    return original(lat, root_list)
+
+roots.root_components = period.root_components = counted
+reports = checks.run_suite()
+print(json.dumps({"statuses": [r.status for r in reports], "sizes": sizes}))
+"""
+
+
+def test_suite_splits_each_root_system_into_components_once():
+    """From a fresh import, `run_suite` runs `root_components` on more than 6 roots
+    exactly 7 times: once for each of the six Niemeier lattices and E8, inside
+    `split_by_e6`. The complement root systems come from those components; the
+    only other calls identify the at most 6 roots of the E_r component that are
+    orthogonal to E6."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _ROOT_COMPONENTS_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(result.stdout)
+    assert got["statuses"] == ["pass"] * 12
+    assert sorted(n for n in got["sizes"] if n > 6) == [240, 288, 288, 432, 432, 720, 720]
 
 
 def _split_named(name: str) -> E6Split:
@@ -286,8 +321,11 @@ def _in_ambient(sub, coords):
 
 
 def per_root_split_reference(lat, root_list) -> E6Split:
-    """The split that projects every root, r and -r alike, to E6^perp."""
-    e6sub = period.embed_e6(lat, root_list)
+    """The split that projects every root, r and -r alike, to E6^perp, each
+    component included, and identifies the complement from the orthogonal roots."""
+    e_component = next(halves for (family, _), halves in root_components(lat, root_list)
+                       if family == "E")
+    e6sub = period.embed_e6(lat, e_component)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     basis_pairings = [intlinalg.mat_vec([list(r) for r in lat.gram], list(row))
                       for row in e6sub.basis]
@@ -306,7 +344,8 @@ def per_root_split_reference(lat, root_list) -> E6Split:
         gg = gcd(*proj)
         mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(root)
     return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
-                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()})
+                   mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()},
+                   complement=identify_root_system(lat, orthogonal))
 
 
 def _assert_same_split(lat, root_list):
@@ -342,7 +381,7 @@ def test_split_agrees_with_complement_and_saturation_lattices(name):
     comp_roots = roots(comp_lat)
     assert len(comp_roots) == len(split.orthogonal)
     assert (identify_root_system(comp_lat, comp_roots)
-            == identify_root_system(lat, split.orthogonal))
+            == identify_root_system(lat, split.orthogonal) == split.complement)
     for w in split.mixed_lines:
         sat = saturation(lat, span_sublattice(lat, [*split.e6.basis, w]))
         assert sat.rank == 7
