@@ -56,7 +56,7 @@ print("acts as -1 on the complement:",
 # On the order-3 discriminant group the plain reflection switches the two
 # nonzero elements, which is exactly why it is excluded from the stable
 # orthogonal group while its negative is allowed in.
-core = model.core_lattice()
+core = model.core_lattice
 s_delta = reflection(core, model.core.from_ambient(delta))
 act = disc_action(core, s_delta)
 print("\ndiscriminant action of s_delta:", act.matrix, "| trivial:", act.is_trivial())

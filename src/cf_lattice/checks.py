@@ -27,7 +27,6 @@ from . import intlinalg, period, plethysm, spectra
 from .lattices import (
     Sublattice,
     direct_sum,
-    discriminant_data,
     genus_invariants,
     orthogonal_complement,
     saturation,
@@ -42,8 +41,7 @@ from .roots import disc_action, reflection, roots
 
 def _check_model_build() -> VerificationReport:
     model = period.build_period_model()
-    core_lat = model.core_lattice()
-    disc = discriminant_data(core_lat).form
+    core_lat = model.core_lattice
     expected = {"polarization_square": 3, "complement_even": True,
                 "complement_signature": [20, 2], "complement_disc": [3],
                 "long_root_norm": 6, "long_root_divisibility_by_3": True}
@@ -54,7 +52,7 @@ def _check_model_build() -> VerificationReport:
         "polarization_square": ambient.inner(h, h),
         "complement_even": core_lat.is_even(),
         "complement_signature": list(core_lat.signature()),
-        "complement_disc": list(disc.invariant_factors),
+        "complement_disc": list(model.core_disc.form.invariant_factors),
         "long_root_norm": ambient.norm(delta),
         "long_root_divisibility_by_3": vector_divisibility(
             core_lat, model.core.from_ambient(delta)) % 3 == 0,
@@ -129,7 +127,7 @@ def _check_monodromy() -> VerificationReport:
                                   "negated": ambient.rank - intlinalg.rank(plus)}
     expected["determinant"] = -1
     actual["determinant"] = g.det()
-    core_lat = model.core_lattice()
+    core_lat = model.core_lattice
     refl = reflection(core_lat, model.core.from_ambient(delta))
     expected["disc_action_nontrivial"] = True
     actual["disc_action_nontrivial"] = not disc_action(core_lat, refl).is_trivial()

@@ -4,7 +4,8 @@ Subcommands: lattice, roots, niemeier, plethysm, spectra, verify.
 Exit codes: 0 success; for `verify`, the number of failed checks; 2 for
 usage or parse errors; 3 for precondition violations (degenerate lattice,
 indefinite or over-cap enumeration input, a Gram whose determinant may
-pass MAX_DET_DIGITS, out-of-range parameters, virtual characters,
+pass MAX_DET_DIGITS, a result holding an integer of MAX_DET_DIGITS digits or
+more, out-of-range parameters, virtual characters,
 characters past the plethysm work cap or whose multiplicities may pass
 plethysm.MAX_DIGITS); 141 when the reader of stdout closes it early.
 """
@@ -35,10 +36,11 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
-# `lattice info` and `disc` print |det G| and integers below it, and Python
-# refuses str() of an int past 4,300 digits: a Gram whose Hadamard bound on
-# |det G| reaches 10^MAX_DET_DIGITS exits 3 before any elimination
+# Python refuses str() of an int past 4,300 digits: a Gram whose Hadamard bound
+# on |det G| reaches 10^MAX_DET_DIGITS exits 3 before `lattice info|disc` runs
+# any elimination, and any result holding an int that long before it is printed
 MAX_DET_DIGITS = 4_000
+_MAX_BITS = (10 ** MAX_DET_DIGITS).bit_length()  # 2^b >= 10^D exactly when b reaches it
 
 
 def _non_negative_int(text: str) -> int:
@@ -96,7 +98,26 @@ def _fqf_summary(form):
     return out
 
 
+def _widest_int_bits(doc) -> int:
+    """The largest bit length of an int in a document of dicts, lists and scalars."""
+    if isinstance(doc, int):
+        return doc.bit_length()
+    if isinstance(doc, dict):
+        doc = doc.values()
+    elif not isinstance(doc, (list, tuple)):
+        return 0
+    try:  # a flat list of ints, such as a vector or a Gram row, in one C-level pass
+        return max(map(int.bit_length, doc), default=0)
+    except TypeError:  # a string or a container among the items
+        return max(map(_widest_int_bits, doc), default=0)
+
+
 def _emit(doc, args) -> None:
+    if _widest_int_bits(doc) >= _MAX_BITS:
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        raise _fail(EXIT_PRECONDITION,
+                    f"{command}: the result holds an integer of {MAX_DET_DIGITS} digits "
+                    "or more, past what this command prints")
     if args.output == "json":
         print(json.dumps(jsonable(doc), sort_keys=True))
     else:
@@ -166,9 +187,7 @@ def _inline(v, room: int) -> str | None:
 
 def _cmd_lattice(args) -> int:
     lat = _load_lattice(args.file)
-    # 2^b >= 10^D exactly when b reaches the bit length of 10^D
-    if (args.action in ("info", "disc")
-            and hadamard_bits(lat.gram) >= (10 ** MAX_DET_DIGITS).bit_length()):
+    if args.action in ("info", "disc") and hadamard_bits(lat.gram) >= _MAX_BITS:
         raise _fail(EXIT_PRECONDITION,
                     f"lattice {args.action}: Hadamard's bound on |det G| has more than "
                     f"{MAX_DET_DIGITS} digits, past what this command prints")

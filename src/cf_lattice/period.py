@@ -22,6 +22,7 @@ from operator import mul
 
 from . import intlinalg
 from .lattices import (
+    DiscriminantData,
     Lattice,
     Sublattice,
     Vector,
@@ -55,15 +56,17 @@ from .roots import (
 
 @dataclass(frozen=True)
 class PeriodModel:
-    """The ambient lattice, the polarization, its complement, and a long root."""
+    """The ambient lattice, the polarization h, its complement h^perp and a long root.
+
+    `build_period_model` builds each lattice once; callers read these fields.
+    """
 
     ambient: Lattice
     polarization: Vector
-    core: Sublattice          # orthogonal complement of the polarization
-    long_root: Vector         # ambient coordinates; (h + delta)/3 is integral
-
-    def core_lattice(self) -> Lattice:
-        return self.core.lattice(name="polarization complement")
+    core: Sublattice               # orthogonal complement of the polarization
+    core_lattice: Lattice          # the Gram of `core`: even, (20,2)
+    core_disc: DiscriminantData    # of `core_lattice`: Z/3
+    long_root: Vector              # ambient coordinates; (h + delta)/3 is integral
 
 
 class ModelError(AssertionError):
@@ -78,16 +81,17 @@ def build_period_model() -> PeriodModel:
     if ambient.inner(h, h) != 3:
         raise ModelError("polarization square is not 3")
     core = orthogonal_complement(ambient, span_sublattice(ambient, [h]))
-    core_lat = core.lattice()
+    core_lat = core.lattice(name="polarization complement")
     if not core_lat.is_even():
         raise ModelError("polarization complement is not even")
     if core_lat.signature() != (20, 2):
         raise ModelError("polarization complement has wrong signature")
-    disc = discriminant_data(core_lat).form
-    if disc.invariant_factors != (3,):
+    disc = discriminant_data(core_lat)
+    if disc.form.invariant_factors != (3,):
         raise ModelError("discriminant group of the complement is not Z/3")
     delta = find_long_root(ambient, h)
-    return PeriodModel(ambient=ambient, polarization=h, core=core, long_root=delta)
+    return PeriodModel(ambient=ambient, polarization=h, core=core, core_lattice=core_lat,
+                       core_disc=disc, long_root=delta)
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,7 @@ def classify_hyperplane(model: PeriodModel, v: Vector) -> HyperplaneClass:
     if family == H_INFINITY:
         if ambient.norm(v) != 6:
             raise AssertionError("determinant-2 class whose vector is not of norm 6")
-        core_lat = model.core_lattice()
-        if vector_divisibility(core_lat, model.core.from_ambient(v)) % 3:
+        if vector_divisibility(model.core_lattice, model.core.from_ambient(v)) % 3:
             raise AssertionError("determinant-2 class whose vector is not 3-divisible")
     return HyperplaneClass(sublattice=m, det=d, family=family)
 
@@ -230,7 +233,7 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
         # span(h, v) in its saturation is the gcd of the 2x2 minors
         vsq = sum(v[i] * v[i] * diag[i] for i in range(n))
         if vsq <= 0:
-            return
+            return  # past here h.h = 3 > 0, v.v > 0 and v.h = 0: the witness is definite
         minor_gcd = 0
         for i in range(n):
             for j in range(i + 1, n):
@@ -249,8 +252,7 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
         cls = classify_hyperplane(model, v)
         if cls.det != d_fast:
             raise AssertionError("minor-gcd determinant disagrees with saturation (bug)")
-        if _is_pos_def_rank2(cls):
-            realized[cls.det] = {"vector": v, "det": cls.det, "family": cls.family}
+        realized[cls.det] = {"vector": v, "det": cls.det, "family": cls.family}
 
     for radius in range(1, search_bound + 1):
         coeff_range = [c for c in range(-radius, radius + 1) if c]
@@ -277,11 +279,6 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
     unrealized = tuple(d for d in wanted if d not in realized)
     return DeterminantSearch(lo=lo, hi=hi, realized=realized, impossible=impossible,
                              unrealized_at_bound=unrealized, drawn=drawn)
-
-
-def _is_pos_def_rank2(cls: HyperplaneClass) -> bool:
-    g = cls.sublattice.induced_gram()
-    return g[0][0] > 0 and intlinalg.det(g) > 0
 
 
 def monodromy_involution(model: PeriodModel) -> Isometry:
@@ -382,7 +379,6 @@ class UnimodularExtension:
     """The even unimodular (26,2) lattice glued from the core and E6."""
 
     lattice: Lattice
-    core_image: Sublattice
     e6_image: Sublattice
     core_disc_q: Fraction
     e6_disc_q: Fraction
@@ -394,38 +390,30 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
     The two discriminant forms are anti-isometric (q = 2/3 and 4/3 mod 2Z),
     so a diagonal isotropic Z/3 exists; the overlattice is even unimodular
     of signature (26, 2), and E6 lands as the orthogonal complement of the
-    core inside it.
+    core inside it. The core and its form are the model's own. The glued
+    lattice is named before its complement is taken, so that complement's
+    nondegeneracy check pays the det that `lattice.det()` returns.
     """
-    core_lat = model.core_lattice()
+    core_lat = model.core_lattice
     e6 = standard_lattice("E6")
     total = direct_sum(core_lat, e6)
-    core_q = discriminant_data(core_lat).form.q[0]
     e6_q = discriminant_data(e6).form.q[0]
     data = discriminant_data(total)
     subgroup = next(isotropic_subgroups(data, 3), None)
     if subgroup is None:
         raise AssertionError("no isotropic Z/3 in the glued discriminant (bug)")
     glued = overlattice(total, data, [next(e for e in subgroup if any(e))])
-    lat = glued.lattice
+    lat = Lattice(glued.lattice.gram, name="II_{26,2}")
     unimodular = glued.glue_order ** 2 == data.form.order
     if not lat.is_even() or not unimodular or lat.signature() != (26, 2):
         raise AssertionError("glued lattice is not even unimodular of signature (26,2)")
     n_core = core_lat.rank
-    core_rows = glued.old_in_new[:n_core]
-    e6_rows = glued.old_in_new[n_core:]
-    core_image = Sublattice(lat, core_rows)
-    e6_image = Sublattice(lat, e6_rows)
-    comp = orthogonal_complement(lat, core_image)
+    e6_image = Sublattice(lat, glued.old_in_new[n_core:])
+    comp = orthogonal_complement(lat, Sublattice(lat, glued.old_in_new[:n_core]))
     if saturation(lat, e6_image).basis != comp.basis:
         raise AssertionError("E6 image is not the complement of the core image")
-    renamed = Lattice(lat.gram, name="II_{26,2}")
-    return UnimodularExtension(
-        lattice=renamed,
-        core_image=Sublattice(renamed, core_rows),
-        e6_image=Sublattice(renamed, e6_rows),
-        core_disc_q=core_q,
-        e6_disc_q=e6_q,
-    )
+    return UnimodularExtension(lattice=lat, e6_image=e6_image,
+                               core_disc_q=model.core_disc.form.q[0], e6_disc_q=e6_q)
 
 
 # -- Roots split by an embedded E6 ------------------------------------------------

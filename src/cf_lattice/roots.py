@@ -28,14 +28,7 @@ from math import isqrt, lcm
 from operator import mul, neg, sub
 
 from . import intlinalg
-from .lattices import (
-    Lattice,
-    Vector,
-    check_ade,
-    orthogonal_complement,
-    span_sublattice,
-    vector_divisibility,
-)
+from .lattices import Lattice, Vector, check_ade
 
 _ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
                 "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
@@ -114,7 +107,8 @@ class Isometry:
     def __post_init__(self):
         m = [list(r) for r in self.matrix]
         g = [list(r) for r in self.lattice.gram]
-        mtgm = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.transpose(m), g), m)
+        # M^T (G M): the sparse Gram is the left factor of the first product
+        mtgm = intlinalg.mat_mul(intlinalg.transpose(m), intlinalg.mat_mul(g, m))
         if mtgm != g:
             raise ValueError("matrix does not preserve the Gram matrix")
 
@@ -415,6 +409,9 @@ def find_long_root(lam: Lattice, h: Vector, bound: int = 6) -> Vector:
     Searches for v with v.v = 1 and v.h = 1 over vectors of small support and
     bounded coefficients, then takes delta = 3v - h, which automatically makes
     h + delta divisible by 3. Deterministic: first hit in canonical order.
+    The 3-divisibility needs no complement: h + delta = 3w for an integral
+    w, so x.delta = 3 (x.w) - x.h = 3 (x.w) for every x orthogonal to h, on
+    any integral lattice.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -444,14 +441,10 @@ def find_long_root(lam: Lattice, h: Vector, bound: int = 6) -> Vector:
 
 
 def _check_long_root(lam: Lattice, h: Vector, delta: Vector) -> None:
+    """Orthogonal to h, norm 6, h + delta divisible by 3: so 3-divisible on h-perp."""
     if lam.inner(delta, h) != 0:
         raise AssertionError("long root candidate is not orthogonal to h")
     if lam.norm(delta) != 6:
         raise AssertionError("long root candidate has wrong norm")
     if any((a + b) % 3 for a, b in zip(h, delta)):
         raise AssertionError("h + delta is not divisible by 3")
-    comp = orthogonal_complement(lam, span_sublattice(lam, [h]))
-    core = comp.lattice()
-    delta_in = comp.from_ambient(delta)
-    if vector_divisibility(core, delta_in) % 3:
-        raise AssertionError("long root candidate has divisibility not divisible by 3")

@@ -35,7 +35,7 @@ def test_criterion_01_lattice_model():
     model = period.build_period_model()
     amb, h = model.ambient, model.polarization
     assert amb.inner(h, h) == 3
-    core = model.core_lattice()
+    core = model.core_lattice
     assert core.is_even()
     assert core.signature() == (20, 2)
     assert discriminant_data(core).form.invariant_factors == (3,)
@@ -193,7 +193,7 @@ def test_criterion_11_property_suites():
         glued = construct_niemeier(entry)
         assert abs(glued.lattice.det()) * glued.glue_order ** 2 == abs(base.det())
     ext = period.glue_unimodular_26_2(period.build_period_model())
-    core = period.build_period_model().core_lattice()
+    core = period.build_period_model().core_lattice
     assert abs(ext.lattice.det()) * 9 == abs(core.det()) * abs(
         standard_lattice("E6").det())
     _report(11, 30, t0, "reflection/disc-order/symmetry/index-law property suites")

@@ -677,6 +677,67 @@ def test_lattice_determinant_under_the_digit_cap_answers(tmp_path, capsys):
     assert doc["disc"]["order"] == det
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_lattice_complement_past_the_digit_cap_exits_3(tmp_path, output):
+    """On [[2B, 1], [1, 2B + 2]] with B = 10^3000 + 7 the complement of e1 is spanned
+    by (1, -2B), whose norm has about 9,000 digits: the command stops with one line,
+    in a fresh process, before the result is formatted."""
+    b = 10 ** 3000 + 7
+    path = tmp_path / "wide_complement.json"
+    path.write_text(json.dumps({"gram": [[str(2 * b), 1], [1, str(2 * b + 2)]]}))
+    result = run_fresh("--output", output, "lattice", "complement", str(path),
+                       "--rows", "[[1, 0]]")
+    assert result["code"] == 3
+    assert not result["stdout"]
+    assert result["stderr"].count("\n") == 1
+    assert f"{MAX_DET_DIGITS} digits or more" in result["stderr"]
+    assert "Traceback" not in result["stderr"]
+
+
+def _near_limit_entry(rng):
+    """A decimal string of 1 to 4,301 digits: the 4,301-digit ones pass the parse limit."""
+    digits = rng.choice((1, 2, 3, 1000, 2000, 3000, 4290, 4301))
+    if digits == 1:
+        return str(rng.randint(-4, 4))
+    return (rng.choice(("", "-")) + str(rng.randint(1, 9)) + "0" * (digits - 2)
+            + str(rng.randint(0, 9)))
+
+
+def test_lattice_and_roots_near_the_parse_limit_answer_or_exit_2_or_3(tmp_path, capsys):
+    """Seeded fuzz over `lattice info|disc|complement|saturate` and `roots`, both
+    outputs, symmetric Grams of rank 1-3 with entries of up to 4,301 digits: every
+    input prints, or exits 2 or 3 with one stderr line. The code before the guard in
+    `cli._emit` raised ValueError on about 4% of such inputs."""
+    rng = random.Random(19)
+    path = tmp_path / "near_limit.json"
+    codes = []
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = _near_limit_entry(rng)
+        path.write_text(json.dumps({"gram": gram}))
+        action = rng.choice(["info", "disc", "complement", "saturate", "roots"])
+        argv = ["--output", rng.choice(["text", "json"])]
+        if action == "roots":
+            argv += ["roots", str(path), "--norm", str(rng.randint(1, 6))]
+        else:
+            argv += ["lattice", action, str(path)]
+        if action in ("complement", "saturate"):
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            argv += ["--rows", json.dumps(rows)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert code in (0, 2, 3), (argv, gram)
+        assert out.err.count("\n") == (code != 0) and bool(out.out) == (code == 0)
+        codes.append(code)
+    assert min(codes.count(0), codes.count(2), codes.count(3)) > 40
+
+
 def test_hadamard_bits_bounds_the_determinant():
     """|det G| <= 2^b on seeded Grams of rank 1-6 with entries of up to 40 digits, and
     b is at most one bit per row past the exact Hadamard bound: 4^b <= 4^n prod |g_i|^2."""

@@ -203,7 +203,7 @@ def test_overlattice_matches_the_fraction_reference_on_e6_a2_and_26_2_glues():
     with pytest.raises(GlueError, match="not integral"):
         overlattice(base, data, [x, y])
     assert glue_both_ways(base, data, [x, y]) == (GlueError, GlueError)
-    total = direct_sum(build_period_model().core_lattice(), standard_lattice("E6"))
+    total = direct_sum(build_period_model().core_lattice, standard_lattice("E6"))
     data = discriminant_data(total)
     subgroup = next(isotropic_subgroups(data, 3))
     new, ref = glue_both_ways(total, data, [next(e for e in subgroup if any(e))])
@@ -379,7 +379,7 @@ def test_overlattice_matches_the_bareiss_reference_on_the_niemeier_and_26_2_glue
         for subgroup in isotropic_subgroups(data, isqrt(data.form.order)):
             accepted += not isinstance(assert_glues_like_bareiss(base, data, subgroup), str)
     assert accepted == 18
-    total = direct_sum(build_period_model().core_lattice(), standard_lattice("E6"))
+    total = direct_sum(build_period_model().core_lattice, standard_lattice("E6"))
     data = discriminant_data(total)
     subgroup = next(isotropic_subgroups(data, 3))
     gram, _, _, glue_order = assert_glues_like_bareiss(total, data, subgroup)

@@ -43,10 +43,13 @@ def test_model_invariants(model):
     amb = model.ambient
     h = model.polarization
     assert amb.inner(h, h) == 3
-    core = model.core_lattice()
+    core = model.core_lattice
     assert core.rank == 22
     assert core.is_even()
     assert core.signature() == (20, 2)
+    assert core.name == "polarization complement"
+    assert core.gram == model.core.induced_gram()
+    assert model.core_disc.form.invariant_factors == (3,)
     # deterministic rebuild
     again = build_period_model()
     assert again.polarization == model.polarization
@@ -55,7 +58,7 @@ def test_model_invariants(model):
 
 
 def test_parity_scan_of_core_basis(model):
-    core = model.core_lattice()
+    core = model.core_lattice
     assert all(core.gram[i][i] % 2 == 0 for i in range(core.rank))
 
 
@@ -271,6 +274,53 @@ def test_suite_walks_each_lattice_once_and_passes_roots_on():
     assert got["misses"] == 10
     assert got["hits"] == 0
     assert got["roots_match"] == [True] * 6
+
+
+_CORE_BUILD_PROBE = """
+import json
+import sys
+from cf_lattice import checks, intlinalg, lattices, period
+calls = {"complement_of_a_line": 0, "adjugate_22": 0, "det_28": 0}
+disc_grams = []
+
+def patch(module, name, count):
+    original = getattr(module, name)
+    def counted(*args):
+        count(*args)
+        return original(*args)
+    # every cf_lattice module that imported the function by name
+    for mod in [m for key, m in list(sys.modules.items()) if key.startswith("cf_lattice")]:
+        if getattr(mod, name, None) is original:
+            setattr(mod, name, counted)
+
+def tally(key, hit):
+    calls[key] += hit
+
+patch(lattices, "orthogonal_complement",
+      lambda lat, sub: tally("complement_of_a_line", sub.rank == 1))
+patch(intlinalg, "adjugate", lambda a: tally("adjugate_22", len(a) == 22))
+patch(intlinalg, "det", lambda a: tally("det_28", len(a) == 28))
+patch(lattices, "discriminant_data", lambda lat: disc_grams.append(lat.gram))
+reports = checks.run_suite()
+core = period.build_period_model().core_lattice
+print(json.dumps({"statuses": [r.status for r in reports], **calls,
+                  "disc_of_core": disc_grams.count(core.gram)}))
+"""
+
+
+def test_one_verify_builds_the_core_lattice_once():
+    """From a fresh import, `run_suite` takes the complement of span(h) once, pays one
+    22x22 adjugate (the core's coordinate solver), one rank-28 det (II_{26,2}'s,
+    shared by the complement inside the glue and the lambda-prime check) and one
+    discriminant form of the 22x22 core, all inside the cached period model."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _CORE_BUILD_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(result.stdout) == {
+        "statuses": ["pass"] * 12, "complement_of_a_line": 1, "adjugate_22": 1,
+        "det_28": 1, "disc_of_core": 1}
 
 
 _ROOT_COMPONENTS_PROBE = """

@@ -13,6 +13,7 @@ from cf_lattice import (
     orthogonal_complement,
     span_sublattice,
     standard_lattice,
+    vector_divisibility,
 )
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import smith_normal_form
@@ -515,6 +516,9 @@ def test_find_long_root_contract():
     assert lam.norm(delta) == 6
     assert lam.inner(delta, h) == 0
     assert all((a + b) % 3 == 0 for a, b in zip(h, delta))
+    # 3-divisible on h-perp, read off a complement built here
+    comp = orthogonal_complement(lam, span_sublattice(lam, [h]))
+    assert vector_divisibility(comp.lattice(), comp.from_ambient(delta)) % 3 == 0
     # deterministic
     assert find_long_root(lam, h) == delta
     # the rank-2 overlattice witnesses
