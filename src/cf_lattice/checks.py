@@ -7,15 +7,17 @@ in the library modules. The suite runs the checks one after another in
 check-id order, so the shared cached stages are built once: the period
 model, the E8 dictionary and the bounded `period.niemeier_e6_stage` (the
 six E-containing rank-24 lattices with their roots, each split relative
-to an embedded E6), each an argument-free `lru_cache(maxsize=1)`. Boundary
-root systems and E7 saturations are read off these `period.E6Split`s: each
-lattice's roots are split into irreducible components once, and since
-different components are orthogonal, E6 sees only its own component; the
-complement root system is the other components plus the roots of that one
-orthogonal to E6. Only intersection-codims builds (pairwise E8)
-saturations; each has the identity basis, so it is E8 itself and its roots
-are those of the E8 split, and a saturation with another basis would be
-walked.
+to an embedded E6), each an argument-free `lru_cache(maxsize=1)`. These
+three are the library's only memos: nothing is keyed by input, and
+`roots.short_vectors` walks on every call, so a stage keeps the roots it
+walked and hands them on. Boundary root systems and E7 saturations are
+read off these `period.E6Split`s: each lattice's roots are split into
+irreducible components once, and since different components are
+orthogonal, E6 sees only its own component; the complement root system is
+the other components plus the roots of that one orthogonal to E6. Only
+intersection-codims builds (pairwise E8) saturations; each has the
+identity basis, so it is E8 itself and its roots are those of the E8
+split, and a saturation with another basis would be walked again.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ from .lattices import (
     hadamard_bits,
     lattice_from_json,
     orthogonal_complement,
+    parse_int,
     saturation,
     span_sublattice,
 )
@@ -77,9 +78,11 @@ def _fail(code: int, message: str) -> SystemExit:
 
 def _parse_rows(text: str):
     try:
-        rows = json.loads(text)
+        rows = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise _fail(EXIT_PARSE, f"--rows: malformed JSON at column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an entry past the digit limit
+        raise _fail(EXIT_PARSE, f"--rows: {exc}")
     if (not isinstance(rows, list) or not rows
             # type(), not isinstance(): JSON true and false load as bool, an int subclass
             or not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)):

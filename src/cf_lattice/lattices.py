@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -487,10 +488,21 @@ def _encode_int(x: int):
     return x if abs(x) < _JSON_INT_LIMIT else str(x)
 
 
+def parse_int(text: str) -> int:
+    """int(text); past the interpreter's limit on digits, a ValueError that says so."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if sum(map(str.isdigit, text)) > limit:
+            raise ValueError(f"entry has more than {limit:,} digits") from None
+        raise
+
+
 def _decode_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"gram entries must be integers or decimal strings, got {x!r}")
-    return int(x)
+    return parse_int(x) if isinstance(x, str) else x
 
 
 def lattice_to_json(lat: Lattice) -> str:
@@ -501,7 +513,7 @@ def lattice_to_json(lat: Lattice) -> str:
 
 
 def lattice_from_json(text: str) -> Lattice:
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=parse_int)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise ValueError("lattice document must be an object with a 'gram' key")
     name = doc.get("name")

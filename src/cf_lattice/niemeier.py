@@ -6,7 +6,6 @@ demand, only for the six entries whose root system contains an E_r summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt, prod
 from operator import mul
 
@@ -134,7 +133,6 @@ _NIEMEIER_TABLE = [
 ]
 
 
-@lru_cache(maxsize=1)
 def niemeier_table() -> tuple[NiemeierEntry, ...]:
     """The 24 root systems of the even unimodular rank-24 lattices.
 

@@ -22,7 +22,6 @@ transforms in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
 from operator import mul, neg, sub
@@ -222,20 +221,18 @@ def _half(v: Vector) -> Vector:
     return v if v > (0,) * len(v) else tuple(map(neg, v))
 
 
-@lru_cache(maxsize=None)
-def _short_vectors_cached(gram, norm: int):
-    full = []
-    for v in _enumerate_norm(gram, norm):
-        full.append(v)
-        full.append(tuple(map(neg, v)))
-    return tuple(full)
-
-
 def short_vectors(lat: Lattice, norm: int) -> list[Vector]:
-    """All vectors of the given norm, canonically sorted, closed under negation."""
+    """All vectors of the given norm, canonically sorted, closed under negation.
+
+    Every call walks the lattice; nothing is kept between calls.
+    """
     if norm <= 0:
         raise ValueError("norm must be positive")
-    return list(_short_vectors_cached(lat.gram, norm))
+    full = []
+    for v in _enumerate_norm(lat.gram, norm):
+        full.append(v)
+        full.append(tuple(map(neg, v)))
+    return full
 
 
 def roots(lat: Lattice) -> list[Vector]:

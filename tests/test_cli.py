@@ -705,9 +705,12 @@ def _near_limit_entry(rng):
 
 def test_lattice_and_roots_near_the_parse_limit_answer_or_exit_2_or_3(tmp_path, capsys):
     """Seeded fuzz over `lattice info|disc|complement|saturate` and `roots`, both
-    outputs, symmetric Grams of rank 1-3 with entries of up to 4,301 digits: every
-    input prints, or exits 2 or 3 with one stderr line. The code before the guard in
-    `cli._emit` raised ValueError on about 4% of such inputs."""
+    outputs, symmetric Grams of rank 1-3 with entries of up to 4,301 digits, as
+    decimal strings or bare JSON numbers, and `--rows` entries of up to 4,301 digits:
+    every input prints, or exits 2 or 3 with one stderr line, which never asks the
+    user to lift the interpreter's digit limit. The code before the guard in
+    `cli._emit` raised ValueError on about 4% of such inputs, and a 4,301-digit
+    `--rows` entry was a ValueError traceback."""
     rng = random.Random(19)
     path = tmp_path / "near_limit.json"
     codes = []
@@ -717,7 +720,10 @@ def test_lattice_and_roots_near_the_parse_limit_answer_or_exit_2_or_3(tmp_path, 
         for i in range(n):
             for j in range(i, n):
                 gram[i][j] = gram[j][i] = _near_limit_entry(rng)
-        path.write_text(json.dumps({"gram": gram}))
+        text = json.dumps(gram)
+        if rng.random() < 0.5:  # bare JSON numbers instead of decimal strings
+            text = text.replace('"', "")
+        path.write_text(f'{{"gram": {text}}}')
         action = rng.choice(["info", "disc", "complement", "saturate", "roots"])
         argv = ["--output", rng.choice(["text", "json"])]
         if action == "roots":
@@ -725,8 +731,10 @@ def test_lattice_and_roots_near_the_parse_limit_answer_or_exit_2_or_3(tmp_path, 
         else:
             argv += ["lattice", action, str(path)]
         if action in ("complement", "saturate"):
-            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
-            argv += ["--rows", json.dumps(rows)]
+            draw = (_near_limit_entry if rng.random() < 0.3
+                    else lambda rng: str(rng.randint(-2, 2)))
+            rows = [[draw(rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            argv += ["--rows", json.dumps(rows).replace('"', "")]
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -734,6 +742,7 @@ def test_lattice_and_roots_near_the_parse_limit_answer_or_exit_2_or_3(tmp_path, 
         out = capsys.readouterr()
         assert code in (0, 2, 3), (argv, gram)
         assert out.err.count("\n") == (code != 0) and bool(out.out) == (code == 0)
+        assert "set_int_max_str_digits" not in out.err
         codes.append(code)
     assert min(codes.count(0), codes.count(2), codes.count(3)) > 40
 

@@ -2,9 +2,9 @@
 
 Every `functools.lru_cache` or `functools.cache` in the source is found,
 decorator or call, with its maxsize. The set must be exactly the one below:
-four argument-free stages of one entry each, and the short-vector table,
-the one unbounded memo. A memo keyed by a caller's `Lattice` or Niemeier
-entry cannot come back without changing this list.
+the three argument-free stages that the checks share, one entry each. No
+memo is keyed by input, so a table of a caller's `Lattice`, Gram or
+Niemeier entry cannot come back without changing this list.
 """
 import ast
 from pathlib import Path
@@ -13,11 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cf_lattice"
 MEMO_NAMES = {"lru_cache": 128, "cache": None}   # name -> maxsize when none is given
 
 EXPECTED = {
-    ("niemeier.py", "niemeier_table", 1, 0),
     ("period.py", "build_period_model", 1, 0),
     ("period.py", "e8_dictionary", 1, 0),
     ("period.py", "niemeier_e6_stage", 1, 0),
-    ("roots.py", "_short_vectors_cached", None, 2),
 }
 
 
@@ -79,12 +77,9 @@ def library_memos() -> set:
             for memo in memo_tables(path.read_text(encoding="utf-8"))}
 
 
-def test_library_memo_tables_are_the_known_five():
+def test_library_memo_tables_are_the_three_stages():
     assert library_memos() == EXPECTED
 
 
-def test_only_the_short_vector_table_is_unbounded():
-    memos = library_memos()
-    assert [(mod, fn) for mod, fn, size, _ in memos if size is None] == [
-        ("roots.py", "_short_vectors_cached")]
-    assert all(nargs == 0 for _, _, size, nargs in memos if size is not None)
+def test_no_memo_is_unbounded_or_takes_a_parameter():
+    assert all(size == 1 and nargs == 0 for _, _, size, nargs in library_memos())

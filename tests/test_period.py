@@ -241,38 +241,47 @@ def test_boundary_components_match_table():
     assert len(set(got.values())) == 6
 
 
-_SUITE_CACHE_PROBE = """
+_SUITE_WALK_PROBE = """
+import importlib
 import json
 from cf_lattice import checks, period
-from cf_lattice.roots import _short_vectors_cached, short_vectors
+roots = importlib.import_module("cf_lattice.roots")  # the package's `roots` is the function
+original = roots._enumerate_norm
+walked = []
+
+def counted(gram, norm):
+    walked.append((gram, norm))
+    return original(gram, norm)
+
+roots._enumerate_norm = counted
 reports = checks.run_suite()
-info = _short_vectors_cached.cache_info()
+walks, distinct = len(walked), len(set(walked))
 print(json.dumps({
     "statuses": [r.status for r in reports],
-    "hits": info.hits,
-    "misses": info.misses,
-    "roots_match": [list(glued.roots) == short_vectors(glued.lattice, 2)
+    "walks": walks,
+    "distinct": distinct,
+    "roots_match": [list(glued.roots) == roots.short_vectors(glued.lattice, 2)
                     for _, glued, _ in period.niemeier_e6_stage()],
 }))
 """
 
 
 def test_suite_walks_each_lattice_once_and_passes_roots_on():
-    """From a fresh import, `run_suite` walks 10 distinct Grams, each once, and never
-    looks the short-vector table up again: the Niemeier lattices and E8 hand their
-    roots to the E6 splits, and the complement and E7 saturation root systems are
-    read off the splits instead of walked. The 10 walks are E8, the six Niemeier
+    """From a fresh import, `run_suite` makes 10 Fincke-Pohst walks on 10 distinct
+    Grams, each once: the Niemeier lattices and E8 hand their roots to the E6
+    splits, and the complement and E7 saturation root systems are read off the
+    splits instead of walked. The 10 walks are E8, the six Niemeier
     lattices and E6, E7, E6+A1. The pairwise E8 saturations of intersection-codims
     have the identity basis, so their roots are those of the E8 split."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
-    result = subprocess.run([sys.executable, "-c", _SUITE_CACHE_PROBE], env=env,
+    result = subprocess.run([sys.executable, "-c", _SUITE_WALK_PROBE], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
-    assert got["misses"] == 10
-    assert got["hits"] == 0
+    assert got["walks"] == 10
+    assert got["distinct"] == 10
     assert got["roots_match"] == [True] * 6
 
 

@@ -1,7 +1,12 @@
 import inspect
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations, product
 from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -152,6 +157,57 @@ def test_short_vectors_invariant_under_change_of_basis(lat):
             back = {tuple(intlinalg.mat_vec(intlinalg.transpose(u), list(y)))
                     for y in short_vectors(skewed, norm)}
             assert back == set(short_vectors(lat, norm))
+
+
+_DISTINCT_E8_PROBE = """
+import json
+import random
+import resource
+from cf_lattice import Lattice, standard_lattice
+from cf_lattice.intlinalg import mat_mul, transpose
+from cf_lattice.roots import identify_root_system, short_vectors
+e8 = [list(r) for r in standard_lattice("E8").gram]
+rng = random.Random(20)
+grams, labels = set(), set()
+
+def walk(count):
+    for _ in range(count):
+        u = [[int(i == j) for j in range(8)] for i in range(8)]
+        for _ in range(8):
+            i, j = rng.sample(range(8), 2)
+            c = rng.choice((-1, 1))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        lat = Lattice(tuple(map(tuple, mat_mul(mat_mul(u, e8), transpose(u)))))
+        grams.add(hash(lat.gram))
+        labels.add(str(identify_root_system(lat, short_vectors(lat, 2))))
+
+walk(20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+walk(300)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"distinct": len(grams), "labels": sorted(labels), "grown_kb": after - before}))
+"""
+
+_LAUNCHER = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+
+
+def test_distinct_lattices_leave_no_memory_behind():
+    """300 seeded skewed bases of E8, after 20 to warm up, go through `short_vectors`
+    and `identify_root_system` in a fresh process: peak RSS grows by less than 4 MB.
+    Nothing is kept between calls; a table of every walk (240 roots each) grew it by
+    about 10 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    # a process starts with the peak RSS of the one that forked it, here pytest's, so
+    # the probe runs under a small launcher and its own growth shows
+    result = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-c",
+                             _DISTINCT_E8_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(result.stdout)
+    assert got["distinct"] == 320
+    assert got["labels"] == ["E8"]
+    assert got["grown_kb"] < 4 * 1024
 
 
 def test_identify_root_system_basics():
