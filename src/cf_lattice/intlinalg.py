@@ -14,7 +14,8 @@ fraction-free (Bareiss) Gauss-Jordan loop, `adjugate`, which returns
 one place here that builds Fractions. `det` is the forward half of the same elimination,
 without the right block. Symmetric matrices have one fraction-free
 elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
-as pivots); `signature` and the Fincke-Pohst walk in `roots` both read it.
+as pivots); `signature`, `Lattice.det` and the Fincke-Pohst walk in `roots`
+read it.
 `mat_mul` adds up scaled rows of its right factor over the nonzero entries
 of each left row, because the Grams, bases and transforms multiplied here
 are mostly zero.
@@ -264,9 +265,11 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
     minors D_1..D_r of the congruent matrix in pivot order, rows[k] is the
     integer row of pivot k when it is taken (zero at the earlier pivots,
     D_k at its own index), and nullity = n - r. Every division is by the
-    previous pivot and exact (Bareiss, Math. Comp. 22, 1968). A positive
-    definite matrix pivots in its natural order: with l_ij = rows[i][j] / D_i
-    and d_i = D_i / D_(i-1), it is L^T diag(d) L.
+    previous pivot and exact (Bareiss, Math. Comp. 22, 1968). A step updates
+    only the remaining rows and columns, and only one entry of each
+    symmetric pair. A positive definite matrix pivots in its natural order:
+    with l_ij = rows[i][j] / D_i and d_i = D_i / D_(i-1), it is
+    L^T diag(d) L.
     """
     m = [list(row) for row in gram]
     active = list(range(len(m)))
@@ -285,9 +288,14 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
         active.remove(piv)
         row = m[piv]
         p = row[piv]
-        for i in active:
-            c = m[i][piv]
-            m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], row)]
+        # the columns of earlier pivots are zero in the rows left and stay zero, and
+        # the active block stays symmetric: each entry is computed once and mirrored
+        for a, i in enumerate(active):
+            mi = m[i]
+            c = row[i]
+            for j in active[a:]:
+                mi[j] = m[j][i] = (p * mi[j] - c * row[j]) // prev
+            mi[piv] = 0
         pivots.append(p)
         rows.append(row)
         prev = p
@@ -295,11 +303,16 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
 
 
 def signature(gram) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of an integer symmetric matrix.
+    """Signature (positive, negative, zero) of an integer symmetric matrix."""
+    pivots, _, nullity = symmetric_bareiss(gram)
+    return pivot_signature(pivots, nullity)
+
+
+def pivot_signature(pivots, nullity: int) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) from the pivots of `symmetric_bareiss`.
 
     Pivot k of the LDL^T form is D_k / D_(k-1), so it is negative exactly
-    where 1, D_1, ..., D_r change sign (`symmetric_bareiss`).
+    where 1, D_1, ..., D_r change sign.
     """
-    pivots, _, nullity = symmetric_bareiss(gram)
     neg = sum((a < 0) != (b < 0) for a, b in zip([1] + pivots, pivots))
     return len(pivots) - neg, neg, nullity

@@ -53,12 +53,21 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return self._det
+        pivots, nullity = self._elimination
+        if nullity:
+            return 0
+        return pivots[-1] if pivots else 1
 
     @cached_property
-    def _det(self) -> int:
-        """det of the Gram, eliminated on the first `det` or `is_degenerate` of this object."""
-        return intlinalg.det(self.gram)
+    def _elimination(self) -> tuple[list[int], int]:
+        """(pivots, nullity) of `intlinalg.symmetric_bareiss` of the Gram, run on the
+        first `det`, `is_degenerate` or `signature` of this object.
+
+        The pivots are leading minors of a congruent matrix, so with nullity 0
+        the last one is det G.
+        """
+        pivots, _, nullity = intlinalg.symmetric_bareiss(self.gram)
+        return pivots, nullity
 
     def is_even(self) -> bool:
         # x^2 parity is determined by the Gram diagonal
@@ -68,7 +77,7 @@ class Lattice:
         return self.det() == 0
 
     def signature(self) -> tuple[int, int]:
-        pos, neg, zero = intlinalg.signature(self.gram)
+        pos, neg, zero = intlinalg.pivot_signature(*self._elimination)
         if zero:
             raise DegenerateLatticeError("degenerate form has no signature pair")
         return pos, neg
@@ -154,6 +163,9 @@ class FiniteQuadraticForm:
     `invariant_factors` lists cyclic orders d_1 | d_2 | ... (all > 1); elements
     are exponent tuples mod the d_i. `q` is None for forms induced by odd
     lattices, where only the bilinear form is well defined.
+    `q_of` and `b_of` sum integers: the numerators of q and b over one common
+    denominator s are derived once per form, and each value is one Fraction
+    (sum mod 2s) / s or (sum mod s) / s.
     """
 
     invariant_factors: tuple[int, ...]
@@ -190,23 +202,32 @@ class FiniteQuadraticForm:
                     frontier.append(nxt)
         return elems
 
+    @cached_property
+    def _numerators(self) -> tuple[int, list[list[int]] | None, list[list[int]]]:
+        """(s, U, B) over the common denominator s of q and b, derived on first use.
+
+        B[i][j] = s b_ij, and row i of U holds s q_i, then 2 s b_ij for j > i,
+        so that s q(x) = sum_i x_i (U[i] . x[i:]) for the upper triangle.
+        """
+        s = lcm(*(f.denominator for row in self.b for f in row),
+                *(f.denominator for f in self.q or ()))
+        big_b = [[f.numerator * (s // f.denominator) for f in row] for row in self.b]
+        upper = None if self.q is None else [
+            [f.numerator * (s // f.denominator)] + [2 * x for x in big_b[i][i + 1:]]
+            for i, f in enumerate(self.q)]
+        return s, upper, big_b
+
     def q_of(self, x) -> Fraction:
         if self.q is None:
             raise ValueError("quadratic values not defined (odd lattice)")
-        total = sum((Fraction(a * a) * qq for a, qq in zip(x, self.q)), Fraction(0))
-        k = len(x)
-        for i in range(k):
-            for j in range(i + 1, k):
-                total += 2 * x[i] * x[j] * self.b[i][j]
-        return total % 2
+        s, upper, _ = self._numerators
+        total = sum([a * sum(map(mul, row, x[i:])) for i, (a, row) in enumerate(zip(x, upper))])
+        return Fraction(total % (2 * s), s)
 
     def b_of(self, x, y) -> Fraction:
-        total = Fraction(0)
-        k = len(x)
-        for i in range(k):
-            for j in range(k):
-                total += x[i] * y[j] * self.b[i][j]
-        return total % 1
+        s, _, big_b = self._numerators
+        total = sum([a * sum(map(mul, row, y)) for a, row in zip(x, big_b)])
+        return Fraction(total % s, s)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,20 @@ centres, weights and budget directly, and the search touches ints only;
 definite lattices only. The walk takes the first coordinate outermost and
 every coordinate in increasing order, so it emits one vector of each +-pair
 (first nonzero coordinate positive) already in lexicographic order, the
-canonical order of the output; nothing is sorted afterwards. A walk past
-MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as `rank`
-nodes, raises EnumerationCapError.
+canonical order of the output; nothing is sorted afterwards. Once a choice
+spends the whole budget, every inner coordinate is forced (its term must be
+0), and those levels are solved in one loop instead of a call each. A walk
+past MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as
+`rank` nodes, raises EnumerationCapError; a forced level is charged as the
+node it would have been.
 A root system is split into irreducible components through its simple roots
 (`root_components`): one lexicographic pass over the positive halves either
 finds a simple root or descends to an earlier half by a simple root, so every
 half is a nonnegative integer combination of simple roots and has norm 2 once
-the simple roots do. Each component is then named by its Cartan determinant
-and root count; on a definite form a list not closed under reflections, or
-one with a vector of norm other than 2, raises ValueError.
+the simple roots do. The test (v, s) = 1 reads only the nonzero entries of
+G s. Each component is then named by its Cartan determinant and root count;
+on a definite form a list not closed under reflections, or one with a vector
+of norm other than 2, raises ValueError.
 The action of an isometry on the discriminant group is read off the Smith
 transforms in integers.
 """
@@ -159,10 +163,19 @@ def _enumerate_norm(gram, target: int):
     come out in lexicographic order, each once up to sign. At the innermost
     level the budget left must be spent exactly: only the two ends of the
     interval can be hits, and they are tested without a walk.
+    A choice at level k that leaves a budget of 0 forces every inner level j
+    to D_j y_j + C_j = 0; some coordinate so far is nonzero, since every
+    term is 0 while they all are. Those levels are solved in one loop in the
+    same call: y_j = -C_j / D_j, and the path ends at the first level where
+    D_j does not divide C_j. There C_j is read off the nonzero a_jl only;
+    the main path keeps dense row products, which measured faster on skewed
+    walks.
     Raises ValueError unless G is positive definite (r = n and every D_k > 0,
     Sylvester), and EnumerationCapError past MAX_ENUMERATION_NODES: every
     node counts 1, every value of the innermost coordinate (a leaf) 1, and a
-    stored vector n.
+    stored vector n. A forced completion charges the same: one node per
+    level reached, and 1 + n for its leaf when that is a hit; it checks the
+    cap once, at its end, which raises exactly when a check per level would.
     """
     n = len(gram)
     if n == 0:
@@ -174,12 +187,19 @@ def _enumerate_norm(gram, target: int):
     # a_(k-1,k) and base sums a_(k-1,j) y_j over j > k, once for all the children
     heads = [row[k] for k, row in enumerate(pivot_rows[:-1], 1)]
     tails = [row[k + 1:] for k, row in enumerate(pivot_rows[:-1], 1)]
+    # the nonzero a_kj (j > k) of each level, for the forced completions
+    sparse = [[(j, a) for j, a in enumerate(row[k + 1:], k + 1) if a]
+              for k, row in enumerate(pivot_rows)]
     steps = [a * b for a, b in zip([1] + dens, dens)]
     s = lcm(*steps)
     weights = [s // e for e in steps]
     results = []
     y = [0] * n  # walk coordinates: y[k] is x[n-1-k]
     nodes = 0
+
+    def over_cap():
+        return EnumerationCapError(f"norm-{target} enumeration passes the cap of "
+                                   f"{MAX_ENUMERATION_NODES} search nodes")
 
     def descend(k, budget, zeros_so_far, c):
         nonlocal nodes
@@ -202,14 +222,34 @@ def _enumerate_norm(gram, target: int):
                         nodes += n  # a stored vector holds n ints: charged as n nodes
                 y[0] = 0
         if nodes > MAX_ENUMERATION_NODES:
-            raise EnumerationCapError(f"norm-{target} enumeration passes the cap of "
-                                      f"{MAX_ENUMERATION_NODES} search nodes")
+            raise over_cap()
         if k:
             a, base = heads[k - 1], sum(map(mul, tails[k - 1], y[k + 1:]))
             for yk in range(lo, hi + 1):
                 t = den * yk + c
                 y[k] = yk
-                descend(k - 1, budget - w * t * t, zeros_so_far and yk == 0, base + a * yk)
+                left = budget - w * t * t
+                if left:
+                    descend(k - 1, left, zeros_so_far and yk == 0, base + a * yk)
+                    continue
+                # budget spent: the inner levels are forced, charged as the recursion
+                # would charge them (a node per level reached, 1 + n for a hit leaf)
+                j, cj = k - 1, base + a * yk
+                while True:
+                    nodes += 1
+                    yj, rest = divmod(-cj, dens[j])
+                    if rest:
+                        break
+                    y[j] = yj
+                    if not j:
+                        results.append(tuple(y[::-1]))
+                        nodes += 1 + n
+                        break
+                    j -= 1
+                    cj = sum([x * y[i] for i, x in sparse[j]])
+                y[j:k] = [0] * (k - j)
+                if nodes > MAX_ENUMERATION_NODES:
+                    raise over_cap()
             y[k] = 0
 
     descend(n - 1, target * s, True, 0)
@@ -266,8 +306,10 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     joins the component of s. A half that pairs to 1 with no earlier simple
     root is simple: it must have norm 2, and it is joined (union-find) to
     every earlier simple root it pairs nonzero with, so components are the
-    connected parts of the Dynkin graph. G s is built once per simple root;
-    a half costs one pairing per simple root scanned and one lookup.
+    connected parts of the Dynkin graph. G s is built once per simple root
+    and kept as its nonzero entries only (on a Niemeier Gram about 3 of
+    24), so a half costs one sparse pairing per simple root scanned and one
+    lookup.
     By induction over the walk every half is an earlier half plus a simple
     root of its component, so a nonnegative integer combination of that
     component's simple roots, and has norm 2: (v, s) = 1 and s.s = 2 give
@@ -283,11 +325,11 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     """
     halves = list(dict.fromkeys(map(_half, root_list)))
     g = [list(r) for r in lat.gram]
-    simple, gs, parent = [], [], []  # simple roots, their G s, union-find links
+    simple, gs, parent = [], [], []  # simple roots, their G s as (j, x) pairs, union-find links
     home = {}  # half walked -> index of a simple root of its component
     for v in sorted(halves):
         for i, gs_i in enumerate(gs):
-            if sum(map(mul, v, gs_i)) == 1:  # not simple: v - s_i is an earlier half
+            if sum([v[j] * x for j, x in gs_i]) == 1:  # not simple: v - s_i is an earlier half
                 if tuple(map(sub, v, simple[i])) not in home:
                     raise ValueError("root list is not closed under reflections")
                 home[v] = i
@@ -302,7 +344,7 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
                 if sum(map(mul, s, gv)):
                     parent[_find(parent, i)] = k
             simple.append(v)
-            gs.append(gv)
+            gs.append([(j, x) for j, x in enumerate(gv) if x])
             home[v] = k
     members: dict[int, list[Vector]] = {}
     for v in halves:
@@ -310,7 +352,8 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     comps = []
     for root, vectors in members.items():
         block = [i for i in range(len(simple)) if _find(parent, i) == root]
-        det = intlinalg.det([[sum(map(mul, simple[i], gs[j])) for j in block] for i in block])
+        det = intlinalg.det([[sum([simple[i][jj] * x for jj, x in gs[j]]) for j in block]
+                             for i in block])
         if det == 0:
             raise ValueError("simple roots of a component are dependent: "
                              "not a root system")

@@ -7,7 +7,10 @@ criterion is printed (visible with pytest -s). Run:
 """
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -237,3 +240,27 @@ def test_every_report_matches_its_recorded_digest():
         body = {k: v for k, v in report.to_dict().items() if k != "elapsed_ms"}
         got[report.check] = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert got == want
+
+
+def _verify_json(*check_ids):
+    """The reports of `cf-lattice --output json verify ...` from a fresh interpreter,
+    each as sorted-key JSON without `elapsed_ms`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    done = subprocess.run([sys.executable, "-m", "cf_lattice.cli", "--output", "json",
+                           "verify", *check_ids], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {r["check"]: json.dumps({k: v for k, v in r.items() if k != "elapsed_ms"},
+                                   sort_keys=True)
+            for r in json.loads(done.stdout)}
+
+
+def test_each_check_alone_reports_what_the_full_suite_reports():
+    """The shared stages are process-wide memos, so a check run alone in a fresh
+    process builds whatever stage the suite built for it earlier; its report bytes
+    (without elapsed_ms) must not depend on that."""
+    suite = _verify_json()
+    assert sorted(suite) == sorted(checks.REGISTRY)
+    for check_id in sorted(checks.REGISTRY):
+        assert _verify_json(check_id) == {check_id: suite[check_id]}, check_id

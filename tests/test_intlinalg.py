@@ -25,7 +25,7 @@ from cf_lattice.intlinalg import (
     symmetric_bareiss,
 )
 from cf_lattice.lattices import cartan_gram, direct_sum, standard_lattice
-from cf_lattice.niemeier import entries_with_e_summand
+from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
 from cf_lattice.period import build_period_model
 
 
@@ -439,6 +439,55 @@ def test_symmetric_bareiss_last_pivot_is_det_on_zero_diagonals():
         assert (len(pivots), nullity) == (n, 0)
         assert pivots[-1] == d == det(a)
         tested += 1
+
+
+def reference_symmetric_bareiss(gram):
+    """`symmetric_bareiss` with every step updating whole rows, no symmetry used."""
+    m = [list(row) for row in gram]
+    active = list(range(len(m)))
+    pivots, rows = [], []
+    prev = 1
+    while active:
+        piv = next((i for i in active if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if m[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for k in active:
+                m[k][piv] += m[k][j]
+        active.remove(piv)
+        row = m[piv]
+        p = row[piv]
+        for i in active:
+            c = m[i][piv]
+            m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], row)]
+        pivots.append(p)
+        rows.append(row)
+        prev = p
+    return pivots, rows, len(active)
+
+
+def test_symmetric_bareiss_equals_the_whole_row_elimination():
+    """Pivots, rows and nullity equal the whole-row reference on seeded sparse
+    symmetric matrices of ranks 0-9, with zero diagonals and degenerate ones, and
+    on the six Niemeier Grams in walk order."""
+    rng = random.Random(47)
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    a[i][j] = a[j][i] = rng.randint(-3, 3)
+        if rng.random() < 0.3:
+            for i in range(n):
+                a[i][i] = 0
+        assert symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+    for entry in entries_with_e_summand():
+        g = [row[::-1] for row in construct_niemeier(entry).lattice.gram[::-1]]
+        assert symmetric_bareiss(g) == reference_symmetric_bareiss(g)
 
 
 def test_rational_inverse_and_solve():

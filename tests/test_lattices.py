@@ -492,3 +492,108 @@ def test_induced_gram_consistency():
         expected = intlinalg.mat_mul(intlinalg.mat_mul(b, [list(r) for r in lat.gram]),
                                      intlinalg.transpose(b))
         assert [list(r) for r in comp.induced_gram()] == expected
+
+
+# -- q_of and b_of against the Fraction sums they replaced ---------------------------
+
+def reference_q_of(form, x):
+    """`FiniteQuadraticForm.q_of` as it was: a Fraction sum over the generators."""
+    if form.q is None:
+        raise ValueError("quadratic values not defined (odd lattice)")
+    total = sum((Fraction(a * a) * qq for a, qq in zip(x, form.q)), Fraction(0))
+    k = len(x)
+    for i in range(k):
+        for j in range(i + 1, k):
+            total += 2 * x[i] * x[j] * form.b[i][j]
+    return total % 2
+
+
+def reference_b_of(form, x, y):
+    """`FiniteQuadraticForm.b_of` as it was."""
+    total = Fraction(0)
+    k = len(x)
+    for i in range(k):
+        for j in range(k):
+            total += x[i] * y[j] * form.b[i][j]
+    return total % 1
+
+
+def _forms_for_value_checks():
+    """Discriminant forms of the six Niemeier root sums, the polarization core (Z/3),
+    seeded A-D-E sums in skewed bases and seeded random Grams, odd ones included;
+    groups of order at most 144, the largest a Niemeier root sum has."""
+    lats = [direct_sum(*(standard_lattice(f"{f}{n}") for f, n in e.root_system.components))
+            for e in entries_with_e_summand()]
+    lats.append(orthogonal_complement(I_21_2, span_sublattice(I_21_2, [H])).lattice())
+    rng = random.Random(30)
+    labels = ("A1", "A2", "A3", "A4", "A5", "A7", "D4", "D5", "D6", "E6", "E7")
+    for _ in range(8):
+        sum_labels = rng.sample(labels, rng.randint(1, 3))
+        lats.append(Lattice(tuple(map(tuple, _skewed_sum(rng, sum_labels)))))
+    lats.extend(Lattice(tuple(map(tuple, g))) for g in _seeded_nondegenerate_grams()[:16])
+    forms = [discriminant_data(lat).form for lat in lats]
+    return [f for f in forms if f.order <= 144]
+
+
+def test_q_of_and_b_of_equal_the_fraction_sums(time_budget):
+    forms = _forms_for_value_checks()
+    assert sum(f.q is None for f in forms) >= 4 and max(f.order for f in forms) == 144
+    for form in forms:
+        elements = list(form.elements())
+        others = elements if form.order <= 36 else elements[::7]
+        for x in elements:
+            if form.q is None:
+                with pytest.raises(ValueError):
+                    form.q_of(x)
+            else:
+                got = form.q_of(x)
+                assert type(got) is Fraction and got == reference_q_of(form, x)
+            for y in others:
+                got = form.b_of(x, y)
+                assert type(got) is Fraction and got == reference_b_of(form, x, y)
+
+
+def test_q_of_is_the_norm_of_a_lift_mod_2():
+    """q(x) = x^2 mod 2 for the lift of x, on the A11+D7+E6 form (order 144)."""
+    lat = direct_sum(*map(standard_lattice, ("A11", "D7", "E6")))
+    data = discriminant_data(lat)
+    n = data.exponent
+    for x in data.form.elements():
+        v = data.lift(x)
+        assert data.form.q_of(x) == Fraction(lat.norm(v), n * n) % 2
+
+
+def test_det_and_signature_share_one_elimination(monkeypatch):
+    """`Lattice.det` is the last pivot of `symmetric_bareiss` (0 with a nullity, 1 at
+    rank 0) and equals `intlinalg.det` on seeded sparse Grams of ranks 0-7, degenerate
+    ones included; `det`, `signature` and `is_degenerate` of one object eliminate once."""
+    rng = random.Random(31)
+    degenerate = 0
+    for _ in range(1500):
+        n = rng.randint(0, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.35:
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+        lat = Lattice(tuple(map(tuple, g)))
+        d = intlinalg.det(g)
+        assert lat.det() == d
+        assert lat.is_degenerate() == (d == 0)
+        pos, neg, zero = intlinalg.signature(g)
+        assert (zero == 0) == (d != 0)
+        if zero:
+            degenerate += 1
+            with pytest.raises(DegenerateLatticeError):
+                lat.signature()
+        else:
+            assert lat.signature() == (pos, neg)
+    assert degenerate > 300
+
+    calls = []
+    bareiss = intlinalg.symmetric_bareiss
+    monkeypatch.setattr(intlinalg, "symmetric_bareiss", lambda g: calls.append(g) or bareiss(g))
+    lat = standard_lattice("I_{21,2}")
+    assert lat.det() == 1 and len(calls) == 1
+    assert (lat.signature(), lat.is_degenerate(), lat.det()) == ((21, 2), False, 1)
+    assert len(calls) == 1

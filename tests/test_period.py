@@ -289,7 +289,7 @@ _CORE_BUILD_PROBE = """
 import json
 import sys
 from cf_lattice import checks, intlinalg, lattices, period
-calls = {"complement_of_a_line": 0, "adjugate_22": 0, "det_28": 0}
+calls = {"complement_of_a_line": 0, "adjugate_22": 0, "elimination_28": 0}
 disc_grams = []
 
 def patch(module, name, count):
@@ -308,7 +308,7 @@ def tally(key, hit):
 patch(lattices, "orthogonal_complement",
       lambda lat, sub: tally("complement_of_a_line", sub.rank == 1))
 patch(intlinalg, "adjugate", lambda a: tally("adjugate_22", len(a) == 22))
-patch(intlinalg, "det", lambda a: tally("det_28", len(a) == 28))
+patch(intlinalg, "symmetric_bareiss", lambda a: tally("elimination_28", len(a) == 28))
 patch(lattices, "discriminant_data", lambda lat: disc_grams.append(lat.gram))
 reports = checks.run_suite()
 core = period.build_period_model().core_lattice
@@ -319,9 +319,10 @@ print(json.dumps({"statuses": [r.status for r in reports], **calls,
 
 def test_one_verify_builds_the_core_lattice_once():
     """From a fresh import, `run_suite` takes the complement of span(h) once, pays one
-    22x22 adjugate (the core's coordinate solver), one rank-28 det (II_{26,2}'s,
-    shared by the complement inside the glue and the lambda-prime check) and one
-    discriminant form of the 22x22 core, all inside the cached period model."""
+    22x22 adjugate (the core's coordinate solver), one rank-28 elimination
+    (II_{26,2}'s, whose det and signature the complement inside the glue and the
+    lambda-prime check share) and one discriminant form of the 22x22 core, all
+    inside the cached period model."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -329,7 +330,7 @@ def test_one_verify_builds_the_core_lattice_once():
                             capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(result.stdout) == {
         "statuses": ["pass"] * 12, "complement_of_a_line": 1, "adjugate_22": 1,
-        "det_28": 1, "disc_of_core": 1}
+        "elimination_28": 1, "disc_of_core": 1}
 
 
 _ROOT_COMPONENTS_PROBE = """

@@ -20,12 +20,14 @@ from cf_lattice import (
     standard_lattice,
     vector_divisibility,
 )
+import cf_lattice.roots as roots_module
 from cf_lattice import intlinalg
 from cf_lattice.intlinalg import smith_normal_form
 from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
 from cf_lattice.roots import (
     _enumerate_norm,
     _half,
+    EnumerationCapError,
     Isometry,
     RootSystemLabel,
     ade_root_count,
@@ -732,3 +734,96 @@ def test_half_fixes_the_sign_of_the_first_nonzero_coordinate():
     assert _half((-3,)) == (3,)
     assert _half((0, -1, 2)) == (0, 1, -2)
     assert _half((0, 1, -2)) == (0, 1, -2)
+
+
+# -- the cap's charge, walk by walk -----------------------------------------------
+#
+# A walk charges a node per level reached, a leaf per value of the innermost
+# coordinate and n per stored vector; it passes a cap equal to its charge and
+# raises at one less. A level below a spent budget is charged as the node it
+# would be if the walk descended into it.
+
+def assert_charge(monkeypatch, gram, norm, charge):
+    monkeypatch.setattr(roots_module, "MAX_ENUMERATION_NODES", charge)
+    found = _enumerate_norm(gram, norm)
+    monkeypatch.setattr(roots_module, "MAX_ENUMERATION_NODES", charge - 1)
+    with pytest.raises(EnumerationCapError):
+        _enumerate_norm(gram, norm)
+    return found
+
+
+_NIEMEIER_CHARGES = {"D16+E8": 12_669, "E8^3": 12_634, "A17+E7": 8_848, "D10+E7^2": 8_537,
+                     "A11+D7+E6": 7_136, "E6^4": 7_295}
+
+
+def test_cap_charge_of_the_niemeier_and_e8_walks(monkeypatch, time_budget):
+    # every lattice is glued before the cap moves
+    glued = [(e, construct_niemeier(e).lattice.gram) for e in entries_with_e_summand()]
+    assert sorted(str(e.root_system) for e, _ in glued) == sorted(_NIEMEIER_CHARGES)
+    for entry, gram in glued:
+        found = assert_charge(monkeypatch, gram, 2, _NIEMEIER_CHARGES[str(entry.root_system)])
+        assert len(found) == entry.root_count() // 2
+    assert len(assert_charge(monkeypatch, standard_lattice("E8").gram, 2, 1_332)) == 120
+
+
+_VERIFY_WALK_PROBE = """
+import json
+import cf_lattice.roots as roots
+from cf_lattice import checks
+original = roots._enumerate_norm
+walked = []
+
+def recorded(gram, target):
+    walked.append([[list(row) for row in gram], target])
+    return original(gram, target)
+
+roots._enumerate_norm = recorded
+checks.run_suite()
+print(json.dumps(walked))
+"""
+
+
+def test_cap_charge_of_the_ten_verify_walks(monkeypatch, time_budget):
+    """From a fresh import, the ten walks of `run_suite` (E6, E7, E6+A1, the six
+    Niemeier lattices, E8, in that order) charge 59,779 nodes in all."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_env = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
+    result = subprocess.run([sys.executable, "-c", _VERIFY_WALK_PROBE], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    walked = json.loads(result.stdout)
+    charges = [312, 623, 393, 12_669, 12_634, 8_848, 8_537, 7_136, 7_295, 1_332]
+    assert [(len(gram), norm) for gram, norm in walked] == [
+        (6, 2), (7, 2), (7, 2), *[(24, 2)] * 6, (8, 2)]
+    for (gram, norm), charge in zip(walked, charges):
+        assert_charge(monkeypatch, tuple(map(tuple, gram)), norm, charge)
+    assert sum(charges) == 59_779
+
+
+def _early_spend_gram():
+    """A2 + (D5 + A3 + A2 in a basis skewed by 20 seeded row steps), A2 first.
+
+    The A2 coordinates are the two outermost levels of the walk, and the rest is
+    orthogonal to them, so a vector supported on A2 spends the whole budget there:
+    the ten levels below are forced to 0."""
+    rng = random.Random(21)
+    rest = direct_sum(*map(standard_lattice, ("D5", "A3", "A2")))
+    n = rest.rank
+    u = intlinalg.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+    g = intlinalg.mat_mul(intlinalg.mat_mul(u, [list(r) for r in rest.gram]),
+                          intlinalg.transpose(u))
+    return direct_sum(standard_lattice("A2"), Lattice(tuple(map(tuple, g)))).gram
+
+
+@pytest.mark.parametrize("norm, charge", [(2, 1_018), (4, 15_063)])
+def test_cap_charge_of_a_walk_that_spends_its_budget_early(monkeypatch, norm, charge):
+    gram = _early_spend_gram()
+    found = assert_charge(monkeypatch, gram, norm, charge)
+    assert found == reference_enumerate_norm(gram, norm)
+    if norm == 2:
+        assert [v for v in found if not any(v[2:])] == [(0, 1) + (0,) * 10,
+                                                         (1, 0) + (0,) * 10,
+                                                         (1, 1) + (0,) * 10]
