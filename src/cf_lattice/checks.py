@@ -1,28 +1,24 @@
 """The twelve named verification checks and the suite that runs them.
 
-Every report is built here: each registered runner takes no argument,
-compares the paper's expected values with computed ones, and returns a
-VerificationReport whose status is `pass` or `fail`. The mathematics lives
-in the library modules. The suite runs the checks one after another in
-check-id order, so the shared cached stages are built once: the period
-model, the E8 dictionary and the bounded `period.niemeier_e6_stage` (the
-six E-containing rank-24 lattices with their roots, each split relative
-to an embedded E6), each an argument-free `lru_cache(maxsize=1)`. These
-three are the library's only memos: nothing is keyed by input, and
-`roots.short_vectors` walks on every call, so a stage keeps the roots it
-walked and hands them on. Boundary root systems and E7 saturations are
-read off these `period.E6Split`s: each lattice's roots are split into
-irreducible components once, and since different components are
-orthogonal, E6 sees only its own component; the complement root system is
-the other components plus the roots of that one orthogonal to E6. Only
-intersection-codims builds (pairwise E8) saturations; each has the
-identity basis, so it is E8 itself and its roots are those of the E8
-split, and a saturation with another basis would be walked again.
+Every report is built here: each registered runner takes the run's
+`Stages`, compares the paper's expected values with computed ones, and
+returns a VerificationReport whose status is `pass` or `fail`. The
+mathematics lives in the library modules, which keep no memo. A run holds
+three shared stages, each built once per run by the first check that reads
+it: the period model, the E8 dictionary and `period.niemeier_e6_stage`
+(the six E-containing rank-24 lattices with their roots, each split
+relative to an embedded E6). A stage keeps the roots it walked and hands
+them on: boundary root systems and E7 saturations are read off these
+`period.E6Split`s, not walked again. Only intersection-codims builds
+(pairwise E8) saturations; each has the identity basis, so it is E8 itself
+and its roots are those of the E8 split, and a saturation with another
+basis would be walked again.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import cached_property
 from itertools import combinations
 
 from . import intlinalg, period, plethysm, spectra
@@ -41,8 +37,16 @@ from .report import VerificationReport, make_report
 from .roots import disc_action, reflection, roots
 
 
-def _check_model_build() -> VerificationReport:
-    model = period.build_period_model()
+class Stages:
+    """The shared stages of one run, each built by the first check that reads it."""
+
+    model = cached_property(lambda self: period.build_period_model())
+    e8 = cached_property(lambda self: period.e8_dictionary())
+    niemeier = cached_property(lambda self: period.niemeier_e6_stage())
+
+
+def _check_model_build(stages: Stages) -> VerificationReport:
+    model = stages.model
     core_lat = model.core_lattice
     expected = {"polarization_square": 3, "complement_even": True,
                 "complement_signature": [20, 2], "complement_disc": [3],
@@ -65,8 +69,8 @@ def _check_model_build() -> VerificationReport:
                                 "even complement of signature (20,2) and discriminant Z/3")
 
 
-def _check_hyperplane_dets() -> VerificationReport:
-    model = period.build_period_model()
+def _check_hyperplane_dets(stages: Stages) -> VerificationReport:
+    model = stages.model
     result = period.realizable_determinants(model, 2, 14)
     expected = {"realized": [2, 6, 8, 12, 14],
                 "impossible_mod6": [3, 4, 5, 7, 9, 10, 11, 13],
@@ -87,9 +91,9 @@ _MONODROMY_CITATION = ("long-root involution: trivial on a rank-2 lattice of Gra
                        "the order-3 discriminant group")
 
 
-def _check_monodromy() -> VerificationReport:
+def _check_monodromy(stages: Stages) -> VerificationReport:
     """Check every assertion of the long-root monodromy involution at once."""
-    model = period.build_period_model()
+    model = stages.model
     ambient = model.ambient
     h = model.polarization
     delta = model.long_root
@@ -138,8 +142,8 @@ def _check_monodromy() -> VerificationReport:
                        witnesses=witnesses, citation=_MONODROMY_CITATION)
 
 
-def _check_boundary_components() -> VerificationReport:
-    components = period.classify_boundary_components()
+def _check_boundary_components(stages: Stages) -> VerificationReport:
+    components = period.classify_boundary_components(stages.niemeier)
     expected_map = dict(period.BOUNDARY_MATCHING)
     actual_map = {c.label: str(c.root_sublattice) for c in components}
     expected = {"components": expected_map, "distinct": 6,
@@ -147,7 +151,7 @@ def _check_boundary_components() -> VerificationReport:
                                                   "root_count": e.root_count()}
                              for e in entries_with_e_summand()}}
     niemeier_actual = {}
-    for entry, glued, _ in period.niemeier_e6_stage():
+    for entry, glued, _ in stages.niemeier:
         lat = glued.lattice
         niemeier_actual[str(entry.root_system)] = {
             "even": lat.is_even(), "abs_det": abs(lat.det()), "root_count": len(glued.roots)}
@@ -162,8 +166,8 @@ def _check_boundary_components() -> VerificationReport:
                                 "E-containing rank-24 unimodular lattices")
 
 
-def _check_lambda_prime() -> VerificationReport:
-    ext = period.glue_unimodular_26_2(period.build_period_model())
+def _check_lambda_prime(stages: Stages) -> VerificationReport:
+    ext = period.glue_unimodular_26_2(stages.model)
     lat = ext.lattice
     expected = {"rank": 28, "abs_det": 1, "signature": [26, 2], "even": True,
                 "disc_q_anti_isometric": True}
@@ -180,9 +184,9 @@ _DICTIONARY_CITATION = ("degree-2 hyperplanes correspond to roots spanning an E7
                         "with the fixed E6; the 240 roots of E8 split 72/6/162")
 
 
-def _check_dictionary() -> VerificationReport:
+def _check_dictionary(stages: Stages) -> VerificationReport:
     """Partition counts and the E7 saturation census inside E8."""
-    dic = period.e8_dictionary()
+    dic = stages.e8
     mixed_count = sum(len(v) for v in dic.mixed_by_line.values())
     expected = {"in_e6": 72, "orthogonal": 6, "mixed": 162, "total": 240,
                 "mixed_saturations": [{"rank": 7, "root_count": 126}] * 3}
@@ -203,9 +207,9 @@ _INTERSECTION_CITATION = ("pairwise intersections of degree-2 hyperplanes satura
                           "qualifying projections span rank 0/0/1/1/2/2")
 
 
-def _check_intersections() -> VerificationReport:
+def _check_intersections(stages: Stages) -> VerificationReport:
     """Codimension-2 saturation in E8 and the per-boundary projection ranks."""
-    dic = period.e8_dictionary()
+    dic = stages.e8
     e8 = dic.lattice
     whole = tuple(map(tuple, intlinalg.identity(e8.rank)))
     expected: dict = {"pairwise_saturations": "all E8"}
@@ -224,7 +228,7 @@ def _check_intersections() -> VerificationReport:
     expected_ranks = {"E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
                       "E8^3": 2, "D16+E8": 2}
     actual_ranks = {}
-    for entry, _, split in period.niemeier_e6_stage():
+    for entry, _, split in stages.niemeier:
         actual_ranks[str(entry.root_system)] = period._qualifying_projection_rank(split)
     expected["projection_ranks"] = expected_ranks
     actual["projection_ranks"] = actual_ranks
@@ -237,7 +241,7 @@ _WEIGHT_CITATION = ("discriminant form weight 12 + 36 = 48; vanishing orders "
                     "degree-6 arrangements")
 
 
-def _check_weight_orders() -> VerificationReport:
+def _check_weight_orders(stages: Stages) -> VerificationReport:
     """Weight and vanishing orders from actual root counts of E6, E7, E6+A1."""
     e6 = standard_lattice("E6")
     e7 = standard_lattice("E7")
@@ -254,7 +258,7 @@ def _check_weight_orders() -> VerificationReport:
                        witnesses=witnesses, citation=_WEIGHT_CITATION)
 
 
-def _check_boundary_matching() -> VerificationReport:
+def _check_boundary_matching(stages: Stages) -> VerificationReport:
     expected: dict = {}
     actual: dict = {}
     for label in sorted(period.BOUNDARY_MATCHING):
@@ -277,7 +281,7 @@ def _check_boundary_matching() -> VerificationReport:
                                 "documented ambiguities, reported not patched")
 
 
-def _check_plethysm_omega() -> VerificationReport:
+def _check_plethysm_omega(stages: Stages) -> VerificationReport:
     v = plethysm.standard_character(plethysm.SL3)
     w = plethysm.sym_power(v, 2)
     cube = plethysm.decompose(plethysm.sym_power(w, 3))
@@ -297,7 +301,7 @@ def _check_plethysm_omega() -> VerificationReport:
                                 "the normal slice is Sym^6 V of dimension 28")
 
 
-def _check_plethysm_chi() -> VerificationReport:
+def _check_plethysm_chi(stages: Stages) -> VerificationReport:
     v = plethysm.standard_character(plethysm.SL2)
     w = plethysm.sym_power(v, 4) + plethysm.trivial_character(plethysm.SL2)
     cube = plethysm.decompose(plethysm.sym_power(w, 3))
@@ -317,7 +321,7 @@ def _check_plethysm_chi() -> VerificationReport:
                                 "decomposition; the normal slice is Sym^12 V + Sym^8 V + C")
 
 
-def _check_spectra_catalog() -> VerificationReport:
+def _check_spectra_catalog(stages: Stages) -> VerificationReport:
     catalog = spectra.surface_catalog()
     du_val_strict = True
     elliptic_closed = True
@@ -389,17 +393,21 @@ def resolve_check_ids(requested) -> tuple[str, ...]:
     return tuple(sorted(set(requested)))
 
 
-def run_check(check_id: str) -> VerificationReport:
+def run_check(check_id: str, stages: Stages | None = None) -> VerificationReport:
+    """Run one check on the run's `stages`, fresh ones if none; `elapsed_ms` times the
+    check and any stage it is the first to read."""
     runner = REGISTRY[check_id]
+    stages = Stages() if stages is None else stages
     start = time.monotonic()
-    report = runner()
+    report = runner(stages)
     return replace(report, elapsed_ms=int((time.monotonic() - start) * 1000))
 
 
 def run_suite(requested=("all",)) -> list[VerificationReport]:
-    """Run the requested checks in id order.
+    """Run the requested checks in id order, all on one run's stages.
 
     Each goes through the module attribute `run_check`, so a caller that
     replaces it (to time each check, say) sees every check.
     """
-    return [run_check(c) for c in resolve_check_ids(requested)]
+    stages = Stages()
+    return [run_check(c, stages) for c in resolve_check_ids(requested)]

@@ -14,8 +14,8 @@ fraction-free (Bareiss) Gauss-Jordan loop, `adjugate`, which returns
 one place here that builds Fractions. `det` is the forward half of the same elimination,
 without the right block. Symmetric matrices have one fraction-free
 elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
-as pivots); `signature`, `Lattice.det` and the Fincke-Pohst walk in `roots`
-read it.
+as pivots); `Lattice.det`, `Lattice.signature` (through `pivot_signature`)
+and the Fincke-Pohst walk in `roots` read it.
 `mat_mul` adds up scaled rows of its right factor over the nonzero entries
 of each left row, because the Grams, bases and transforms multiplied here
 are mostly zero.
@@ -300,12 +300,6 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
         rows.append(row)
         prev = p
     return pivots, rows, len(active)
-
-
-def signature(gram) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of an integer symmetric matrix."""
-    pivots, _, nullity = symmetric_bareiss(gram)
-    return pivot_signature(pivots, nullity)
 
 
 def pivot_signature(pivots, nullity: int) -> tuple[int, int, int]:

@@ -15,7 +15,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd
 from operator import mul
@@ -73,7 +72,6 @@ class ModelError(AssertionError):
     """A build-time verification of the model failed."""
 
 
-@lru_cache(maxsize=1)
 def build_period_model() -> PeriodModel:
     """Construct and verify the I_{21,2} model with h = (1,...,1,3,3)."""
     ambient = standard_lattice("I_{21,2}")
@@ -332,13 +330,12 @@ class BoundaryComponent:
     source_entry: str  # the rank-24 root system it came from
 
 
-@lru_cache(maxsize=1)
 def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, E6Split], ...]:
     """(entry, glued lattice with its roots, its E6 split) for the six E-containing entries.
 
     The one shared stage of the boundary checks: each lattice is glued, its
-    roots walked, E6 embedded and the roots split once per process. It takes
-    no argument, so it holds these six and nothing a caller passes in.
+    roots walked, E6 embedded and the roots split once per run. Every call
+    builds anew; a run (`checks.Stages`) keeps what it built and hands it on.
     """
     stage = []
     for entry in entries_with_e_summand():
@@ -347,8 +344,8 @@ def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, E6Split],
     return tuple(stage)
 
 
-def classify_boundary_components() -> tuple[BoundaryComponent, ...]:
-    """The six complement root systems from the six E-containing rank-24 lattices.
+def classify_boundary_components(stage) -> tuple[BoundaryComponent, ...]:
+    """The six complement root systems from the stage `niemeier_e6_stage()` built.
 
     The roots of E6^perp in L are by definition the roots of L orthogonal to
     E6, so each label is `split.complement`, the root system of
@@ -357,7 +354,7 @@ def classify_boundary_components() -> tuple[BoundaryComponent, ...]:
     to E6. No root is identified again here.
     """
     by_system = {}
-    for entry, _, split in niemeier_e6_stage():
+    for entry, _, split in stage:
         by_system[str(split.complement)] = str(entry.root_system)
     components = []
     for label in sorted(BOUNDARY_MATCHING):
@@ -513,7 +510,6 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
                    complement=RootSystemLabel(tuple(sorted(outside + list(inside)))))
 
 
-@lru_cache(maxsize=1)
 def e8_dictionary() -> E6Split:
     """The split of the 240 roots of E8 relative to a fixed E6: 72 / 6 / 162."""
     e8 = standard_lattice("E8")

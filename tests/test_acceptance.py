@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from cf_lattice import (
     Lattice,
     direct_sum,
@@ -25,6 +27,12 @@ from cf_lattice import (
 from cf_lattice import checks, period, plethysm, spectra
 from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
 from cf_lattice.roots import reflection, roots
+
+
+@pytest.fixture(scope="module")
+def model():
+    """The period model, built once for the criteria that read it after the first."""
+    return period.build_period_model()
 
 
 def _report(num, budget_s, started, description):
@@ -57,9 +65,8 @@ def test_criterion_02_monodromy_involution():
     _report(2, 1, t0, "involution fixes Gram [[3,2],[2,2]], -1 on its complement")
 
 
-def test_criterion_03_determinant_arrangement():
+def test_criterion_03_determinant_arrangement(model):
     t0 = time.monotonic()
-    model = period.build_period_model()
     result = period.realizable_determinants(model, 2, 14)
     assert sorted(result.realized) == [2, 6, 8, 12, 14]
     assert result.unrealized_at_bound == ()
@@ -76,7 +83,7 @@ def test_criterion_04_boundary_classification():
     entries = entries_with_e_summand()
     assert sorted(str(e.root_system) for e in entries) == [
         "A11+D7+E6", "A17+E7", "D10+E7^2", "D16+E8", "E6^4", "E8^3"]
-    comps = period.classify_boundary_components()
+    comps = period.classify_boundary_components(period.niemeier_e6_stage())
     got = sorted(str(c.root_sublattice) for c in comps)
     assert got == ["A11+D7", "A17", "A2+D16", "A2+E8^2", "D10+E7", "E6^3"]
     _report(4, 60, t0, "six boundary systems incl. the A17 case absent from prose")
@@ -159,7 +166,7 @@ def test_criterion_10_spectra():
                        "double suspension lands in [1,2]")
 
 
-def test_criterion_11_property_suites():
+def test_criterion_11_property_suites(model):
     t0 = time.monotonic()
     rng = random.Random(271828)
     # reflections: involution + orthogonality on 100 random generalized roots
@@ -195,8 +202,8 @@ def test_criterion_11_property_suites():
                             for f, n in entry.root_system.components])
         glued = construct_niemeier(entry)
         assert abs(glued.lattice.det()) * glued.glue_order ** 2 == abs(base.det())
-    ext = period.glue_unimodular_26_2(period.build_period_model())
-    core = period.build_period_model().core_lattice
+    ext = period.glue_unimodular_26_2(model)
+    core = model.core_lattice
     assert abs(ext.lattice.det()) * 9 == abs(core.det()) * abs(
         standard_lattice("E6").det())
     _report(11, 30, t0, "reflection/disc-order/symmetry/index-law property suites")
@@ -257,9 +264,9 @@ def _verify_json(*check_ids):
 
 
 def test_each_check_alone_reports_what_the_full_suite_reports():
-    """The shared stages are process-wide memos, so a check run alone in a fresh
-    process builds whatever stage the suite built for it earlier; its report bytes
-    (without elapsed_ms) must not depend on that."""
+    """A run builds each shared stage in the first check that reads it, so a check
+    run alone in a fresh process builds a stage that the suite built in an earlier
+    check; its report bytes (without elapsed_ms) must not depend on that."""
     suite = _verify_json()
     assert sorted(suite) == sorted(checks.REGISTRY)
     for check_id in sorted(checks.REGISTRY):

@@ -467,7 +467,7 @@ def test_verify_exit_code_counts_failures(capsys, monkeypatch):
     from cf_lattice import checks
     from cf_lattice.report import make_report
 
-    def failing():
+    def failing(stages):
         return make_report("always-fails", expected=1, actual=2, citation="synthetic")
 
     monkeypatch.setitem(checks.REGISTRY, "always-fails", failing)

@@ -19,8 +19,8 @@ from cf_lattice.intlinalg import (
     det,
     hnf,
     kernel,
+    pivot_signature,
     rational_inverse,
-    signature,
     smith_normal_form,
     symmetric_bareiss,
 )
@@ -333,6 +333,13 @@ def _det_fraction(a):
         out *= m[i][i]
     assert out.denominator == 1
     return int(out)
+
+
+def signature(gram):
+    """(positive, negative, zero) the way `Lattice.signature` reads it: `pivot_signature`
+    over the pivots and nullity of `symmetric_bareiss`."""
+    pivots, _, nullity = symmetric_bareiss(gram)
+    return pivot_signature(pivots, nullity)
 
 
 def test_signature_diagonal_cases():

@@ -28,6 +28,12 @@ from cf_lattice.period import build_period_model
 from cf_lattice.roots import _enumerate_norm, identify_root_system, root_components, roots
 
 
+@pytest.fixture(scope="module")
+def core_lattice():
+    """The polarization complement, built once for the module's 26_2 glues."""
+    return build_period_model().core_lattice
+
+
 def test_table_has_24_entries_with_census_invariant():
     table = niemeier_table()
     assert len(table) == 24
@@ -191,7 +197,7 @@ def test_overlattice_matches_the_fraction_reference_on_every_niemeier_subgroup(t
     assert accepted == 18  # all isotropic; unimodularity and roots pick among them
 
 
-def test_overlattice_matches_the_fraction_reference_on_e6_a2_and_26_2_glues():
+def test_overlattice_matches_the_fraction_reference_on_e6_a2_and_26_2_glues(core_lattice):
     base = direct_sum(standard_lattice("E6"), standard_lattice("A2"))
     data = discriminant_data(base)
     outcomes = [glue_both_ways(base, data, [e]) for e in data.form.elements() if any(e)]
@@ -203,7 +209,7 @@ def test_overlattice_matches_the_fraction_reference_on_e6_a2_and_26_2_glues():
     with pytest.raises(GlueError, match="not integral"):
         overlattice(base, data, [x, y])
     assert glue_both_ways(base, data, [x, y]) == (GlueError, GlueError)
-    total = direct_sum(build_period_model().core_lattice, standard_lattice("E6"))
+    total = direct_sum(core_lattice, standard_lattice("E6"))
     data = discriminant_data(total)
     subgroup = next(isotropic_subgroups(data, 3))
     new, ref = glue_both_ways(total, data, [next(e for e in subgroup if any(e))])
@@ -370,7 +376,7 @@ def assert_glues_like_bareiss(lat, data, elements):
 
 
 def test_overlattice_matches_the_bareiss_reference_on_the_niemeier_and_26_2_glues(
-        time_budget):
+        core_lattice, time_budget):
     accepted = 0
     for entry in entries_with_e_summand():
         comps = [standard_lattice(f"{f}{n}") for f, n in entry.root_system.components]
@@ -379,7 +385,7 @@ def test_overlattice_matches_the_bareiss_reference_on_the_niemeier_and_26_2_glue
         for subgroup in isotropic_subgroups(data, isqrt(data.form.order)):
             accepted += not isinstance(assert_glues_like_bareiss(base, data, subgroup), str)
     assert accepted == 18
-    total = direct_sum(build_period_model().core_lattice, standard_lattice("E6"))
+    total = direct_sum(core_lattice, standard_lattice("E6"))
     data = discriminant_data(total)
     subgroup = next(isotropic_subgroups(data, 3))
     gram, _, _, glue_order = assert_glues_like_bareiss(total, data, subgroup)

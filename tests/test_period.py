@@ -39,6 +39,23 @@ def model():
     return build_period_model()
 
 
+@pytest.fixture(scope="module")
+def niemeier_stage():
+    return period.niemeier_e6_stage()
+
+
+@pytest.fixture(scope="module")
+def e8_split():
+    return e8_dictionary()
+
+
+@pytest.fixture(scope="module")
+def splits(niemeier_stage, e8_split):
+    """The E8 split and the six Niemeier splits by root system, built once for the module."""
+    return {"E8": e8_split, **{str(entry.root_system): split
+                               for entry, _, split in niemeier_stage}}
+
+
 def test_model_invariants(model):
     amb = model.ambient
     h = model.polarization
@@ -50,11 +67,32 @@ def test_model_invariants(model):
     assert core.name == "polarization complement"
     assert core.gram == model.core.induced_gram()
     assert model.core_disc.form.invariant_factors == (3,)
-    # deterministic rebuild
+    # deterministic rebuild: the library keeps no memo, so this builds anew
     again = build_period_model()
+    assert again is not model
     assert again.polarization == model.polarization
     assert again.core.basis == model.core.basis
+    assert again.core_lattice.gram == model.core_lattice.gram
+    assert again.core_disc.form.invariant_factors == model.core_disc.form.invariant_factors
     assert again.long_root == model.long_root
+
+
+def _split_summary(split):
+    return (split.mixed_lines, sorted(map(len, split.mixed_by_line.values())),
+            len(split.in_e6), len(split.orthogonal), str(split.complement))
+
+
+def test_stages_rebuild_deterministically(niemeier_stage, e8_split):
+    """A second build of the E8 split and of the Niemeier stage is a new object with
+    the same mixed lines, bucket sizes and complement labels."""
+    again = e8_dictionary()
+    assert again is not e8_split
+    assert _split_summary(again) == _split_summary(e8_split)
+    assert _split_summary(again)[1:] == ([54, 54, 54], 72, 6, "A2")
+    rebuilt = period.niemeier_e6_stage()
+    assert rebuilt is not niemeier_stage
+    assert ([(e, _split_summary(split)) for e, _, split in rebuilt]
+            == [(e, _split_summary(split)) for e, _, split in niemeier_stage])
 
 
 def test_parity_scan_of_core_basis(model):
@@ -233,8 +271,8 @@ def test_monodromy_lemma_report():
     assert report.paper_ref
 
 
-def test_boundary_components_match_table():
-    comps = classify_boundary_components()
+def test_boundary_components_match_table(niemeier_stage):
+    comps = classify_boundary_components(niemeier_stage)
     assert len(comps) == 6
     got = {c.label: str(c.root_sublattice) for c in comps}
     assert got == BOUNDARY_MATCHING
@@ -254,23 +292,24 @@ def counted(gram, norm):
     return original(gram, norm)
 
 roots._enumerate_norm = counted
-reports = checks.run_suite()
+stages = checks.Stages()   # the run's stages, read again below without a rebuild
+reports = [checks.run_check(c, stages) for c in checks.check_ids()]
 walks, distinct = len(walked), len(set(walked))
 print(json.dumps({
     "statuses": [r.status for r in reports],
     "walks": walks,
     "distinct": distinct,
     "roots_match": [list(glued.roots) == roots.short_vectors(glued.lattice, 2)
-                    for _, glued, _ in period.niemeier_e6_stage()],
+                    for _, glued, _ in stages.niemeier],
 }))
 """
 
 
 def test_suite_walks_each_lattice_once_and_passes_roots_on():
-    """From a fresh import, `run_suite` makes 10 Fincke-Pohst walks on 10 distinct
-    Grams, each once: the Niemeier lattices and E8 hand their roots to the E6
-    splits, and the complement and E7 saturation root systems are read off the
-    splits instead of walked. The 10 walks are E8, the six Niemeier
+    """From a fresh import, the twelve checks of one run make 10 Fincke-Pohst walks
+    on 10 distinct Grams, each once: the Niemeier lattices and E8 hand their roots
+    to the E6 splits, and the complement and E7 saturation root systems are read
+    off the splits instead of walked. The 10 walks are E8, the six Niemeier
     lattices and E6, E7, E6+A1. The pairwise E8 saturations of intersection-codims
     have the identity basis, so their roots are those of the E8 split."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -289,6 +328,7 @@ _CORE_BUILD_PROBE = """
 import json
 import sys
 from cf_lattice import checks, intlinalg, lattices, period
+core = period.build_period_model().core_lattice   # the reference, built before counting
 calls = {"complement_of_a_line": 0, "adjugate_22": 0, "elimination_28": 0}
 disc_grams = []
 
@@ -311,7 +351,6 @@ patch(intlinalg, "adjugate", lambda a: tally("adjugate_22", len(a) == 22))
 patch(intlinalg, "symmetric_bareiss", lambda a: tally("elimination_28", len(a) == 28))
 patch(lattices, "discriminant_data", lambda lat: disc_grams.append(lat.gram))
 reports = checks.run_suite()
-core = period.build_period_model().core_lattice
 print(json.dumps({"statuses": [r.status for r in reports], **calls,
                   "disc_of_core": disc_grams.count(core.gram)}))
 """
@@ -322,7 +361,7 @@ def test_one_verify_builds_the_core_lattice_once():
     22x22 adjugate (the core's coordinate solver), one rank-28 elimination
     (II_{26,2}'s, whose det and signature the complement inside the glue and the
     lambda-prime check share) and one discriminant form of the 22x22 core, all
-    inside the cached period model."""
+    inside the one period model the run builds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -368,13 +407,6 @@ def test_suite_splits_each_root_system_into_components_once():
     assert sorted(n for n in got["sizes"] if n > 6) == [240, 288, 288, 432, 432, 720, 720]
 
 
-def _split_named(name: str) -> E6Split:
-    if name == "E8":
-        return e8_dictionary()
-    return next(split for entry, _, split in period.niemeier_e6_stage()
-                if str(entry.root_system) == name)
-
-
 def _in_ambient(sub, coords):
     return tuple(sum(c * row[j] for c, row in zip(coords, sub.basis))
                  for j in range(sub.ambient.rank))
@@ -415,11 +447,11 @@ def _assert_same_split(lat, root_list):
 
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
-def test_split_equals_the_per_root_reference(name):
+def test_split_equals_the_per_root_reference(splits, name):
     """One projection per +-pair: the same buckets, in the same order, as projecting
     every root, on the walk's order (each r next to -r) and on a shuffled root
     list where r and -r are not adjacent."""
-    lat = _split_named(name).lattice
+    lat = splits[name].lattice
     root_list = list(roots(lat))
     _assert_same_split(lat, root_list)
     random.Random(len(root_list)).shuffle(root_list)
@@ -430,12 +462,12 @@ def test_split_equals_the_per_root_reference(name):
 
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
-def test_split_agrees_with_complement_and_saturation_lattices(name):
+def test_split_agrees_with_complement_and_saturation_lattices(splits, name):
     """The reference route, walking the roots of the lattices themselves: the
     complement E6^perp has the root system of `split.orthogonal`, and for every
     mixed line w the saturation of E6 + Zw has rank 7 and exactly the roots
     `split.saturation_roots(w)`, in_e6 included."""
-    split = _split_named(name)
+    split = splits[name]
     lat = split.lattice
     comp_lat = orthogonal_complement(lat, split.e6).lattice()
     comp_roots = roots(comp_lat)
@@ -472,19 +504,19 @@ def test_dictionary_counts_pass():
                for s in report.actual["mixed_saturations"])
 
 
-def test_dictionary_three_classes_of_54():
-    dic = e8_dictionary()
+def test_dictionary_three_classes_of_54(e8_split):
+    dic = e8_split
     sizes = sorted(len(v) for v in dic.mixed_by_line.values())
     assert sizes == [54, 54, 54]
 
 
-def test_dictionary_stability_across_e6_choices():
+def test_dictionary_stability_across_e6_choices(e8_split):
     # the partition counts do not depend on which E6 subsystem is fixed:
     # rebase on images of the fixed one under a few reflections
     from cf_lattice.roots import reflection, roots as roots_of
     from cf_lattice import Sublattice
     from cf_lattice import intlinalg as _il
-    dic = e8_dictionary()
+    dic = e8_split
     e8 = dic.lattice
     all_roots = roots_of(e8)
     count = 0

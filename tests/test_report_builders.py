@@ -2,16 +2,17 @@
 
 Every `make_report` call sits in checks.py, and period.py, which holds the
 mathematics of the period model, imports nothing from `report`. Each
-registered check is a zero-argument function of checks.py whose report
-carries its own id, and `run_suite` reaches every check through the module
-attribute `checks.run_check`, so a caller that replaces it (to time each
-check, say) sees all of them.
+registered check is a function of checks.py that takes the run's
+`checks.Stages` as its one argument and whose report carries its own id,
+and `run_suite` reaches every check through the module attribute
+`checks.run_check`, handing each the one holder it made for the call, so a
+caller that replaces `run_check` (to time each check, say) sees all of them.
 """
 import ast
 import inspect
 from pathlib import Path
 
-from cf_lattice import checks
+from cf_lattice import checks, period
 from cf_lattice.report import make_report
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cf_lattice"
@@ -56,19 +57,21 @@ def test_reports_are_built_in_checks_only():
     assert uses["period.py"][1] == []
 
 
-def test_registry_runners_take_no_argument_and_report_their_id():
+def test_registry_runners_take_the_run_stages_and_report_their_id():
     assert len(checks.REGISTRY) == 12
+    stages = checks.Stages()
     for check_id, runner in checks.REGISTRY.items():
         assert runner.__module__ == "cf_lattice.checks", check_id
-        assert not inspect.signature(runner).parameters, check_id
-        assert runner().check == check_id
+        assert list(inspect.signature(runner).parameters) == ["stages"], check_id
+        assert runner(stages).check == check_id
 
 
 def test_run_suite_calls_the_module_run_check_once_per_check(monkeypatch):
-    called = []
+    called, holders = [], []
 
-    def recording_run_check(check_id):
+    def recording_run_check(check_id, stages):
         called.append(check_id)
+        holders.append(stages)
         return make_report(check_id, expected=1, actual=1)
 
     monkeypatch.setattr(checks, "run_check", recording_run_check)
@@ -77,3 +80,38 @@ def test_run_suite_calls_the_module_run_check_once_per_check(monkeypatch):
     assert [r.check for r in reports] == called
     checks.run_suite(("plethysm-chi", "model-build"))
     assert called[12:] == ["model-build", "plethysm-chi"]
+    # one holder per call, the same for every check of that call
+    assert all(isinstance(h, checks.Stages) for h in holders)
+    assert len({id(h) for h in holders[:12]}) == len({id(h) for h in holders[12:]}) == 1
+    assert holders[0] is not holders[12]
+
+
+def test_each_run_builds_each_stage_once_inside_the_first_check_to_read_it(monkeypatch):
+    """Two `run_suite` calls in one process build each stage once per call, each in
+    the first check that reads it; `run_check` alone builds only what it reads."""
+    built, current = [], []
+
+    def counting(name, build):
+        def counted():
+            built.append((name, current[-1]))
+            return build()
+        return counted
+
+    for name in ("build_period_model", "e8_dictionary", "niemeier_e6_stage"):
+        monkeypatch.setattr(period, name, counting(name, getattr(period, name)))
+    run_check = checks.run_check
+
+    def tracking_run_check(check_id, *rest):
+        current.append(check_id)
+        return run_check(check_id, *rest)
+
+    monkeypatch.setattr(checks, "run_check", tracking_run_check)
+    for _ in range(2):
+        built.clear()
+        assert {r.status for r in checks.run_suite()} == {"pass"}
+        assert sorted(built) == [("build_period_model", "hyperplane-dets"),
+                                 ("e8_dictionary", "dictionary-counts"),
+                                 ("niemeier_e6_stage", "boundary-components")]
+    built.clear()
+    assert checks.run_check("model-build").status == "pass"
+    assert built == [("build_period_model", "model-build")]
