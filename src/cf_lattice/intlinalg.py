@@ -5,14 +5,18 @@ point. Matrices are sequences of equal-length rows; functions return new
 list-of-list matrices and never mutate their arguments.
 
 One integer elimination loop, `_echelon` (Euclid down each column with the
-smallest entry as pivot), serves `hnf`, `kernel` and `smith_normal_form`; the
-Smith form is alternating row and column Hermite normal forms
+smallest entry as pivot), serves `hnf`, `kernel` and the Smith form; the
+Smith form (`smith_form`) is alternating row and column Hermite normal forms
 (Kannan-Bachem), not a loop of its own, and each divisibility fix-up runs one
-row and one column pass on the 2x2 block it touches. Inverses come from one
-fraction-free (Bareiss) Gauss-Jordan loop, `adjugate`, which returns
-(det A, adj A) in integers; `rational_inverse` is its Fraction view and the
-one place here that builds Fractions. `det` is the forward half of the same elimination,
-without the right block. Symmetric matrices have one fraction-free
+row and one column pass on the 2x2 block it touches. Column passes carry Q.
+Row passes carry P only for the caller that reads it (`smith_normal_form`);
+`discriminant_data` reads d and Q alone, and there a row pass is the Hermite
+form of M padded with zero rows, so a zero invariant factor of singular or
+non-square input survives. Inverses come from one fraction-free (Bareiss)
+Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in integers;
+`rational_inverse` is its Fraction view and the one place here that builds
+Fractions. `det` is the forward half of the same elimination, without the
+right block. Symmetric matrices have one fraction-free
 elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
 as pivots); `Lattice.det`, `Lattice.signature` (through `pivot_signature`)
 and the Fincke-Pohst walk in `roots` read it.
@@ -154,9 +158,19 @@ def rank(a) -> int:
     return len(hnf(a))
 
 
-def _hermite_pass(m, t, width: int) -> tuple[Matrix, Matrix]:
-    """HNF of [m | t] split back at column `width`; t is unimodular or m is square
-    nonsingular, so no row is lost."""
+def _hermite_pass(m, t) -> tuple[Matrix, Matrix | None]:
+    """Row HNF of m, carrying the transform t alongside it unless t is None.
+
+    With t: the HNF of [m | t] split back at m's width; t is unimodular or m
+    is square nonsingular, so no row is lost. Without: the HNF of m padded
+    with zero rows back to m's height, which is the left block of the other
+    (the rows of HNF([m | t]) pivoting in t are zero on m, and the others
+    are the Hermite form of m's row lattice, which is unique).
+    """
+    if t is None:
+        h = hnf(m)
+        return h + [[0] * len(m[0]) for _ in range(len(m) - len(h))], None
+    width = len(m[0])
     h = hnf([r + s for r, s in zip(m, t)])
     return [r[:width] for r in h], [r[width:] for r in h]
 
@@ -164,19 +178,33 @@ def _hermite_pass(m, t, width: int) -> tuple[Matrix, Matrix]:
 def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
     """Smith normal form with transforms: P*A*Q = diag(d), d_i >= 0, d_i | d_{i+1}.
 
-    P and Q are unimodular and zeros come last. Alternating Hermite reduction
-    (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, 2.4.4): the row
-    HNF of [M | P], then the row HNF of [M^T | Q^T], until M is diagonal.
-    Each pass is `hnf`, which reduces the entries above its pivots, and the
-    leading pivot of the unfinished block only ever shrinks to a proper
-    divisor, so the loop ends.
+    P and Q are unimodular and zeros come last. The loop is `smith_form`
+    with P carried: column passes carry Q and row passes carry P, as the
+    row HNF of [M | P]. `smith_form` without P gives the same d and Q.
+    """
+    return smith_form(a, carry_p=True)
+
+
+def smith_form(a, carry_p: bool) -> tuple[list[int], Matrix | None, Matrix]:
+    """(d, P, Q) as `smith_normal_form` returns them, P None unless `carry_p`.
+
+    Alternating Hermite reduction (Kannan-Bachem, SIAM J. Comput. 8, 1979;
+    Cohen, GTM 138, 2.4.4): the row HNF of M, then the row HNF of
+    [M^T | Q^T], until M is diagonal. Column passes always carry Q; row
+    passes carry P, as the row HNF of [M | P], only with `carry_p`. Without
+    P a row pass is `hnf` of M padded with zero rows, the left block of the
+    pass with P, so d and Q are the same either way; the zero rows keep a
+    zero invariant factor on singular or non-square input, which `hnf`
+    alone would drop. Each pass is `hnf`, which reduces the entries above
+    its pivots, and the leading pivot of the unfinished block only ever
+    shrinks to a proper divisor, so the loop ends.
     If d_i does not divide d_{i+1}, column i+1 is added to column i, which
     leaves the 2x2 block [[d_i, 0], [d_{i+1}, d_{i+1}]] on rows and columns
     i, i+1, and one row pass and one column pass run on that block alone, the
-    row pass carrying rows i, i+1 of P and the column pass columns i, i+1 of
-    Q. The row pass gives [[g, x], [0, y]] with g = gcd(d_i, d_{i+1}), which
-    divides x, so the column pass leaves diag(g, y). Then the divisibility is
-    scanned again from d_0.
+    row pass carrying rows i, i+1 of P (if carried) and the column pass
+    columns i, i+1 of Q. The row pass gives [[g, x], [0, y]] with
+    g = gcd(d_i, d_{i+1}), which divides x, so the column pass leaves
+    diag(g, y). Then the divisibility is scanned again from d_0.
     On square nonsingular input this is exactly the full-width loop that runs
     both passes over all of [M | P] and [M^T | Q^T] again: with M diagonal but
     for (i+1, i), every other row and column of M holds one nonzero entry and
@@ -184,18 +212,16 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
     columns) i and i+1, and does to them what the block pass does. On singular
     or non-square input a full pass would also pivot inside P or Q and reduce
     rows i, i+1 against those pivots, so P and Q can differ from the
-    full-width loop's while meeting the same contract; no library caller
-    passes such input (`discriminant_data` raises on a zero factor,
-    `disc_action` takes nondegenerate Grams).
+    full-width loop's while meeting the same contract.
     """
     m = [list(r) for r in a]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    p, q = identity(nrows), identity(ncols)
+    p, q = identity(nrows) if carry_p else None, identity(ncols)
     if not nrows or not ncols:
         return [], p, q
     while True:
-        m, p = _hermite_pass(m, p, ncols)
-        mt, qt = _hermite_pass(transpose(m), transpose(q), nrows)
+        m, p = _hermite_pass(m, p)
+        mt, qt = _hermite_pass(transpose(m), transpose(q))
         m, q = transpose(mt), transpose(qt)
         if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
             break
@@ -205,9 +231,12 @@ def smith_normal_form(a) -> tuple[list[int], Matrix, Matrix]:
         if i is None:
             return d, p, q
         j = i + 1
-        block, (p[i], p[j]) = _hermite_pass([[d[i], 0], [d[j], d[j]]], [p[i], p[j]], 2)
+        block, pij = _hermite_pass([[d[i], 0], [d[j], d[j]]],
+                                   None if p is None else [p[i], p[j]])
+        if p is not None:
+            p[i], p[j] = pij
         qt = [[row[i] + row[j] for row in q], [row[j] for row in q]]
-        block, qt = _hermite_pass(transpose(block), qt, 2)
+        block, qt = _hermite_pass(transpose(block), qt)
         for row, x, y in zip(q, *qt):
             row[i], row[j] = x, y
         d[i], d[j] = block[0][0], block[1][1]

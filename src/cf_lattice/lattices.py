@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import intlinalg
-from .intlinalg import Matrix, hnf, kernel, smith_normal_form
+from .intlinalg import Matrix, hnf, kernel, smith_form
 
 Vector = tuple[int, ...]
 
@@ -406,11 +406,12 @@ def discriminant_data(lat: Lattice) -> DiscriminantData:
 
     P G Q = D gives G^-1 = Q D^-1 P, so generator i of L*/L lifts to
     Q e_i / d_i, and b_ij = (Q^T G Q)_ij / (d_i d_j) (Nikulin 1979; Cohen,
-    GTM 138, 2.4): one integer product, no inverse of P or G. A zero
-    invariant factor means det G = 0, and raises DegenerateLatticeError.
+    GTM 138, 2.4): one integer product, no inverse of P or G, so P is not
+    carried (`smith_form` without P). A zero invariant factor means
+    det G = 0, and raises DegenerateLatticeError.
     """
     g = [list(r) for r in lat.gram]
-    d, _p, q = smith_normal_form(g)
+    d, _, q = smith_form(g, carry_p=False)
     if 0 in d:
         raise DegenerateLatticeError("discriminant group requires det != 0")
     keep = [i for i, di in enumerate(d) if di > 1]

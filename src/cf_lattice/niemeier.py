@@ -248,22 +248,26 @@ def embed_e6(lat: Lattice, component) -> Sublattice:
     component. Greedy Dynkin-subgraph search over the component's halves in
     lexicographic order, each followed by its negative; the returned basis
     consists of six simple roots, so the induced Gram is the E6 Cartan
-    matrix exactly. Raises ValueError if the roots hold no E6.
+    matrix exactly. G v of each chosen root is kept as its nonzero entries
+    only (a few of 24 on a Niemeier Gram), so testing a candidate against
+    the roots chosen so far costs a few products each. Raises ValueError if
+    the roots hold no E6.
     """
     component_roots = [u for v in sorted(set(map(_half, component)))
                        for u in (v, tuple(-x for x in v))]
     g = [list(r) for r in lat.gram]
     target = standard_lattice("E6").gram
     chosen: list[Vector] = []
-    paired = []  # G v of each chosen root, built only once it is chosen
+    paired = []  # G v of each chosen root as its nonzero (j, x) pairs, built once it is chosen
 
     def extend(k: int) -> bool:
         if k == 6:
             return True
         for cand in component_roots:
-            if all(sum(map(mul, gv, cand)) == target[k][j] for j, gv in enumerate(paired)):
+            if all(sum([cand[j] * x for j, x in gv]) == target[k][i]
+                   for i, gv in enumerate(paired)):
                 chosen.append(cand)
-                paired.append(intlinalg.mat_vec(g, cand))
+                paired.append([(j, x) for j, x in enumerate(intlinalg.mat_vec(g, cand)) if x])
                 if extend(k + 1):
                     return True
                 chosen.pop()

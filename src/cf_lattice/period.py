@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
-from operator import mul
 
 from . import intlinalg
 from .lattices import (
@@ -465,12 +464,15 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
     projected: the projection of a root r to E6^perp is computed in
     integers, scaled by det(G6) > 0: det(G6) * r -
     (adj(G6) * pairings) . basis, with adj(G6) = det(G6) * G6^-1; a positive
-    scale leaves the line unchanged. r and -r have negated pairings and
-    projections, so they fall in the same bucket: the pairings, projection
-    and line are computed once per `_half(r)`, and every root is appended to
-    its bucket in input order. The complement root system is the other
-    components' labels plus that of the E_r component's roots orthogonal to
-    E6 (none, A1 or A2 for r = 6, 7, 8).
+    scale leaves the line unchanged. G e and e of each basis root e are kept
+    as their nonzero entries only (a few of 24 on a Niemeier Gram), so a
+    pairing costs a few products, and the projection subtracts the scaled
+    basis rows of the nonzero coefficients only. r and -r have negated
+    pairings and projections, so they fall in the same bucket: the pairings,
+    projection and line are computed once per `_half(r)`, and every root is
+    appended to its bucket in input order. The complement root system is the
+    other components' labels plus that of the E_r component's roots
+    orthogonal to E6 (none, A1 or A2 for r = 6, 7, 8).
     """
     components = root_components(lat, root_list)
     e_index = next((i for i, ((family, _), _) in enumerate(components) if family == "E"), None)
@@ -479,8 +481,10 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
     e6sub = embed_e6(lat, components[e_index][1])
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
-    basis_pairings = [intlinalg.mat_vec(g, list(row)) for row in e6sub.basis]
-    basis_cols = intlinalg.transpose(e6sub.basis)
+    # G e and e of each E6 basis root as their nonzero (j, x) pairs
+    basis_pairings = [[(j, x) for j, x in enumerate(intlinalg.mat_vec(g, list(row))) if x]
+                      for row in e6sub.basis]
+    basis_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e6sub.basis]
     in_e6, orthogonal, mixed_by_line = [], [], {}
     bucket_of_half = {v: orthogonal for i, (_, halves) in enumerate(components)
                       if i != e_index for v in halves}
@@ -489,13 +493,16 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
         half = _half(root)
         bucket = bucket_of_half.get(half)
         if bucket is None:
-            pair = [sum(map(mul, bp, half)) for bp in basis_pairings]
+            pair = [sum([half[j] * x for j, x in bp]) for bp in basis_pairings]
             if not any(pair):
                 bucket = orthogonal
                 inner_orthogonal.append(half)
             else:
-                coeffs = intlinalg.mat_vec(adj6, pair)
-                proj = [det6 * r - sum(map(mul, coeffs, col)) for r, col in zip(half, basis_cols)]
+                proj = [det6 * r for r in half]
+                for c, row in zip(intlinalg.mat_vec(adj6, pair), basis_rows):
+                    if c:
+                        for j, x in row:
+                            proj[j] -= c * x
                 if not any(proj):
                     bucket = in_e6
                 else:

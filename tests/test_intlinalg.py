@@ -21,6 +21,7 @@ from cf_lattice.intlinalg import (
     kernel,
     pivot_signature,
     rational_inverse,
+    smith_form,
     smith_normal_form,
     symmetric_bareiss,
 )
@@ -158,8 +159,8 @@ def kannan_bachem_reference(a):
     if not nrows or not ncols:
         return [], p, q
     while True:
-        m, p = intlinalg._hermite_pass(m, p, ncols)
-        mt, qt = intlinalg._hermite_pass(intlinalg.transpose(m), intlinalg.transpose(q), nrows)
+        m, p = intlinalg._hermite_pass(m, p)
+        mt, qt = intlinalg._hermite_pass(intlinalg.transpose(m), intlinalg.transpose(q))
         m, q = intlinalg.transpose(mt), intlinalg.transpose(qt)
         if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
             continue
@@ -227,9 +228,9 @@ def test_smith_normal_form_equals_the_full_width_loop_on_square_nonsingular_inpu
     assert [len(a) for a in inputs[:7]] == [24] * 6 + [28]
     hermite_pass, passes = intlinalg._hermite_pass, []
 
-    def counted(m, t, width):
+    def counted(m, t):
         passes.append(len(t) < len(t[0]))  # two rows of a wider P or Q^T: a 2x2 block
-        return hermite_pass(m, t, width)
+        return hermite_pass(m, t)
 
     monkeypatch.setattr(intlinalg, "_hermite_pass", counted)
     fixed_up = []
@@ -253,11 +254,9 @@ def _unimodular(rng, n):
     return u
 
 
-def test_smith_normal_form_meets_the_contract_on_singular_and_rectangular_input():
-    """Here P and Q may differ from the full-width loop's: only the contract and
-    sympy's invariant factors are checked, on non-dividing diagonals padded with
-    zero rows or columns in mixed bases, and on rank-deficient products."""
-    rng = random.Random(1718)
+def _singular_and_rectangular_inputs(rng):
+    """Non-dividing diagonals padded with zero rows or columns in mixed bases, and
+    rank-deficient products."""
     cases = []
     for diag in ([4, 6, 9, 10], [6, 4], [2, 3, 5], [12, 18, 8]):
         for extra_rows, extra_cols in ((1, 0), (0, 2), (2, 1), (1, 1)):
@@ -272,18 +271,50 @@ def test_smith_normal_form_meets_the_contract_on_singular_and_rectangular_input(
         inner = rng.randint(1, min(n, m) - 1)
         cases.append(intlinalg.mat_mul(random_matrix(rng, n, inner),
                                        random_matrix(rng, inner, m)))
-    for a in cases:
+    return cases
+
+
+def test_smith_normal_form_meets_the_contract_on_singular_and_rectangular_input():
+    """Here P and Q may differ from the full-width loop's: only the contract and
+    sympy's invariant factors are checked."""
+    for a in _singular_and_rectangular_inputs(random.Random(1718)):
         _assert_smith(a, smith_normal_form(a))
+
+
+def test_smith_form_without_p_gives_the_d_and_q_of_the_loop_with_p(time_budget):
+    """The row pass without P is the left block of the pass with P, so d and Q are
+    the same: on dense 2x2 to 12x12, seeded A-D-E sums of rank 8 to 24 in skewed
+    bases, the six Niemeier root sums, the rank-22 core, and singular and
+    non-square input, whose zero factors survive the bare row passes."""
+    rng = random.Random(1719)
+    inputs = [random_matrix(rng, n, n) for n in range(2, 13) for _ in range(3)]
+    while len(inputs) < 63:
+        g = _seeded_ade_gram(rng)
+        if len(g) >= 8:
+            inputs.append(_skewed(rng, g))
+    inputs += [[list(r) for r in direct_sum(*(standard_lattice(f"{f}{n}")
+                                              for f, n in e.root_system.components)).gram]
+               for e in entries_with_e_summand()]
+    inputs.append([list(r) for r in build_period_model().core_lattice.gram])
+    singular = _singular_and_rectangular_inputs(rng)
+    for a in inputs + singular:
+        d, _, q = smith_normal_form(a)
+        assert smith_form(a, carry_p=False) == (d, None, q)
+    assert sum(0 in smith_form(a, carry_p=False)[0] for a in singular) > len(singular) // 2
 
 
 _PASS_COUNT_PROBE = """
 import json
+from collections import Counter
 from cf_lattice import checks, intlinalg
-hermite_pass, counts = intlinalg._hermite_pass, {"full": 0, "block": 0}
-def counted(m, t, width):
-    # a pass over a 2x2 block carries two rows of P or Q^T; a full pass carries all of them
-    counts["block" if len(t) < len(t[0]) else "full"] += 1
-    return hermite_pass(m, t, width)
+hermite_pass, counts = intlinalg._hermite_pass, Counter()
+def counted(m, t):
+    # every row pass is followed by its column pass; no Smith input of a verify is
+    # 2x2, so a pass on two rows is a fix-up block; t is None when P is not carried
+    side = "column" if sum(counts.values()) % 2 else "row"
+    counts[" ".join((side, "block" if len(m) == 2 else "full",
+                     "bare" if t is None else "carrying"))] += 1
+    return hermite_pass(m, t)
 intlinalg._hermite_pass = counted
 reports = checks.run_suite()
 print(json.dumps({"statuses": [r.status for r in reports], **counts}))
@@ -292,17 +323,20 @@ print(json.dumps({"statuses": [r.status for r in reports], **counts}))
 
 def test_one_verify_makes_24_full_width_and_260_block_hermite_passes():
     """From a fresh import, `run_suite` takes 12 Smith forms (ranks 6 to 28), none of
-    them 2x2: one round of full passes each, and 260 passes on 2x2 blocks for the
-    divisibility fix-ups. The full-width loop made 292 full passes, and 28 full and
-    264 block passes were made while the core's discriminant data was rebuilt
-    by two callers of the period model."""
+    them 2x2: one round of full passes each, and 130 row and 130 column passes on
+    2x2 blocks for the divisibility fix-ups. Column passes carry Q; row passes carry
+    P only in the one Smith form whose P is read (`disc_action` on the core), and
+    the 11 of `discriminant_data` run bare."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
     result = subprocess.run([sys.executable, "-c", _PASS_COUNT_PROBE], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
-    assert got == {"statuses": ["pass"] * 12, "full": 24, "block": 260}
+    assert got == {"statuses": ["pass"] * 12,
+                   "row full bare": 11, "row full carrying": 1, "column full carrying": 12,
+                   "row block bare": 129, "row block carrying": 1,
+                   "column block carrying": 130}
 
 
 def test_det_matches_fraction_elimination():

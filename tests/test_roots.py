@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations, permutations, product
 from math import isqrt, lcm
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,93 @@ def test_root_components_of_the_niemeier_lattices():
         got = root_components(lat, rs)
         assert got == reference_root_components(lat, rs)
         assert RootSystemLabel(tuple(sorted(lab for lab, _ in got))) == entry.root_system
+
+
+def oldest_first_root_components(lat, root_list):
+    """`root_components` with each half scanning the simple roots found before it
+    oldest first: the reference for the newest-first scan."""
+    halves = list(dict.fromkeys(map(_half, root_list)))
+    g = [list(r) for r in lat.gram]
+    simple, gs, parent = [], [], []
+    home = {}
+    for v in sorted(halves):
+        for i, gs_i in enumerate(gs):
+            if sum([v[j] * x for j, x in gs_i]) == 1:
+                if tuple(a - b for a, b in zip(v, simple[i])) not in home:
+                    raise ValueError("root list is not closed under reflections")
+                home[v] = i
+                break
+        else:
+            gv = intlinalg.mat_vec(g, v)
+            if sum(a * b for a, b in zip(v, gv)) != 2:
+                raise ValueError("input contains a vector of norm != 2")
+            k = len(simple)
+            parent.append(k)
+            for i, s in enumerate(simple):
+                if sum(a * b for a, b in zip(s, gv)):
+                    parent[roots_module._find(parent, i)] = k
+            simple.append(v)
+            gs.append([(j, x) for j, x in enumerate(gv) if x])
+            home[v] = k
+    members = {}
+    for v in halves:
+        members.setdefault(roots_module._find(parent, home[v]), []).append(v)
+    comps = []
+    for root, vectors in members.items():
+        block = [i for i in range(len(simple)) if roots_module._find(parent, i) == root]
+        det = intlinalg.det([[sum([simple[i][jj] * x for jj, x in gs[j]]) for j in block]
+                             for i in block])
+        if det == 0:
+            raise ValueError("simple roots of a component are dependent: not a root system")
+        comps.append((roots_module._ade_label(len(block), det, 2 * len(vectors)),
+                      sorted(vectors)))
+    return comps
+
+
+def _scan_order_inputs():
+    """(lattice, root list, kind): the six Niemeier lists and E8, seeded A-D-E sums in
+    skewed bases, and each of those corrupted by a dropped +-pair, an added norm-4
+    vector, or a reflection-closed part plus one root outside it."""
+    cases = [(lat, roots(lat), "whole") for lat in
+             [construct_niemeier(e).lattice for e in entries_with_e_summand()]
+             + [standard_lattice("E8")]]
+    rng = random.Random(2323)
+    summands = ["A1", "A2", "A3", "A5", "A7", "D4", "D5", "D7", "E6", "E7", "E8"]
+    for _ in range(12):
+        lat = direct_sum(*[standard_lattice(p) for p in rng.sample(summands, rng.randint(1, 3))])
+        cases.append((*_skewed_roots(rng, lat), "whole"))
+    for lat, rs, _ in list(cases):
+        rs = list(rs)
+        rng.shuffle(rs)
+        cases.append((lat, [v for v in rs if _half(v) != _half(rs[0])], "dropped"))
+        if lat.rank <= 16:
+            extra = rng.choice(short_vectors(lat, 4))
+        else:  # the sum of two orthogonal roots
+            extra = next(tuple(map(add, rs[0], v)) for v in rs if not lat.inner(rs[0], v))
+        cases.append((lat, rs + [extra], "norm 4"))
+        # a root outside a closed part that pairs nonzero with one of its roots a:
+        # its reflection in a is in neither the part nor +-itself
+        part = _reflection_closure(lat, rs[:2])
+        outside = next(v for v in rs if v not in part and lat.inner(v, rs[0]))
+        cases.append((lat, part + [outside], "not closed"))
+    return cases
+
+
+def test_newest_first_scan_gives_what_the_oldest_first_scan_gives(time_budget):
+    """Labels and sorted halves item for item, and a ValueError on the same inputs."""
+    cases = _scan_order_inputs()
+    raised = dict.fromkeys([kind for _, _, kind in cases], 0)
+    for lat, rs, kind in cases:
+        try:
+            expected = oldest_first_root_components(lat, rs)
+        except ValueError:
+            with pytest.raises(ValueError):
+                root_components(lat, rs)
+            raised[kind] += 1
+        else:
+            assert root_components(lat, rs) == expected
+    assert raised["whole"] == 0 and raised["norm 4"] == raised["not closed"] == 19
+    assert raised["dropped"] >= 15  # a dropped pair leaves a root system where it was an A1
 
 
 @pytest.mark.parametrize("label", ["E8^6", "D16^3", "A24^2"])
