@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import intlinalg
@@ -123,7 +123,7 @@ class Sublattice:
         return Lattice(self.induced_gram(), name=name)
 
     def is_degenerate(self) -> bool:
-        return intlinalg.det(self.induced_gram()) == 0
+        return self.lattice().is_degenerate()
 
     @cached_property
     def _coordinate_solver(self) -> tuple[Matrix, int, Matrix]:
@@ -358,20 +358,14 @@ def saturation(lat: Lattice, sub: Sublattice) -> Sublattice:
 
 
 def saturation_index(lat: Lattice, sub: Sublattice) -> int:
-    """[sat(S) : S]; 1 iff S is primitive."""
-    sat = saturation(lat, sub)
-    d_sub = abs(intlinalg.det(intlinalg.mat_mul(
-        [list(r) for r in sub.basis],
-        intlinalg.transpose([list(r) for r in sub.basis]))))
-    d_sat = abs(intlinalg.det(intlinalg.mat_mul(
-        [list(r) for r in sat.basis],
-        intlinalg.transpose([list(r) for r in sat.basis]))))
-    # [sat:S]^2 = gram-det ratio of the coordinate rows
-    ratio, rest = divmod(d_sub, d_sat)
-    root = isqrt(ratio)
-    if rest or root * root != ratio:
-        raise ArithmeticError("saturation index is not integral (bug)")
-    return root
+    """[sat(S) : S]; 1 iff S is primitive, and 1 for the zero sublattice.
+
+    The index is the last determinantal divisor of the basis B (r x n,
+    independent rows): the gcd of its r x r minors (Newman, Integral
+    Matrices, 1972, ch. II). The columns of B span a full-rank lattice in
+    Z^r of that index, so it is the product of the diagonal of hnf(B^T).
+    """
+    return prod(r[i] for i, r in enumerate(hnf(intlinalg.transpose(sub.basis))))
 
 
 @dataclass(frozen=True)

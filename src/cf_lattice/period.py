@@ -28,6 +28,7 @@ from .lattices import (
     discriminant_data,
     orthogonal_complement,
     saturation,
+    saturation_index,
     span_sublattice,
     standard_lattice,
     vector_divisibility,
@@ -93,9 +94,8 @@ def build_period_model() -> PeriodModel:
 
 @dataclass(frozen=True)
 class HyperplaneClass:
-    """Rank-2 overlattice of the polarization attached to a primitive vector."""
+    """The determinant of the saturated rank-2 lattice of the polarization and a vector."""
 
-    sublattice: Sublattice
     det: int
     family: str  # "H_infinity" | "H_Delta" | "other"
 
@@ -109,8 +109,11 @@ def classify_hyperplane(model: PeriodModel, v: Vector) -> HyperplaneClass:
     """Classify the saturated rank-2 lattice spanned by the polarization and v.
 
     v must be a primitive vector of the polarization complement (ambient
-    coordinates). Determinant 2 corresponds to long roots, determinant 6 to
-    roots; the determinant-2 structure is asserted, not assumed.
+    coordinates). span(h, v) has the diagonal Gram diag(h.h, v.v), and its
+    saturation has determinant (h.h)(v.v) / k^2, k = [sat : span] by
+    `saturation_index`; nothing is saturated or eliminated. Determinant 2
+    corresponds to long roots, determinant 6 to roots; the determinant-2
+    structure is asserted, not assumed.
     """
     ambient = model.ambient
     h = model.polarization
@@ -118,15 +121,15 @@ def classify_hyperplane(model: PeriodModel, v: Vector) -> HyperplaneClass:
         raise ValueError("vector is not orthogonal to the polarization")
     if gcd(*v) != 1:
         raise ValueError("vector must be primitive and nonzero")
-    m = saturation(ambient, span_sublattice(ambient, [h, v]))
-    d = intlinalg.det(m.induced_gram())
+    k = saturation_index(ambient, Sublattice(ambient, (h, v)))
+    d = ambient.norm(h) * ambient.norm(v) // (k * k)
     family = H_INFINITY if d == 2 else H_DELTA if d == 6 else OTHER
     if family == H_INFINITY:
         if ambient.norm(v) != 6:
             raise AssertionError("determinant-2 class whose vector is not of norm 6")
         if vector_divisibility(model.core_lattice, model.core.from_ambient(v)) % 3:
             raise AssertionError("determinant-2 class whose vector is not 3-divisible")
-    return HyperplaneClass(sublattice=m, det=d, family=family)
+    return HyperplaneClass(det=d, family=family)
 
 
 @dataclass(frozen=True)
@@ -168,24 +171,33 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
                             search_bound: int = 6) -> DeterminantSearch:
     """Search for positive definite rank-2 witnesses of each determinant in [lo, hi].
 
-    Witness vectors v in the polarization complement arise as projections
-    3u - (u.h) h of u with support at most 4 and coefficients bounded by
-    search_bound; each candidate is confirmed through the saturated span
-    exactly as classify_hyperplane does. Absence of a witness within the
-    bound is reported as such; impossibility comes only from the mod-6
-    congruence.
+    Candidates are vectors u with support at most 4 and coprime coefficients
+    bounded by search_bound; a multiple m*u has the saturation of u, drawn
+    at a smaller radius, and is skipped. With s = u.u and t = u.h, the
+    saturation of span(h, u) has determinant d = 3s - t^2 in closed form:
+    the 2x2 minor of (h, u) at a position i of the support and a position j
+    outside it with h_j = +-1 is -+u_i, so the minors have gcd 1 and the
+    span is already saturated. That needs more than 4 coordinates of h equal
+    to +-1, and a model without them raises ValueError. As h.h = 3 > 0, a
+    witness with d > 0 is positive definite. Each new determinant in the
+    window is cross-checked by a second formula: the witness
+    v = (3u - t h) / gcd, primitive in the polarization complement, goes
+    through `classify_hyperplane`, which reads the index off a Hermite form,
+    and an AssertionError is raised unless its det is d. Absence of a
+    witness within the bound is reported as such; impossibility comes only
+    from the mod-6 congruence.
 
     The walk visits canonical position sets only. The ambient Gram must be
     diagonal, and positions with equal (h_i, G_ii) form a class; permuting
     positions inside a class is an isometry fixing h, so it changes neither
-    the determinant, nor the minor gcd, nor positive definiteness. A set is
-    canonical if it uses, within each class, that class's first positions.
-    Among the sets of one size, an orbit's canonical set comes first in
-    lexicographic order, and at the same radius it draws an image of every
-    candidate of the orbit (coefficients permuted, negated if the leading one
-    turns negative). So the first witness of each determinant already lies
-    on a canonical set, and `realized` (witnesses and insertion order
-    included) is the one of the walk over all position sets.
+    the determinant, nor the coefficient gcd, nor positive definiteness. A
+    set is canonical if it uses, within each class, that class's first
+    positions. Among the sets of one size, an orbit's canonical set comes
+    first in lexicographic order, and at the same radius it draws an image
+    of every candidate of the orbit (coefficients permuted, negated if the
+    leading one turns negative). So the first witness of each determinant
+    already lies on a canonical set, and `realized` (witnesses and insertion
+    order included) is the one of the walk over all position sets.
     """
     if hi > MAX_DETERMINANT:
         raise ValueError(f"the witness search accepts determinants <= {MAX_DETERMINANT} only")
@@ -194,6 +206,9 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
     n = ambient.rank
     if any(ambient.gram[i][j] for i in range(n) for j in range(n) if i != j):
         raise ValueError("the witness search needs a diagonal ambient Gram matrix")
+    if sum(abs(x) == 1 for x in h) <= 4:
+        raise ValueError("the witness search needs more than 4 polarization coordinates "
+                         "equal to +-1")
     diag = [ambient.gram[i][i] for i in range(n)]
     gh = [g * x for g, x in zip(diag, h)]
     classes: dict = {}
@@ -201,56 +216,9 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
         classes.setdefault((h[i], diag[i]), []).append(i)
     canonical = [_canonical_position_sets(list(classes.values()), size) for size in range(1, 5)]
     wanted = [d for d in range(lo, hi + 1) if determinant_allowed(d)]
+    lowest = max(lo, 1)
     realized: dict = {}
     drawn = 0
-
-    def worth_confirming(d):
-        # d = det(h, u) and the saturated determinant is d / k^2, k = g * minor_gcd / 3
-        # with g = gcd(3u - (u.h) h); g | 3 for primitive u (g divides u.h, read off a
-        # coordinate outside the support), so k is 1 or 3; a multiple m*u has the
-        # saturation of u, drawn at a smaller radius. Only confirm candidates that
-        # could realize a determinant not seen yet.
-        for k in (1, 3):
-            dd, rem = divmod(d, k * k)
-            if rem == 0 and lo <= dd <= hi and dd not in realized:
-                return True
-        return False
-
-    def confirm(positions, cs):
-        t = sum(c * gh[p] for p, c in zip(positions, cs))
-        vec = [0] * n
-        for p, c in zip(positions, cs):
-            vec[p] = 3 * c
-        v = tuple(a - t * b for a, b in zip(vec, h))
-        if not any(v):
-            return
-        g = gcd(*v)
-        v = tuple(x // g for x in v)
-        # saturated determinant without the full saturation: the index of
-        # span(h, v) in its saturation is the gcd of the 2x2 minors
-        vsq = sum(v[i] * v[i] * diag[i] for i in range(n))
-        if vsq <= 0:
-            return  # past here h.h = 3 > 0, v.v > 0 and v.h = 0: the witness is definite
-        minor_gcd = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                minor_gcd = gcd(minor_gcd, h[i] * v[j] - h[j] * v[i])
-                if minor_gcd == 1:
-                    break
-            if minor_gcd == 1:
-                break
-        # the index divides 3: v is primitive and orthogonal to h, so a generator
-        # (v + a h)/k of the saturation has integral product 3a/k with h, gcd(a, k) = 1
-        if minor_gcd not in (1, 3):
-            raise AssertionError("saturation index of span(h, v) does not divide 3 (bug)")
-        d_fast = 3 * vsq // (minor_gcd * minor_gcd)
-        if not (lo <= d_fast <= hi) or d_fast in realized:
-            return
-        cls = classify_hyperplane(model, v)
-        if cls.det != d_fast:
-            raise AssertionError("minor-gcd determinant disagrees with saturation (bug)")
-        realized[cls.det] = {"vector": v, "det": cls.det, "family": cls.family}
-
     for radius in range(1, search_bound + 1):
         coeff_range = [c for c in range(-radius, radius + 1) if c]
         # v and -v classify identically: draw the first coefficient positive
@@ -261,13 +229,23 @@ def realizable_determinants(model: PeriodModel, lo: int, hi: int,
                 dg_loc = [diag[p] for p in positions]
                 for cs in product(leading, *[coeff_range] * (size - 1)):
                     drawn += 1
-                    if max(abs(c) for c in cs) != radius:
+                    if max(abs(c) for c in cs) != radius or gcd(*cs) != 1:
                         continue  # enumerated at a smaller radius already
                     t = sum(c * w for c, w in zip(cs, gh_loc))
                     s = sum(c * c * w for c, w in zip(cs, dg_loc))
                     d = 3 * s - t * t
-                    if d > 0 and worth_confirming(d):
-                        confirm(positions, cs)
+                    if not lowest <= d <= hi or d in realized:
+                        continue
+                    vec = [-t * x for x in h]
+                    for p, c in zip(positions, cs):
+                        vec[p] += 3 * c
+                    g = gcd(*vec)
+                    v = tuple(x // g for x in vec)
+                    cls = classify_hyperplane(model, v)
+                    if cls.det != d:
+                        raise AssertionError("closed-form determinant disagrees with "
+                                             "classify_hyperplane (bug)")
+                    realized[d] = {"vector": v, "det": d, "family": cls.family}
             if all(d in realized for d in wanted):
                 break
         if all(d in realized for d in wanted):

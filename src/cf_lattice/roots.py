@@ -38,9 +38,6 @@ from operator import mul, neg, sub
 from . import intlinalg
 from .lattices import Lattice, Vector, check_ade
 
-_ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
-                "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
-
 _CARTAN_DET = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n}
 
 _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
@@ -48,7 +45,8 @@ _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
 
 
 def ade_root_count(family: str, n: int) -> int:
-    return _ROOT_COUNTS[family](n)
+    """|Phi| = rank * Coxeter number."""
+    return n * ade_coxeter_number(family, n)
 
 
 def ade_coxeter_number(family: str, n: int) -> int:

@@ -66,12 +66,6 @@ class SpectrumMultiset:
         return all(e + f == self.nvars - 2
                    for e, f in zip(self.entries, reversed(self.entries)))
 
-    def counts(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out[e] = out.get(e, 0) + 1
-        return out
-
 
 def spectrum(s: QhSingularity) -> SpectrumMultiset:
     """Exact spectrum; errors if the weight system is not a valid one.

@@ -3,7 +3,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -120,6 +120,8 @@ def test_zero_sublattice_saturation_and_complement():
     zero = span_sublattice(a2, [(0, 0)])
     assert zero.basis == ()
     assert saturation(a2, zero).basis == ()
+    assert saturation_index(a2, zero) == 1
+    assert not zero.is_degenerate()
     assert orthogonal_complement(a2, zero).basis == ((1, 0), (0, 1))
 
 
@@ -182,6 +184,41 @@ def test_saturation_of_primitive_is_identity():
     e8 = standard_lattice("E8")
     sub = span_sublattice(e8, [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)])
     assert saturation(e8, sub).basis == sub.basis
+
+
+def gram_det_ratio_index(lat, sub):
+    """[sat(S) : S] as the square root of det(B B^T) / det(B' B'^T), B' a basis of sat(S)."""
+    def gram_det(rows):
+        b = [list(r) for r in rows]
+        return abs(intlinalg.det(intlinalg.mat_mul(b, intlinalg.transpose(b))))
+    ratio, rest = divmod(gram_det(sub.basis), gram_det(saturation(lat, sub).basis))
+    root = isqrt(ratio)
+    assert rest == 0 and root * root == ratio
+    return root
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_saturation_index_matches_the_gram_det_ratio(r):
+    """Seeded rank-r sublattices of Z^10, their saturations (index 1) and images
+    under a triangular T with diagonal entries 1-3 (index times det T)."""
+    rng = random.Random(2400 + r)
+    lat = standard_lattice("I_{10,0}")
+    indices = set()
+    for _ in range(6):
+        rows = [[rng.randint(-4, 4) for _ in range(10)] for _ in range(r)]
+        if intlinalg.rank(rows) < r:
+            continue
+        sub = Sublattice(lat, tuple(map(tuple, rows)))
+        k = saturation_index(lat, sub)
+        assert k == gram_det_ratio_index(lat, sub)
+        assert saturation_index(lat, saturation(lat, sub)) == 1
+        t = [[rng.randint(1, 3) if i == j else rng.randint(-2, 2) * (j < i)
+              for j in range(r)] for i in range(r)]
+        scaled = Sublattice(lat, tuple(map(tuple, intlinalg.mat_mul(t, rows))))
+        det_t = prod(t[i][i] for i in range(r))
+        assert saturation_index(lat, scaled) == gram_det_ratio_index(lat, scaled) == k * det_t
+        indices.add(k * det_t)
+    assert indices == {1} if r == 0 else max(indices) > 1
 
 
 def test_index_squared_law_definite():

@@ -125,6 +125,34 @@ def test_classify_norm4_vector(model):
     assert cls.family == "other"
 
 
+def test_classify_matches_the_determinant_of_the_saturation(model):
+    """Seeded vectors orthogonal to h: sparse combinations w of the core basis, and
+    delta + 3w, for which (h + v) / 3 is integral; det against a saturation built
+    from kernels and eliminated."""
+    rng = random.Random(24)
+    ambient, h, core = model.ambient, model.polarization, model.core.basis
+    indices = set()
+    for trial in range(40):
+        w = [0] * ambient.rank
+        for row in rng.sample(core, 3):
+            c = rng.choice([-2, -1, 1, 2])
+            w = [x + c * y for x, y in zip(w, row)]
+        if trial % 2:
+            w = [d + 3 * x for d, x in zip(model.long_root, w)]
+        g = gcd(*w)
+        if not g:
+            continue
+        v = tuple(x // g for x in w)
+        sat = saturation(ambient, span_sublattice(ambient, [h, v]))
+        det = intlinalg.det(sat.induced_gram())
+        cls = classify_hyperplane(model, v)
+        assert cls.det == det
+        assert cls.family == {2: "H_infinity", 6: "H_Delta"}.get(det, "other")
+        if det:
+            indices.add(3 * ambient.norm(v) // det)
+    assert indices == {1, 9}
+
+
 def test_classify_rejects_bad_input(model):
     with pytest.raises(ValueError):
         classify_hyperplane(model, tuple([2, -2] + [0] * 21))  # imprimitive
@@ -196,7 +224,7 @@ def brute_force_determinants(model, lo, hi, search_bound):
             return
         cls = classify_hyperplane(model, v)
         assert cls.det == d_fast
-        gram = cls.sublattice.induced_gram()
+        gram = saturation(ambient, span_sublattice(ambient, [h, v])).induced_gram()
         if gram[0][0] > 0 and intlinalg.det(gram) > 0:
             realized[cls.det] = {"vector": v, "det": cls.det, "family": cls.family}
 
@@ -243,6 +271,13 @@ def test_witness_search_rejects_a_non_diagonal_gram(model):
     skewed = dataclasses.replace(model, ambient=Lattice(tuple(map(tuple, gram))))
     with pytest.raises(ValueError, match="diagonal"):
         realizable_determinants(skewed, 2, 14)
+
+
+def test_witness_search_needs_five_unit_coordinates_of_h(model):
+    # four coordinates of h equal to +-1: a support of size 4 can cover them all
+    few_units = dataclasses.replace(model, polarization=tuple([1, -1, 1, 1] + [3] * 19))
+    with pytest.raises(ValueError, match="polarization"):
+        realizable_determinants(few_units, 2, 14)
 
 
 def test_every_allowed_determinant_up_to_the_window_bound(model):
