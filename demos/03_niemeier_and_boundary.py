@@ -37,8 +37,8 @@ print("\nboundary dictionary:")
 for entry in entries_with_e_summand():
     glued = construct_niemeier(entry)
     lat = glued.lattice
-    e_component = next(halves for (family, _), halves in root_components(lat, glued.roots)
-                       if family == "E")
+    e_component = next(halves for (family, _), halves
+                       in root_components(lat, glued.positive_roots) if family == "E")
     sub = embed_e6(lat, e_component)
     comp = orthogonal_complement(lat, sub)
     comp_lat = comp.lattice()

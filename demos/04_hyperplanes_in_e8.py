@@ -8,14 +8,15 @@ the discriminant automorphic form.
 """
 from cf_lattice import checks, direct_sum, standard_lattice
 from cf_lattice.period import e8_dictionary
-from cf_lattice.roots import roots
+from cf_lattice.roots import count_roots, roots
 
+# the split holds one root of each +-pair; count_roots counts both signs
 dic = e8_dictionary()
 print("roots of E8 relative to a fixed E6:")
-print("  inside E6:    ", len(dic.in_e6))
-print("  orthogonal:   ", len(dic.orthogonal))
-print("  mixed:        ", sum(len(v) for v in dic.mixed_by_line.values()))
-print("  mixed classes:", {line: len(v) for line, v in dic.mixed_by_line.items()})
+print("  inside E6:    ", count_roots(dic.in_e6))
+print("  orthogonal:   ", count_roots(dic.orthogonal))
+print("  mixed:        ", sum(map(count_roots, dic.mixed_by_line.values())))
+print("  mixed classes:", {line: count_roots(v) for line, v in dic.mixed_by_line.items()})
 
 report = checks.run_check("dictionary-counts")
 print("\ndictionary check:", report.status)

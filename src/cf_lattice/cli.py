@@ -44,15 +44,21 @@ MAX_DET_DIGITS = 4_000
 _MAX_BITS = (10 ** MAX_DET_DIGITS).bit_length()  # 2^b >= 10^D exactly when b reaches it
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: a decimal integer >= 0 (anything else exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: a decimal integer >= low (anything else exits 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _load_lattice(path: str) -> Lattice:
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roots = add_parser("roots", help="enumerate short vectors of a definite lattice")
     p_roots.add_argument("file")
-    p_roots.add_argument("--norm", type=int, default=2)
+    p_roots.add_argument("--norm", type=_positive_int, default=2)
     p_roots.set_defaults(func=_cmd_roots)
 
     p_nie = add_parser("niemeier", help="the rank-24 even unimodular census")

@@ -155,7 +155,8 @@ def det(a) -> int:
 
 
 def rank(a) -> int:
-    return len(hnf(a))
+    """The pivot count of the echelon form: no reduction above the pivots is needed."""
+    return len(_echelon(a)[1])
 
 
 def _hermite_pass(m, t) -> tuple[Matrix, Matrix | None]:

@@ -23,7 +23,8 @@ from .roots import (
     RootSystemLabel,
     _half,
     ade_coxeter_number,
-    roots,
+    count_roots,
+    positive_roots,
 )
 
 
@@ -50,9 +51,12 @@ class GluedLattice:
 
 @dataclass(frozen=True)
 class NiemeierLattice(GluedLattice):
-    """A glued rank-24 lattice together with its roots, `short_vectors(lattice, 2)`."""
+    """A glued rank-24 lattice with `positive_roots(lattice)`, one root of each +-pair.
 
-    roots: tuple[Vector, ...]
+    The lattice has `count_roots(positive_roots)` roots.
+    """
+
+    positive_roots: tuple[Vector, ...]
 
 
 class GlueError(ValueError):
@@ -205,9 +209,11 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
     discriminant form of the right order; the first candidate (in canonical
     search order) that is even, unimodular and adds no roots is returned;
     it is unimodular when its glue order squared is the discriminant order.
-    The roots enumerated for that census come back with it as `roots`, in
-    the order of `roots(lattice)`, so later stages pass them on instead of
-    walking the lattice again. Nothing is memoized: each call glues anew.
+    The census walks one root of each +-pair (`positive_roots`): the walk
+    yields each pair once and v != -v, so the lattice has twice as many
+    roots. Those halves come back with it as `positive_roots`, so later
+    stages pass them on instead of walking the lattice again. Nothing is
+    memoized: each call glues anew.
     """
     if not any(f == "E" for f, _ in entry.root_system.components):
         raise ValueError("only the six E-containing entries are supported")
@@ -226,14 +232,14 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
         if glued.glue_order ** 2 != disc_order:  # not unimodular
             continue
         lat = glued.lattice
-        rts = roots(lat)
-        if len(rts) != entry.root_count():
+        halves = positive_roots(lat)
+        if count_roots(halves) != entry.root_count():
             continue
         return NiemeierLattice(
             lattice=Lattice(lat.gram, name=f"Niemeier({entry.root_system})"),
             old_in_new=glued.old_in_new,
             glue_order=glued.glue_order,
-            roots=tuple(rts),
+            positive_roots=tuple(halves),
         )
     raise RuntimeError(f"no valid glue found for {entry.root_system} (data or search bug)")
 

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from . import intlinalg
@@ -46,8 +46,10 @@ from .roots import (
     Isometry,
     RootSystemLabel,
     _half,
+    count_roots,
     find_long_root,
     identify_root_system,
+    positive_roots,
     root_components,
     roots,
 )
@@ -308,16 +310,17 @@ class BoundaryComponent:
 
 
 def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, E6Split], ...]:
-    """(entry, glued lattice with its roots, its E6 split) for the six E-containing entries.
+    """(entry, glued lattice with its positive roots, its E6 split) for the six E entries.
 
-    The one shared stage of the boundary checks: each lattice is glued, its
-    roots walked, E6 embedded and the roots split once per run. Every call
-    builds anew; a run (`checks.Stages`) keeps what it built and hands it on.
+    The one shared stage of the boundary checks: each lattice is glued, one
+    root of each +-pair walked, E6 embedded and those halves split once per
+    run. Every call builds anew; a run (`checks.Stages`) keeps what it built
+    and hands it on.
     """
     stage = []
     for entry in entries_with_e_summand():
         glued = construct_niemeier(entry)
-        stage.append((entry, glued, split_by_e6(glued.lattice, glued.roots)))
+        stage.append((entry, glued, split_by_e6(glued.lattice, glued.positive_roots)))
     return tuple(stage)
 
 
@@ -396,22 +399,25 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
 class E6Split:
     """The roots of a lattice L sorted relative to an embedded E6 (SPLAG ch. 16, 18).
 
-    `in_e6`: the roots in the rational span of E6. `orthogonal`: the roots of
-    E6^perp. `mixed_by_line`: every other root, keyed by the primitive vector
-    w on the line of its projection to E6^perp (first nonzero coordinate
-    positive), in order of first appearance. `complement`: the root system
-    of `orthogonal`. The roots of the saturation of E6 + Zw, those of L in
-    E6 (x) Q + Qw, are `in_e6` plus `mixed_by_line[w]`, since no orthogonal
-    root r lies on a mixed line: else some mixed root is m = e + t r with
-    e != 0 in E6*, and 2t = m.r in Z with m.m = e.e + 2t^2 = 2 forces
-    t = +-1/2 and e.e = 3/2, but the norms of E6* lie in 2Z or 4/3 + 2Z.
+    Every bucket holds one root of each +-pair, as the split was given them
+    (`positive_roots`): r and -r always share a bucket, so a bucket stands
+    for `count_roots(bucket)` roots. `in_e6`: the roots in the rational span
+    of E6. `orthogonal`: the roots of E6^perp. `mixed_by_line`: every other
+    root, keyed by the primitive vector w on the line of its projection to
+    E6^perp (first nonzero coordinate positive), in order of first
+    appearance. `complement`: the root system of `orthogonal`. The roots of
+    the saturation of E6 + Zw, those of L in E6 (x) Q + Qw, are `in_e6` plus
+    `mixed_by_line[w]`, since no orthogonal root r lies on a mixed line:
+    else some mixed root is m = e + t r with e != 0 in E6*, and 2t = m.r in
+    Z with m.m = e.e + 2t^2 = 2 forces t = +-1/2 and e.e = 3/2, but the
+    norms of E6* lie in 2Z or 4/3 + 2Z.
     """
 
     lattice: Lattice
     e6: Sublattice
     in_e6: tuple
     orthogonal: tuple
-    mixed_by_line: dict      # line -> tuple of roots
+    mixed_by_line: dict      # line -> tuple of roots, one of each +-pair
     complement: RootSystemLabel
 
     @property
@@ -420,43 +426,51 @@ class E6Split:
 
     @property
     def root_count(self) -> int:
-        """The number of roots split: every root of the lattice."""
-        return (len(self.in_e6) + len(self.orthogonal)
-                + sum(map(len, self.mixed_by_line.values())))
+        """The number of roots split: every root of the lattice, both signs."""
+        return (count_roots(self.in_e6) + count_roots(self.orthogonal)
+                + sum(map(count_roots, self.mixed_by_line.values())))
 
     def saturation_roots(self, line) -> tuple:
-        """The roots of the saturation of E6 + Z line, a lattice of rank 7."""
+        """The roots of the saturation of E6 + Z line, a lattice of rank 7, one per +-pair."""
         return self.in_e6 + self.mixed_by_line[line]
 
 
-def split_by_e6(lat: Lattice, root_list) -> E6Split:
-    """Embed E6 in lat and split `root_list`, all roots of lat, relative to it.
+def split_by_e6(lat: Lattice, halves) -> E6Split:
+    """Embed E6 in lat and split `halves`, one of each +-pair of roots of lat, relative to it.
 
-    The roots are not enumerated again, and they are split into irreducible
-    components once (`root_components`). E6 is embedded in the first E_r
-    component (`embed_e6`). Roots of different components are orthogonal
-    (each is a nonnegative combination of its component's simple roots, and
-    simple roots of different components are orthogonal), and E6 lies in
-    the span of its own component, so every root of another component is
-    orthogonal to E6 without a pairing. Only the E_r component is
-    projected: the projection of a root r to E6^perp is computed in
-    integers, scaled by det(G6) > 0: det(G6) * r -
-    (adj(G6) * pairings) . basis, with adj(G6) = det(G6) * G6^-1; a positive
-    scale leaves the line unchanged. G e and e of each basis root e are kept
-    as their nonzero entries only (a few of 24 on a Niemeier Gram), so a
-    pairing costs a few products, and the projection subtracts the scaled
-    basis rows of the nonzero coefficients only. r and -r have negated
-    pairings and projections, so they fall in the same bucket: the pairings,
-    projection and line are computed once per `_half(r)`, and every root is
-    appended to its bucket in input order. The complement root system is the
-    other components' labels plus that of the E_r component's roots
-    orthogonal to E6 (none, A1 or A2 for r = 6, 7, 8).
+    `halves` is what `positive_roots(lat)` returns, or any order of it; a
+    list holding both roots of a pair, or a root whose first nonzero
+    coordinate is negative, raises ValueError. The roots are not
+    enumerated again, and they are split into irreducible components once
+    (`root_components`). E6 is embedded in the first E_r component
+    (`embed_e6`). Roots of different components are orthogonal (each is a
+    nonnegative combination of its component's simple roots, and simple
+    roots of different components are orthogonal), and E6 lies in the span
+    of its own component, so every root of another component is orthogonal
+    to E6 without a pairing. Only the E_r component is projected: the
+    projection of a root r to E6^perp is computed in integers, scaled by
+    det(G6) > 0: det(G6) * r - (adj(G6) * pairings) . basis, with
+    adj(G6) = det(G6) * G6^-1; a positive scale leaves the line unchanged.
+    G e and e of each basis root e are kept as their nonzero entries only (a
+    few of 24 on a Niemeier Gram), so a pairing costs a few products, and
+    the projection subtracts the scaled basis rows of the nonzero
+    coefficients only. r and -r have negated pairings and projections, so
+    they would fall in the same bucket: each bucket holds exactly the halves
+    of the bucket that the whole root list would give, in input order. The
+    complement root system is the other components' labels plus that of the
+    E_r component's roots orthogonal to E6 (none, A1 or A2 for r = 6, 7, 8).
     """
-    components = root_components(lat, root_list)
+    zero = (0,) * lat.rank
+    if not all(v > zero for v in halves):
+        raise ValueError("split_by_e6 takes roots whose first nonzero coordinate is positive")
+    components = root_components(lat, halves)
+    if sum(len(members) for _, members in components) != len(halves):
+        raise ValueError("split_by_e6 takes one root of each +-pair")
     e_index = next((i for i, ((family, _), _) in enumerate(components) if family == "E"), None)
     if e_index is None:
         raise ValueError("root system of the input has no E_r component")
-    e6sub = embed_e6(lat, components[e_index][1])
+    e_halves = components[e_index][1]
+    e6sub = embed_e6(lat, e_halves)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     # G e and e of each E6 basis root as their nonzero (j, x) pairs
@@ -464,30 +478,27 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
                       for row in e6sub.basis]
     basis_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e6sub.basis]
     in_e6, orthogonal, mixed_by_line = [], [], {}
-    bucket_of_half = {v: orthogonal for i, (_, halves) in enumerate(components)
-                      if i != e_index for v in halves}
     inner_orthogonal = []  # halves of the E_r component orthogonal to E6
-    for root in root_list:
-        half = _half(root)
-        bucket = bucket_of_half.get(half)
-        if bucket is None:
-            pair = [sum([half[j] * x for j, x in bp]) for bp in basis_pairings]
-            if not any(pair):
-                bucket = orthogonal
-                inner_orthogonal.append(half)
-            else:
-                proj = [det6 * r for r in half]
-                for c, row in zip(intlinalg.mat_vec(adj6, pair), basis_rows):
-                    if c:
-                        for j, x in row:
-                            proj[j] -= c * x
-                if not any(proj):
-                    bucket = in_e6
-                else:
-                    gg = gcd(*proj)
-                    bucket = mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), [])
-            bucket_of_half[half] = bucket
-        bucket.append(root)
+    projected = set(e_halves)
+    for half in halves:
+        if half not in projected:  # another component: orthogonal to E6
+            orthogonal.append(half)
+            continue
+        pair = [sum([half[j] * x for j, x in bp]) for bp in basis_pairings]
+        if not any(pair):
+            orthogonal.append(half)
+            inner_orthogonal.append(half)
+            continue
+        proj = [det6 * r for r in half]
+        for c, row in zip(intlinalg.mat_vec(adj6, pair), basis_rows):
+            if c:
+                for j, x in row:
+                    proj[j] -= c * x
+        if not any(proj):
+            in_e6.append(half)
+        else:
+            gg = gcd(*proj)
+            mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(half)
     outside = [label for i, (label, _) in enumerate(components) if i != e_index]
     inside = identify_root_system(lat, inner_orthogonal).components
     return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
@@ -496,15 +507,36 @@ def split_by_e6(lat: Lattice, root_list) -> E6Split:
 
 
 def e8_dictionary() -> E6Split:
-    """The split of the 240 roots of E8 relative to a fixed E6: 72 / 6 / 162."""
+    """The split of E8's 120 positive roots relative to a fixed E6: 36 / 3 / 81 halves,
+    standing for 72 / 6 / 162 of its 240 roots."""
     e8 = standard_lattice("E8")
-    return split_by_e6(e8, roots(e8))
+    return split_by_e6(e8, positive_roots(e8))
 
 
 def _qualifying_projection_rank(split: E6Split) -> int:
     """Rank of the mixed lines whose saturation with E6 is an E7 (126 roots)."""
     return intlinalg.rank([list(w) for w in split.mixed_by_line
-                           if len(split.saturation_roots(w)) == 126])
+                           if count_roots(split.saturation_roots(w)) == 126])
+
+
+def mixed_pair_saturations(split: E6Split) -> list[tuple[int, int, int]]:
+    """(rank, det, root count) of the saturation of E6 + Z w1 + Z w2, for each pair of
+    mixed lines in `mixed_lines` order.
+
+    A saturation with the identity basis is the split's lattice itself, whose
+    roots the split counts; any other is walked.
+    """
+    lat = split.lattice
+    whole = tuple(map(tuple, intlinalg.identity(lat.rank)))
+    summaries = []
+    for l1, l2 in combinations(split.mixed_lines, 2):
+        sat = saturation(lat, span_sublattice(lat, [*split.e6.basis, l1, l2]))
+        if sat.basis == whole:
+            summaries.append((sat.rank, lat.det(), split.root_count))
+        else:
+            sat_lat = sat.lattice()
+            summaries.append((sat.rank, sat_lat.det(), len(roots(sat_lat))))
+    return summaries
 
 
 # -- Boundary matching heuristic -------------------------------------------------

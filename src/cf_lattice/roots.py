@@ -6,9 +6,11 @@ centres, weights and budget directly, and the search touches ints only;
 definite lattices only. The walk takes the first coordinate outermost and
 every coordinate in increasing order, so it emits one vector of each +-pair
 (first nonzero coordinate positive) already in lexicographic order, the
-canonical order of the output; nothing is sorted afterwards. Once a choice
-spends the whole budget, every inner coordinate is forced (its term must be
-0), and those levels are solved in one loop instead of a call each. A walk
+canonical order of the output; nothing is sorted afterwards.
+`positive_roots` returns that output at norm 2 as it is, and
+`short_vectors` follows each vector with its negation. Once a choice spends
+the whole budget, every inner coordinate is forced (its term must be 0),
+and those levels are solved in one loop instead of a call each. A walk
 past MAX_ENUMERATION_NODES search-tree nodes, each stored vector counted as
 `rank` nodes, raises EnumerationCapError; a forced level is charged as the
 node it would have been.
@@ -17,7 +19,8 @@ A root system is split into irreducible components through its simple roots
 finds a simple root or descends to an earlier half by a simple root, so every
 half is a nonnegative integer combination of simple roots and has norm 2 once
 the simple roots do. The test (v, s) = 1 reads only the nonzero entries of
-G s, and the simple roots found so far are scanned newest first: a half
+G s, built from the nonzero entries of the Gram's rows, and the simple roots
+found so far are scanned newest first: a half
 usually descends by a simple root found just before it, and the order cannot
 change the result, since whether v is simple does not depend on it, any s
 with (v, s) = 1 lies in v's component, and on a root system v - s is then an
@@ -119,22 +122,15 @@ class Isometry:
             raise ValueError("matrix does not preserve the Gram matrix")
 
     def apply(self, v: Vector) -> Vector:
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        m = intlinalg.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return Isometry(self.lattice, tuple(tuple(r) for r in m))
+        return tuple(sum(map(mul, row, v)) for row in self.matrix)
 
     def det(self) -> int:
         return intlinalg.det(self.matrix)
 
-    def is_identity(self) -> bool:
-        n = self.lattice.rank
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
-
     def is_involution(self) -> bool:
-        return self.compose(self).is_identity()
+        """M M = I: one product, since M already preserves the form."""
+        m = [list(r) for r in self.matrix]
+        return intlinalg.mat_mul(m, m) == intlinalg.identity(self.lattice.rank)
 
 
 # Bound on the work of one enumeration: search-tree nodes (leaves included),
@@ -283,6 +279,20 @@ def roots(lat: Lattice) -> list[Vector]:
     return short_vectors(lat, 2)
 
 
+def positive_roots(lat: Lattice) -> list[Vector]:
+    """One root of each +-pair, first nonzero coordinate positive, in lexicographic order.
+
+    These are the positive roots for the lexicographic order, the walk's own
+    output: `short_vectors(lat, 2)[0::2]`, with no negation. Every call walks.
+    """
+    return _enumerate_norm(lat.gram, 2)
+
+
+def count_roots(halves) -> int:
+    """The number of roots that one root of each +-pair stands for (v != -v)."""
+    return 2 * len(halves)
+
+
 def identify_root_system(lat: Lattice, root_list) -> RootSystemLabel:
     """Classify a set of norm-2 vectors into irreducible A-D-E components.
 
@@ -300,25 +310,30 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     """The irreducible components of a root system, as (label, sorted halves).
 
     Precondition: the form is positive definite on the span of the input.
-    One representative is kept per +-pair (first nonzero coordinate
-    positive); these halves are the positive roots for the lexicographic
-    order, walked in that order. A half v that pairs to 1 with a simple
-    root s found before it is not simple: v - s is then a positive root,
-    lexicographically smaller than v (Humphreys, Introduction to Lie
-    Algebras, 9.4 and 10.2), so it must be a half already walked, and v
-    joins the component of s. A half that pairs to 1 with no earlier simple
+    The input may hold both roots of a pair or one of them (as
+    `positive_roots` returns them); one representative is kept per +-pair
+    (first nonzero coordinate positive). These halves are the positive
+    roots for the lexicographic order, walked in that order. A half v that
+    pairs to 1 with a simple root s found before it is not simple: v - s is
+    then a positive root, lexicographically smaller than v (Humphreys,
+    Introduction to Lie Algebras, 9.4 and 10.2), so it must be a half
+    already walked, and v joins the component of s. A half that pairs to 1 with no earlier simple
     root is simple: it must have norm 2, and it is joined (union-find) to
     every earlier simple root it pairs nonzero with, so components are the
     connected parts of the Dynkin graph. G s is built once per simple root
     and kept as its nonzero entries only (on a Niemeier Gram about 3 of
     24), so a half costs one sparse pairing per simple root scanned and one
-    lookup. The simple roots are scanned newest first, because the halves
-    of a component follow its simple roots closely in lexicographic order:
-    on the six Niemeier lists a non-simple half scans 1.2-2.4 simple roots
-    on average, against 10-11 oldest first. Which s is found first changes
-    neither the set of simple roots nor the components (any s with
-    (v, s) = 1 is in v's component), nor, on a root system, whether v - s
-    is an earlier half.
+    lookup. The Gram is kept as the nonzero entries of each row (about 4
+    of 24 on a Niemeier Gram), and G is symmetric, so G s is the sum of the
+    rows at the nonzero coordinates of s, each scaled by its coordinate;
+    the norm of s and its pairings with the earlier simple roots are read
+    over the nonzero entries of G s. The simple roots are scanned newest
+    first, because the halves of a component follow its simple roots
+    closely in lexicographic order: on the six Niemeier lists a non-simple
+    half scans 1.2-2.4 simple roots on average, against 10-11 oldest first.
+    Which s is found first changes neither the set of simple roots nor the
+    components (any s with (v, s) = 1 is in v's component), nor, on a root
+    system, whether v - s is an earlier half.
     By induction over the walk every half is an earlier half plus a simple
     root of its component, so a nonnegative integer combination of that
     component's simple roots, and has norm 2: (v, s) = 1 and s.s = 2 give
@@ -333,7 +348,7 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
     input, each with its (family, rank) label and its halves sorted.
     """
     halves = list(dict.fromkeys(map(_half, root_list)))
-    g = [list(r) for r in lat.gram]
+    rows = [[(i, x) for i, x in enumerate(row) if x] for row in lat.gram]
     simple, gs, parent = [], [], []  # simple roots, their G s as (j, x) pairs, union-find links
     home = {}  # half walked -> index of a simple root of its component
     for v in sorted(halves):
@@ -344,16 +359,16 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
                 home[v] = i
                 break
         else:  # simple
-            gv = intlinalg.mat_vec(g, v)
-            if sum(map(mul, v, gv)) != 2:
+            gv = _gram_vec(rows, v)
+            if sum([v[j] * x for j, x in gv]) != 2:
                 raise ValueError("input contains a vector of norm != 2")
             k = len(simple)
             parent.append(k)
             for i, s in enumerate(simple):
-                if sum(map(mul, s, gv)):
+                if sum([s[j] * x for j, x in gv]):
                     parent[_find(parent, i)] = k
             simple.append(v)
-            gs.append([(j, x) for j, x in enumerate(gv) if x])
+            gs.append(gv)
             home[v] = k
     members: dict[int, list[Vector]] = {}
     for v in halves:
@@ -368,6 +383,17 @@ def root_components(lat: Lattice, root_list) -> list[tuple[tuple[str, int], list
                              "not a root system")
         comps.append((_ade_label(len(block), det, 2 * len(vectors)), sorted(vectors)))
     return comps
+
+
+def _gram_vec(rows, v: Vector) -> list[tuple[int, int]]:
+    """G v as its nonzero (i, x) pairs, from `rows`, the nonzero (i, x) pairs of each row
+    of the symmetric G: the rows at v's nonzero coordinates, scaled and summed."""
+    acc = [0] * len(v)
+    for c, row in zip(v, rows):
+        if c:
+            for i, x in row:
+                acc[i] += c * x
+    return [(i, x) for i, x in enumerate(acc) if x]
 
 
 def _find(parent: list[int], i: int) -> int:

@@ -204,6 +204,17 @@ def test_roots_past_the_enumeration_cap_exits_3(tmp_path, time_budget):
     assert "search nodes" in result["stderr"]
 
 
+@pytest.mark.parametrize("norm", ["0", "-2"])
+def test_roots_non_positive_norm_exits_2(tmp_path, norm):
+    """A norm below 1 is a usage error, like a negative --suspend: exit 2 from argparse
+    in a fresh process, with the flag named and nothing printed."""
+    path = write_lattice(tmp_path, "E8")
+    result = run_fresh("roots", path, "--norm", norm)
+    assert result["code"] == 2
+    assert not result["stdout"]
+    assert "--norm" in result["stderr"] and f"got {norm}" in result["stderr"]
+
+
 def test_enumeration_cap_bounds_memory_on_a_rank_24_walk(tmp_path, time_budget):
     """Norm 6 on E8^3: stored 24-tuples are charged against the cap, so the walk
     exits 3 before its vectors fill memory."""

@@ -81,6 +81,7 @@ _RECTANGULAR = st.integers(1, 6).flatmap(
 def test_hnf_and_kernel_ranks_match_sympy(m):
     """Differential oracle: sympy's rank and nullity, on rectangular and rank-deficient input."""
     r = sympy.Matrix(m).rank()
+    assert intlinalg.rank(m) == r
     assert len(hnf(m)) == r
     assert len(kernel(m)) == len(m[0]) - r
 

@@ -270,8 +270,8 @@ def test_embed_e6_gives_cartan_gram():
         entry = next(e for e in niemeier_table() if str(e.root_system) == name)
         glued = construct_niemeier(entry)
         lat = glued.lattice
-        component = next(halves for (family, _), halves in root_components(lat, glued.roots)
-                         if family == "E")
+        component = next(halves for (family, _), halves
+                         in root_components(lat, glued.positive_roots) if family == "E")
         sub = embed_e6(lat, component)
         assert sub.induced_gram() == e6_cartan
         assert set(sub.basis) <= set(component) | {tuple(-x for x in v) for v in component}

@@ -31,7 +31,16 @@ from cf_lattice.period import (
     monodromy_involution,
     realizable_determinants,
 )
-from cf_lattice.roots import _half, identify_root_system, root_components, roots
+import cf_lattice.roots as roots_module
+from cf_lattice.roots import (
+    _half,
+    count_roots,
+    identify_root_system,
+    positive_roots,
+    root_components,
+    roots,
+    short_vectors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +87,8 @@ def test_model_invariants(model):
 
 
 def _split_summary(split):
-    return (split.mixed_lines, sorted(map(len, split.mixed_by_line.values())),
-            len(split.in_e6), len(split.orthogonal), str(split.complement))
+    return (split.mixed_lines, sorted(map(count_roots, split.mixed_by_line.values())),
+            count_roots(split.in_e6), count_roots(split.orthogonal), str(split.complement))
 
 
 def test_stages_rebuild_deterministically(niemeier_stage, e8_split):
@@ -334,7 +343,7 @@ print(json.dumps({
     "statuses": [r.status for r in reports],
     "walks": walks,
     "distinct": distinct,
-    "roots_match": [list(glued.roots) == roots.short_vectors(glued.lattice, 2)
+    "roots_match": [list(glued.positive_roots) == roots.short_vectors(glued.lattice, 2)[0::2]
                     for _, glued, _ in stages.niemeier],
 }))
 """
@@ -429,9 +438,9 @@ print(json.dumps({"statuses": [r.status for r in reports], "sizes": sizes}))
 def test_suite_splits_each_root_system_into_components_once():
     """From a fresh import, `run_suite` runs `root_components` on more than 6 roots
     exactly 7 times: once for each of the six Niemeier lattices and E8, inside
-    `split_by_e6`. The complement root systems come from those components; the
-    only other calls identify the at most 6 roots of the E_r component that are
-    orthogonal to E6."""
+    `split_by_e6`, each on one root of each +-pair. The complement root systems
+    come from those components; the only other calls identify the at most 3
+    halves of the E_r component that are orthogonal to E6."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -439,7 +448,7 @@ def test_suite_splits_each_root_system_into_components_once():
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
-    assert sorted(n for n in got["sizes"] if n > 6) == [240, 288, 288, 432, 432, 720, 720]
+    assert sorted(n for n in got["sizes"] if n > 6) == [120, 144, 144, 216, 216, 360, 360]
 
 
 def _in_ambient(sub, coords):
@@ -483,38 +492,99 @@ def _assert_same_split(lat, root_list):
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
 def test_split_equals_the_per_root_reference(splits, name):
-    """One projection per +-pair: the same buckets, in the same order, as projecting
-    every root, on the walk's order (each r next to -r) and on a shuffled root
-    list where r and -r are not adjacent."""
+    """The split of the positive roots puts each half where projecting it puts it:
+    the same buckets, in the same order, on the walk's order and on a shuffled one."""
     lat = splits[name].lattice
-    root_list = list(roots(lat))
-    _assert_same_split(lat, root_list)
-    random.Random(len(root_list)).shuffle(root_list)
-    where = {r: i for i, r in enumerate(root_list)}
-    apart = sum(abs(where[r] - where[tuple(-x for x in r)]) > 1 for r in root_list)
-    assert apart > 0.9 * len(root_list)
-    _assert_same_split(lat, root_list)
+    halves = positive_roots(lat)
+    _assert_same_split(lat, halves)
+    random.Random(len(halves)).shuffle(halves)
+    assert halves != sorted(halves)
+    _assert_same_split(lat, halves)
+
+
+def _with_negatives(bucket):
+    return tuple(u for v in bucket for u in (v, tuple(-x for x in v)))
+
+
+@pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
+def test_split_buckets_with_their_negatives_are_the_per_root_buckets(splits, name):
+    """Each bucket of the stage's split, every half followed by its negative, is the
+    bucket that projecting every root of `roots(lat)` gives, order included."""
+    split = splits[name]
+    lat = split.lattice
+    ref = per_root_split_reference(lat, roots(lat))
+    assert split.e6 == ref.e6
+    assert _with_negatives(split.in_e6) == ref.in_e6
+    assert _with_negatives(split.orthogonal) == ref.orthogonal
+    assert list(split.mixed_by_line) == list(ref.mixed_by_line)
+    assert all(_with_negatives(split.mixed_by_line[w]) == ref.mixed_by_line[w]
+               for w in ref.mixed_by_line)
+    assert split.complement == ref.complement
+    assert split.root_count == len(roots(lat))
+
+
+def test_split_by_e6_takes_positive_roots_only(e8_split):
+    """Both signs of the roots, a repeated half, or one half negated would each be
+    filed as it comes, so the buckets would not be halves."""
+    e8 = e8_split.lattice
+    halves = positive_roots(e8)
+    with pytest.raises(ValueError):
+        period.split_by_e6(e8, roots(e8))
+    with pytest.raises(ValueError, match="one root of each"):
+        period.split_by_e6(e8, halves + halves[:1])
+    with pytest.raises(ValueError, match="first nonzero coordinate is positive"):
+        period.split_by_e6(e8, halves[:-1] + [tuple(-x for x in halves[-1])])
+
+
+def test_positive_roots_are_the_walk_halves_of_short_vectors(niemeier_stage):
+    """On E8 and the six stage lattices: every other vector of `short_vectors`, and
+    what the stage carries."""
+    e8 = standard_lattice("E8")
+    assert positive_roots(e8) == short_vectors(e8, 2)[0::2]
+    for _, glued, _ in niemeier_stage:
+        halves = positive_roots(glued.lattice)
+        assert halves == short_vectors(glued.lattice, 2)[0::2]
+        assert list(glued.positive_roots) == halves
+
+
+def test_stages_never_list_both_signs(monkeypatch):
+    """The Niemeier stage and the E8 split walk one root of each pair: neither reaches
+    `short_vectors`, through the module or a name imported from it."""
+    def refuse(*args):
+        raise AssertionError("the stage built both signs of its roots")
+
+    original = roots_module.short_vectors
+    for key, module in list(sys.modules.items()):
+        if key.startswith("cf_lattice") and getattr(module, "short_vectors", None) is original:
+            monkeypatch.setattr(module, "short_vectors", refuse)
+    with pytest.raises(AssertionError, match="both signs"):
+        roots(standard_lattice("A2"))  # the patch is live
+    stage = period.niemeier_e6_stage()
+    assert [count_roots(glued.positive_roots) for e, glued, _ in stage] == [
+        e.root_count() for e, _, _ in stage]
+    assert e8_dictionary().root_count == 240
 
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])
 def test_split_agrees_with_complement_and_saturation_lattices(splits, name):
     """The reference route, walking the roots of the lattices themselves: the
-    complement E6^perp has the root system of `split.orthogonal`, and for every
-    mixed line w the saturation of E6 + Zw has rank 7 and exactly the roots
-    `split.saturation_roots(w)`, in_e6 included."""
+    complement E6^perp has the root system of `split.orthogonal` and twice as many
+    roots as it holds halves, and for every mixed line w the saturation of E6 + Zw
+    has rank 7 and exactly the roots `split.saturation_roots(w)` and their
+    negatives, in_e6 included."""
     split = splits[name]
     lat = split.lattice
     comp_lat = orthogonal_complement(lat, split.e6).lattice()
     comp_roots = roots(comp_lat)
-    assert len(comp_roots) == len(split.orthogonal)
+    assert len(comp_roots) == count_roots(split.orthogonal)
     assert (identify_root_system(comp_lat, comp_roots)
             == identify_root_system(lat, split.orthogonal) == split.complement)
     for w in split.mixed_lines:
         sat = saturation(lat, span_sublattice(lat, [*split.e6.basis, w]))
         assert sat.rank == 7
         sat_roots = {_in_ambient(sat, r) for r in roots(sat.lattice())}
-        assert sat_roots == set(split.saturation_roots(w))
-        assert len(sat_roots) == len(split.saturation_roots(w))
+        assert sat_roots == set(_with_negatives(split.saturation_roots(w)))
+        assert len(sat_roots) == count_roots(split.saturation_roots(w))
 
 
 def test_unimodular_26_2(model):
@@ -540,9 +610,10 @@ def test_dictionary_counts_pass():
 
 
 def test_dictionary_three_classes_of_54(e8_split):
+    """Three mixed lines of 27 positive roots each, 54 roots with both signs."""
     dic = e8_split
-    sizes = sorted(len(v) for v in dic.mixed_by_line.values())
-    assert sizes == [54, 54, 54]
+    assert sorted(len(v) for v in dic.mixed_by_line.values()) == [27, 27, 27]
+    assert sorted(map(count_roots, dic.mixed_by_line.values())) == [54, 54, 54]
 
 
 def test_dictionary_stability_across_e6_choices(e8_split):

@@ -435,20 +435,56 @@ def test_identify_root_system_at_rank_48(label, time_budget):
 
 def test_identify_root_system_builds_g_s_once_per_simple_root(monkeypatch):
     """Cost guard on E8+E8 in a skewed basis: G v is built for the 16 simple roots only,
-    and no half is solved against a Cartan block or has its norm taken on its own."""
+    once each, from the sparse Gram rows; no dense G v is formed, and no half is solved
+    against a Cartan block or has its norm taken on its own."""
     skewed, rs = _skewed_roots(random.Random(16), direct_sum(*[standard_lattice("E8")] * 2))
     assert len(rs) == 480
     built = []
-    mat_vec = intlinalg.mat_vec
-    monkeypatch.setattr(intlinalg, "mat_vec", lambda a, v: built.append(v) or mat_vec(a, v))
+    gram_vec = roots_module._gram_vec
+    monkeypatch.setattr(roots_module, "_gram_vec",
+                        lambda rows, v: built.append(v) or gram_vec(rows, v))
 
     def forbidden(*args):
         raise AssertionError("not called by the root-system walk")
 
-    for owner, name in ((intlinalg, "adjugate"), (Lattice, "inner"), (Lattice, "norm")):
+    for owner, name in ((intlinalg, "adjugate"), (intlinalg, "mat_vec"),
+                        (Lattice, "inner"), (Lattice, "norm")):
         monkeypatch.setattr(owner, name, forbidden)
     assert str(identify_root_system(skewed, rs)) == "E8^2"
-    assert len(built) == 16
+    assert len(built) == len(set(built)) == 16
+
+
+def _fully_dense(rng, lat):
+    """(U G U^T, the roots in that basis) for a seeded unimodular U that leaves no zero
+    entry in the Gram."""
+    for _ in range(100):
+        skewed, moved = _skewed_roots(rng, lat)
+        if all(all(row) for row in skewed.gram):
+            return skewed, moved
+    raise AssertionError("no fully dense basis in 100 seeded draws")
+
+
+@pytest.mark.parametrize("label", ["A2", "A1+A3", "D4", "A2+D5", "E6", "E7+A1", "E8"])
+def test_root_components_on_grams_with_full_rows(label):
+    """The sparse Gram rows hold every entry: the same components, labels and sorted
+    halves as the pairwise search, on seeded bases where no Gram entry is 0."""
+    rng = random.Random(sum(map(ord, label)) + 25)
+    lat = direct_sum(*[standard_lattice(p) for p in label.split("+")])
+    for _ in range(2):
+        dense, rs = _fully_dense(rng, lat)
+        rng.shuffle(rs)
+        assert root_components(dense, rs) == reference_root_components(dense, rs)
+        assert str(identify_root_system(dense, rs)) == str(RootSystemLabel.parse(label))
+
+
+def test_is_involution_rejects_an_isometry_of_order_three():
+    """s_a s_b for the simple roots of A2 preserves the form and has order 3."""
+    lat = standard_lattice("A2")
+    rot = intlinalg.mat_mul([list(r) for r in reflection(lat, (1, 0)).matrix],
+                            [list(r) for r in reflection(lat, (0, 1)).matrix])
+    iso = Isometry(lat, tuple(map(tuple, rot)))
+    assert not iso.is_involution()
+    assert reflection(lat, (1, 0)).is_involution()
 
 
 def test_identify_rejects_wrong_norms_that_chain_like_a2():
