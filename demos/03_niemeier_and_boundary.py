@@ -15,7 +15,7 @@ from cf_lattice.niemeier import (
     niemeier_table,
     overlattice,
 )
-from cf_lattice.roots import identify_root_system, root_components, roots
+from cf_lattice.roots import identify_root_system, positive_roots, root_components, roots
 
 print("the 24 rank-24 root systems (24h roots each):")
 for entry in niemeier_table():
@@ -32,13 +32,15 @@ for subgroup in isotropic_subgroups(data, 3):
     print("\nglue", gen, "->", len(roots(glued.lattice)), "roots,",
           "det", glued.lattice.det())
 
-# The six E-containing entries, glued and probed.
+# The six E-containing entries, glued and probed. The glue certifies that no
+# roots were added; here each lattice is walked all the same, and E6 is
+# embedded in an E component of the roots found.
 print("\nboundary dictionary:")
 for entry in entries_with_e_summand():
     glued = construct_niemeier(entry)
     lat = glued.lattice
     e_component = next(halves for (family, _), halves
-                       in root_components(lat, glued.positive_roots) if family == "E")
+                       in root_components(lat, positive_roots(lat)) if family == "E")
     sub = embed_e6(lat, e_component)
     comp = orthogonal_complement(lat, sub)
     comp_lat = comp.lattice()

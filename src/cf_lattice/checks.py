@@ -4,17 +4,15 @@ Every report is built here: each registered runner takes the run's
 `Stages`, compares the paper's expected values with computed ones, and
 returns a VerificationReport whose status is `pass` or `fail`. The
 mathematics lives in the library modules, which keep no memo. A run holds
-three shared stages, each built once per run by the first check that reads
-it: the period model, the E8 dictionary and `period.niemeier_e6_stage`
-(the six E-containing rank-24 lattices with their positive roots, each
-split relative to an embedded E6). A stage keeps the roots it walked, one
-of each +-pair (`roots.positive_roots`), and hands them on: boundary root
-systems and E7 saturations are read off these `period.E6Split`s, not
-walked again, and every root count reported is `roots.count_roots` of
-those halves, both signs counted. Only intersection-codims builds
-(pairwise E8) saturations (`period.mixed_pair_saturations`); each has the
-identity basis, so it is E8 itself and its roots are those of the E8
-split, and a saturation with another basis would be walked again.
+five shared stages, each built once per run by the first check that reads
+it: the period model, the splits of E6, E7 and E8 relative to an embedded
+E6 (`period.e_split`; E8's is the E8 dictionary) and
+`period.niemeier_e6_stage` (the six E-containing rank-24 lattices, each
+with its E_r's split). A split keeps the roots it walked, one of each
++-pair (`roots.positive_roots`): boundary root systems and E7 saturations
+are read off these `period.E6Split`s, whose root counts are
+`roots.count_roots` of those halves, both signs counted. No rank-24 lattice
+is walked: its glue certifies that it has the roots of its root lattice.
 """
 from __future__ import annotations
 
@@ -41,8 +39,11 @@ class Stages:
     """The shared stages of one run, each built by the first check that reads it."""
 
     model = cached_property(lambda self: period.build_period_model())
+    e6 = cached_property(lambda self: period.e_split(6))
+    e7 = cached_property(lambda self: period.e_split(7))
     e8 = cached_property(lambda self: period.e8_dictionary())
-    niemeier = cached_property(lambda self: period.niemeier_e6_stage())
+    niemeier = cached_property(lambda self: period.niemeier_e6_stage(
+        {6: self.e6, 7: self.e7, 8: self.e8}))
 
 
 def _check_model_build(stages: Stages) -> VerificationReport:
@@ -155,7 +156,7 @@ def _check_boundary_components(stages: Stages) -> VerificationReport:
         lat = glued.lattice
         niemeier_actual[str(entry.root_system)] = {
             "even": lat.is_even(), "abs_det": abs(lat.det()),
-            "root_count": count_roots(glued.positive_roots)}
+            "root_count": entry.root_system.root_count()}
     actual = {"components": actual_map,
               "distinct": len(set(actual_map.values())),
               "niemeier": niemeier_actual}
@@ -237,13 +238,10 @@ _WEIGHT_CITATION = ("discriminant form weight 12 + 36 = 48; vanishing orders "
 
 
 def _check_weight_orders(stages: Stages) -> VerificationReport:
-    """Weight and vanishing orders from actual root counts of E6, E7, E6+A1."""
-    e6 = standard_lattice("E6")
-    e7 = standard_lattice("E7")
-    e6a1 = direct_sum(e6, standard_lattice("A1"))
-    n6 = len(roots(e6))
-    n7 = len(roots(e7))
-    n6a1 = len(roots(e6a1))
+    """Weight and vanishing orders from root counts of E6, E7 (the run's splits), E6+A1."""
+    n6 = stages.e6.root_count
+    n7 = stages.e7.root_count
+    n6a1 = len(roots(direct_sum(standard_lattice("E6"), standard_lattice("A1"))))
     expected = {"weight": 48, "order_H_infinity": 27, "order_H_Delta": 1}
     actual = {"weight": 12 + n6 // 2,
               "order_H_infinity": (n7 - n6) // 2,

@@ -261,7 +261,7 @@ def _cmd_niemeier(args) -> int:
                 print(f"{row['roots']:12s} h={row['h']:<3d} roots={row['count']}")
         return EXIT_OK
     # build
-    if args.name is None:
+    if args.name is None or not args.name.strip():  # "" would parse as the rootless "-"
         raise _fail(EXIT_PARSE, "niemeier build requires a root-system label, e.g. E6^4")
     try:
         target = RootSystemLabel.parse(args.name)

@@ -15,17 +15,12 @@ from .lattices import (
     Lattice,
     Sublattice,
     Vector,
+    cartan_gram,
     direct_sum,
     discriminant_data,
     standard_lattice,
 )
-from .roots import (
-    RootSystemLabel,
-    _half,
-    ade_coxeter_number,
-    count_roots,
-    positive_roots,
-)
+from .roots import RootSystemLabel, _half, ade_coxeter_number
 
 
 @dataclass(frozen=True)
@@ -47,16 +42,6 @@ class GluedLattice:
     lattice: Lattice
     old_in_new: tuple[tuple[int, ...], ...]
     glue_order: int
-
-
-@dataclass(frozen=True)
-class NiemeierLattice(GluedLattice):
-    """A glued rank-24 lattice with `positive_roots(lattice)`, one root of each +-pair.
-
-    The lattice has `count_roots(positive_roots)` roots.
-    """
-
-    positive_roots: tuple[Vector, ...]
 
 
 class GlueError(ValueError):
@@ -198,48 +183,84 @@ def isotropic_subgroups(data: DiscriminantData, order: int):
     yield from extend(0, [], {zero})
 
 
-def _component_lattice(family: str, n: int) -> Lattice:
-    return standard_lattice(f"{family}{n}")
+def _class_norm(family: str, n: int, weights) -> tuple[int, int]:
+    """The minimal norm p/q of a nonzero class of R*/R, R of type family n, as (p, q).
+
+    `weights` pair the class with the simple roots, in `cartan_gram`'s node
+    order (SPLAG ch. 4 sections 6-8): A_n's class k = sum (j+1) w_j mod n+1
+    has k(n+1-k)/(n+1); on D_n a spinor (w_{n-2} + w_{n-1} odd, the fork
+    ends) has n/4, the vector class 1; E6 has 4/3, E7 3/2 (E8 has no class).
+    """
+    if family == "A":
+        k = sum(j * w for j, w in enumerate(weights, 1)) % (n + 1)
+        return k * (n + 1 - k), n + 1
+    if family == "D":
+        return (n, 4) if (weights[n - 2] + weights[n - 1]) % 2 else (1, 1)
+    return {6: (4, 3), 7: (3, 2)}[n]
 
 
-def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
+def glue_adds_roots(components, data: DiscriminantData, subgroup) -> bool:
+    """Whether gluing R along `subgroup` gives a lattice with roots outside R.
+
+    R is the `direct_sum` of the A-D-E `components` ((family, n) pairs, in
+    that order), `data` its discriminant data and `subgroup` isotropic. A
+    vector outside R lies in R + lift(c) for a nonzero glue word c, whose
+    least norm is sum mu(c_i), mu(c_i) the minimal norm of c_i's class in
+    R_i*/R_i (the components are orthogonal). The glued lattice is even, so
+    it has a root outside R exactly when some c has sum mu(c_i) <= 2. Each
+    class is read off the block of `data.lift(c)` (N times a lift, N the
+    exponent) on its component: 0 when the block is 0 mod N, else of weights
+    G_i block / N. The sum is compared in integers; nothing is walked.
+    """
+    den = data.exponent
+    grams = [cartan_gram(family, n) for family, n in components]
+    for e in filter(any, subgroup):
+        v, start, num, denom = data.lift(e), 0, 0, 1  # sum mu(c_i) = num / denom
+        for (family, n), gram in zip(components, grams):
+            block, start = v[start:start + n], start + n
+            if any(x % den for x in block):
+                weights = [sum(map(mul, row, block)) // den for row in gram]
+                p, q = _class_norm(family, n, weights)
+                num, denom = num * q + p * denom, denom * q
+        if num <= 2 * denom:
+            return True
+    return False
+
+
+def construct_niemeier(entry: NiemeierEntry) -> GluedLattice:
     """Build the even unimodular lattice for one of the six E-containing entries.
 
-    Glues the root-lattice direct sum along an isotropic subgroup of its
+    Glues the root-lattice direct sum R along an isotropic subgroup of its
     discriminant form of the right order; the first candidate (in canonical
-    search order) that is even, unimodular and adds no roots is returned;
+    search order) that adds no roots and is even and unimodular is returned;
     it is unimodular when its glue order squared is the discriminant order.
-    The census walks one root of each +-pair (`positive_roots`): the walk
-    yields each pair once and v != -v, so the lattice has twice as many
-    roots. Those halves come back with it as `positive_roots`, so later
-    stages pass them on instead of walking the lattice again. Nothing is
-    memoized: each call glues anew.
+    R has 24h roots (`niemeier_table` checks it), and `glue_adds_roots`
+    certifies that the lattice has no others: the census needs no walk.
+    Nothing is memoized: each call glues anew.
     """
     if not any(f == "E" for f, _ in entry.root_system.components):
         raise ValueError("only the six E-containing entries are supported")
-    comps = [_component_lattice(f, n) for f, n in entry.root_system.components]
-    root_sum = direct_sum(*comps, name=str(entry.root_system))
+    components = entry.root_system.components
+    root_sum = direct_sum(*(standard_lattice(f"{f}{n}") for f, n in components),
+                          name=str(entry.root_system))
     data = discriminant_data(root_sum)
     disc_order = data.form.order
     glue_order = isqrt(disc_order)
     if glue_order * glue_order != disc_order:
         raise ArithmeticError("discriminant order is not a perfect square (bad entry)")
     for subgroup in isotropic_subgroups(data, glue_order):
+        if glue_adds_roots(components, data, subgroup):
+            continue
         try:
             glued = overlattice(root_sum, data, subgroup)
         except GlueError:
             continue
         if glued.glue_order ** 2 != disc_order:  # not unimodular
             continue
-        lat = glued.lattice
-        halves = positive_roots(lat)
-        if count_roots(halves) != entry.root_count():
-            continue
-        return NiemeierLattice(
-            lattice=Lattice(lat.gram, name=f"Niemeier({entry.root_system})"),
+        return GluedLattice(
+            lattice=Lattice(glued.lattice.gram, name=f"Niemeier({entry.root_system})"),
             old_in_new=glued.old_in_new,
             glue_order=glued.glue_order,
-            positive_roots=tuple(halves),
         )
     raise RuntimeError(f"no valid glue found for {entry.root_system} (data or search bug)")
 
@@ -247,17 +268,17 @@ def construct_niemeier(entry: NiemeierEntry) -> NiemeierLattice:
 def embed_e6(lat: Lattice, component) -> Sublattice:
     """An E6 root subsystem among the roots of one E_r component of L.
 
-    `component` holds the roots of that component, all of them or one of
-    each +-pair, as `root_components` returns them; they are not enumerated
-    again. The search never needs the other components: they are orthogonal
-    to this one, so an E6 (connected, hence irreducible) lies in one
-    component. Greedy Dynkin-subgraph search over the component's halves in
+    `component` holds the roots of that component (or all of E_r's), all of
+    them or one of each +-pair, as `root_components` returns them; they are
+    not enumerated again. The search never needs the other components: they
+    are orthogonal to this one, so an E6 (connected, hence irreducible) lies
+    in one component. Greedy Dynkin-subgraph search over the component's halves in
     lexicographic order, each followed by its negative; the returned basis
     consists of six simple roots, so the induced Gram is the E6 Cartan
     matrix exactly. G v of each chosen root is kept as its nonzero entries
-    only (a few of 24 on a Niemeier Gram), so testing a candidate against
-    the roots chosen so far costs a few products each. Raises ValueError if
-    the roots hold no E6.
+    only, so testing a candidate against the roots chosen so far costs a few
+    products each. Raises ValueError if the roots hold no E6, after trying
+    every partial embedding (A8: seconds).
     """
     component_roots = [u for v in sorted(set(map(_half, component)))
                        for u in (v, tuple(-x for x in v))]

@@ -34,8 +34,8 @@ from .lattices import (
     vector_divisibility,
 )
 from .niemeier import (
+    GluedLattice,
     NiemeierEntry,
-    NiemeierLattice,
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
@@ -50,7 +50,6 @@ from .roots import (
     find_long_root,
     identify_root_system,
     positive_roots,
-    root_components,
     roots,
 )
 
@@ -309,33 +308,34 @@ class BoundaryComponent:
     source_entry: str  # the rank-24 root system it came from
 
 
-def niemeier_e6_stage() -> tuple[tuple[NiemeierEntry, NiemeierLattice, E6Split], ...]:
-    """(entry, glued lattice with its positive roots, its E6 split) for the six E entries.
+def niemeier_e6_stage(splits) -> tuple[tuple[NiemeierEntry, GluedLattice, E6Split], ...]:
+    """(entry, glued lattice N, split of its E_r) for the six E entries.
 
-    The one shared stage of the boundary checks: each lattice is glued, one
-    root of each +-pair walked, E6 embedded and those halves split once per
-    run. Every call builds anew; a run (`checks.Stages`) keeps what it built
-    and hands it on.
+    The one shared stage of the boundary checks; `splits` maps r to the split
+    of E_r (`e_split(r)`, a run's own in `checks.Stages`). No rank-24 lattice
+    is walked or split: the glue certifies that N has the roots of its root
+    lattice (`construct_niemeier`), roots of different components are
+    orthogonal, and E6 lies in one E_r component. So E6^perp's roots in N are
+    the other components' plus E6^perp's in E_r, and every mixed line lies in
+    E_r (x) Q. Every call glues anew.
     """
-    stage = []
-    for entry in entries_with_e_summand():
-        glued = construct_niemeier(entry)
-        stage.append((entry, glued, split_by_e6(glued.lattice, glued.positive_roots)))
-    return tuple(stage)
+    return tuple((entry, construct_niemeier(entry),
+                  splits[next(n for f, n in entry.root_system.components if f == "E")])
+                 for entry in entries_with_e_summand())
 
 
 def classify_boundary_components(stage) -> tuple[BoundaryComponent, ...]:
-    """The six complement root systems from the stage `niemeier_e6_stage()` built.
+    """The six complement root systems from the stage `niemeier_e6_stage` built.
 
-    The roots of E6^perp in L are by definition the roots of L orthogonal to
-    E6, so each label is `split.complement`, the root system of
-    `split.orthogonal`: the components of L other than the one holding E6,
-    which are orthogonal to it, plus the roots of that component orthogonal
-    to E6. No root is identified again here.
+    Each label is the entry's components with one E_r taken out, plus
+    `split.complement` of the E_r split. No root is identified here.
     """
     by_system = {}
     for entry, _, split in stage:
-        by_system[str(split.complement)] = str(entry.root_system)
+        others = list(entry.root_system.components)
+        others.remove(("E", split.lattice.rank))
+        label = RootSystemLabel(tuple(sorted(others + list(split.complement.components))))
+        by_system[str(label)] = str(entry.root_system)
     components = []
     for label in sorted(BOUNDARY_MATCHING):
         system = BOUNDARY_MATCHING[label]
@@ -438,39 +438,23 @@ class E6Split:
 def split_by_e6(lat: Lattice, halves) -> E6Split:
     """Embed E6 in lat and split `halves`, one of each +-pair of roots of lat, relative to it.
 
-    `halves` is what `positive_roots(lat)` returns, or any order of it; a
-    list holding both roots of a pair, or a root whose first nonzero
-    coordinate is negative, raises ValueError. The roots are not
-    enumerated again, and they are split into irreducible components once
-    (`root_components`). E6 is embedded in the first E_r component
-    (`embed_e6`). Roots of different components are orthogonal (each is a
-    nonnegative combination of its component's simple roots, and simple
-    roots of different components are orthogonal), and E6 lies in the span
-    of its own component, so every root of another component is orthogonal
-    to E6 without a pairing. Only the E_r component is projected: the
-    projection of a root r to E6^perp is computed in integers, scaled by
-    det(G6) > 0: det(G6) * r - (adj(G6) * pairings) . basis, with
-    adj(G6) = det(G6) * G6^-1; a positive scale leaves the line unchanged.
-    G e and e of each basis root e are kept as their nonzero entries only (a
-    few of 24 on a Niemeier Gram), so a pairing costs a few products, and
-    the projection subtracts the scaled basis rows of the nonzero
-    coefficients only. r and -r have negated pairings and projections, so
-    they would fall in the same bucket: each bucket holds exactly the halves
-    of the bucket that the whole root list would give, in input order. The
-    complement root system is the other components' labels plus that of the
-    E_r component's roots orthogonal to E6 (none, A1 or A2 for r = 6, 7, 8).
+    `halves` is what `positive_roots(lat)` returns, in any order; a root
+    listed twice or with a negative first nonzero coordinate (so also both
+    roots of a pair) raises ValueError. E6 is embedded among all of them
+    (`embed_e6`, slow to fail on roots with no E6; `e_split` passes E_r's). Each
+    half is projected to E6^perp once, in integers, scaled by det(G6) > 0:
+    det(G6) * r - (adj(G6) * pairings) . basis, adj(G6) = det(G6) * G6^-1,
+    over the nonzero entries of G e and e of each basis root e. Each bucket
+    keeps the input order. The complement root system is that of the
+    orthogonal halves: none, none and A2 for r = 6, 7, 8 (E6 + A1 is not a
+    root subsystem of E7).
     """
     zero = (0,) * lat.rank
     if not all(v > zero for v in halves):
         raise ValueError("split_by_e6 takes roots whose first nonzero coordinate is positive")
-    components = root_components(lat, halves)
-    if sum(len(members) for _, members in components) != len(halves):
+    if len(set(halves)) != len(halves):
         raise ValueError("split_by_e6 takes one root of each +-pair")
-    e_index = next((i for i, ((family, _), _) in enumerate(components) if family == "E"), None)
-    if e_index is None:
-        raise ValueError("root system of the input has no E_r component")
-    e_halves = components[e_index][1]
-    e6sub = embed_e6(lat, e_halves)
+    e6sub = embed_e6(lat, halves)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
     g = [list(r) for r in lat.gram]
     # G e and e of each E6 basis root as their nonzero (j, x) pairs
@@ -478,16 +462,10 @@ def split_by_e6(lat: Lattice, halves) -> E6Split:
                       for row in e6sub.basis]
     basis_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e6sub.basis]
     in_e6, orthogonal, mixed_by_line = [], [], {}
-    inner_orthogonal = []  # halves of the E_r component orthogonal to E6
-    projected = set(e_halves)
     for half in halves:
-        if half not in projected:  # another component: orthogonal to E6
-            orthogonal.append(half)
-            continue
         pair = [sum([half[j] * x for j, x in bp]) for bp in basis_pairings]
         if not any(pair):
             orthogonal.append(half)
-            inner_orthogonal.append(half)
             continue
         proj = [det6 * r for r in half]
         for c, row in zip(intlinalg.mat_vec(adj6, pair), basis_rows):
@@ -499,18 +477,21 @@ def split_by_e6(lat: Lattice, halves) -> E6Split:
         else:
             gg = gcd(*proj)
             mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(half)
-    outside = [label for i, (label, _) in enumerate(components) if i != e_index]
-    inside = identify_root_system(lat, inner_orthogonal).components
     return E6Split(lattice=lat, e6=e6sub, in_e6=tuple(in_e6), orthogonal=tuple(orthogonal),
                    mixed_by_line={k: tuple(v) for k, v in mixed_by_line.items()},
-                   complement=RootSystemLabel(tuple(sorted(outside + list(inside)))))
+                   complement=identify_root_system(lat, orthogonal))
+
+
+def e_split(r: int) -> E6Split:
+    """The split of the positive roots of E_r (r = 6, 7, 8) relative to an embedded E6."""
+    lat = standard_lattice(f"E{r}")
+    return split_by_e6(lat, positive_roots(lat))
 
 
 def e8_dictionary() -> E6Split:
     """The split of E8's 120 positive roots relative to a fixed E6: 36 / 3 / 81 halves,
     standing for 72 / 6 / 162 of its 240 roots."""
-    e8 = standard_lattice("E8")
-    return split_by_e6(e8, positive_roots(e8))
+    return e_split(8)
 
 
 def _qualifying_projection_rank(split: E6Split) -> int:

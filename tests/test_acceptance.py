@@ -83,7 +83,7 @@ def test_criterion_04_boundary_classification():
     entries = entries_with_e_summand()
     assert sorted(str(e.root_system) for e in entries) == [
         "A11+D7+E6", "A17+E7", "D10+E7^2", "D16+E8", "E6^4", "E8^3"]
-    comps = period.classify_boundary_components(period.niemeier_e6_stage())
+    comps = period.classify_boundary_components(checks.Stages().niemeier)
     got = sorted(str(c.root_sublattice) for c in comps)
     assert got == ["A11+D7", "A17", "A2+D16", "A2+E8^2", "D10+E7", "E6^3"]
     _report(4, 60, t0, "six boundary systems incl. the A17 case absent from prose")

@@ -215,6 +215,17 @@ def test_roots_non_positive_norm_exits_2(tmp_path, norm):
     assert "--norm" in result["stderr"] and f"got {norm}" in result["stderr"]
 
 
+@pytest.mark.parametrize("name, code", [("", 2), ("  ", 2), ("-", 3)])
+def test_niemeier_build_blank_label_exits_2(name, code):
+    """An empty or blank label is a missing label, exit 2 in a fresh process; "-"
+    names the rootless entry, which has no E summand to glue, so it exits 3."""
+    result = run_fresh("niemeier", "build", name)
+    assert result["code"] == code
+    assert not result["stdout"]
+    assert ("root-system label" in result["stderr"]) == (code == 2)
+    assert ("E-containing" in result["stderr"]) == (code == 3)
+
+
 def test_enumeration_cap_bounds_memory_on_a_rank_24_walk(tmp_path, time_budget):
     """Norm 6 on E8^3: stored 24-tuples are charged against the cap, so the walk
     exits 3 before its vectors fill memory."""

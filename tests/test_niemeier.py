@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -20,12 +21,21 @@ from cf_lattice.niemeier import (
     construct_niemeier,
     embed_e6,
     entries_with_e_summand,
+    glue_adds_roots,
     isotropic_subgroups,
     niemeier_table,
     overlattice,
 )
 from cf_lattice.period import build_period_model
-from cf_lattice.roots import _enumerate_norm, identify_root_system, root_components, roots
+from cf_lattice.roots import (
+    RootSystemLabel,
+    _enumerate_norm,
+    count_roots,
+    identify_root_system,
+    positive_roots,
+    root_components,
+    roots,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +281,41 @@ def test_embed_e6_gives_cartan_gram():
         glued = construct_niemeier(entry)
         lat = glued.lattice
         component = next(halves for (family, _), halves
-                         in root_components(lat, glued.positive_roots) if family == "E")
+                         in root_components(lat, positive_roots(lat)) if family == "E")
         sub = embed_e6(lat, component)
         assert sub.induced_gram() == e6_cartan
         assert set(sub.basis) <= set(component) | {tuple(-x for x in v) for v in component}
+
+
+# Root sums with a glue order: each isotropic subgroup of that order is glued.
+_SMALL_GLUES = [("E6+A2", 3), ("E7+A1", 2), ("D8", 2), ("A8", 3), ("A4^2", 5), ("D16", 2),
+                ("A1^8", 2), ("D4^2", 4), ("A2^4", 9), ("A5+A1", 2)]
+
+
+def test_glue_certificate_agrees_with_the_walk(time_budget):
+    """`glue_adds_roots` against a walk of the glued lattice, on every isotropic
+    subgroup of full order for the six E entries (every candidate the search of
+    `construct_niemeier` can visit) and on small glues that exercise each
+    class-norm rule: A_n, D_n vector and spinor, E6 and E7 classes, with the
+    minimum sum equal to 2 (roots added) and above it (none)."""
+    cases = [(e.root_system, None) for e in entries_with_e_summand()]
+    cases += [(RootSystemLabel.parse(text), order) for text, order in _SMALL_GLUES]
+    verdicts = Counter()
+    for label, order in cases:
+        base = direct_sum(*(standard_lattice(f"{f}{n}") for f, n in label.components))
+        data = discriminant_data(base)
+        for subgroup in isotropic_subgroups(data, order or isqrt(data.form.order)):
+            glued = overlattice(base, data, subgroup)
+            walked = count_roots(positive_roots(glued.lattice)) != label.root_count()
+            assert glue_adds_roots(label.components, data, subgroup) == walked, (label, subgroup)
+            verdicts[str(label), walked] += 1
+    assert verdicts == {
+        ("D16+E8", False): 2, ("E8^3", False): 1, ("A17+E7", False): 1,
+        ("D10+E7^2", False): 2, ("A11+D7+E6", False): 4, ("E6^4", False): 8,
+        ("A2+E6", True): 2, ("A1+E7", True): 1, ("D8", True): 2, ("A8", True): 1,
+        ("A4^2", True): 2, ("D16", False): 2, ("A1^8", True): 70, ("A1^8", False): 1,
+        ("D4^2", True): 6, ("A2^4", True): 8, ("A1+A5", True): 1}
+    assert sum(n for (_, added), n in verdicts.items() if added) == 93
 
 
 def test_embed_e6_into_e8_directly():

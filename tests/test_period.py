@@ -49,18 +49,24 @@ def model():
 
 
 @pytest.fixture(scope="module")
-def niemeier_stage():
-    return period.niemeier_e6_stage()
+def stages():
+    """One run's shared stages, built once for the module."""
+    return checks.Stages()
 
 
 @pytest.fixture(scope="module")
-def e8_split():
-    return e8_dictionary()
+def niemeier_stage(stages):
+    return stages.niemeier
+
+
+@pytest.fixture(scope="module")
+def e8_split(stages):
+    return stages.e8
 
 
 @pytest.fixture(scope="module")
 def splits(niemeier_stage, e8_split):
-    """The E8 split and the six Niemeier splits by root system, built once for the module."""
+    """The E8 split and the split each Niemeier entry reads (its E_r's), by root system."""
     return {"E8": e8_split, **{str(entry.root_system): split
                                for entry, _, split in niemeier_stage}}
 
@@ -98,10 +104,20 @@ def test_stages_rebuild_deterministically(niemeier_stage, e8_split):
     assert again is not e8_split
     assert _split_summary(again) == _split_summary(e8_split)
     assert _split_summary(again)[1:] == ([54, 54, 54], 72, 6, "A2")
-    rebuilt = period.niemeier_e6_stage()
+    rebuilt = period.niemeier_e6_stage({r: period.e_split(r) for r in (6, 7, 8)})
     assert rebuilt is not niemeier_stage
-    assert ([(e, _split_summary(split)) for e, _, split in rebuilt]
-            == [(e, _split_summary(split)) for e, _, split in niemeier_stage])
+    assert ([(e, glued.lattice.gram, _split_summary(split)) for e, glued, split in rebuilt]
+            == [(e, glued.lattice.gram, _split_summary(split))
+                for e, glued, split in niemeier_stage])
+
+
+def test_niemeier_stage_reads_the_runs_e_r_splits(stages):
+    """Each entry carries the run's split of its E_r, the very object: E8's is the E8
+    dictionary, so one run splits E6, E7 and E8 once each and no rank-24 lattice."""
+    by_rank = {6: stages.e6, 7: stages.e7, 8: stages.e8}
+    assert {str(e.root_system): split.lattice.rank for e, _, split in stages.niemeier} == {
+        "D16+E8": 8, "E8^3": 8, "A17+E7": 7, "D10+E7^2": 7, "A11+D7+E6": 6, "E6^4": 6}
+    assert all(split is by_rank[split.lattice.rank] for _, _, split in stages.niemeier)
 
 
 def test_parity_scan_of_core_basis(model):
@@ -343,19 +359,24 @@ print(json.dumps({
     "statuses": [r.status for r in reports],
     "walks": walks,
     "distinct": distinct,
-    "roots_match": [list(glued.positive_roots) == roots.short_vectors(glued.lattice, 2)[0::2]
-                    for _, glued, _ in stages.niemeier],
+    "grams": [len(gram) for gram, _ in walked],
+    "roots_match": [sorted(split.in_e6 + split.orthogonal
+                           + sum(split.mixed_by_line.values(), ()))
+                    == roots.short_vectors(split.lattice, 2)[0::2]
+                    for split in (stages.e6, stages.e7, stages.e8)],
 }))
 """
 
 
 def test_suite_walks_each_lattice_once_and_passes_roots_on():
-    """From a fresh import, the twelve checks of one run make 10 Fincke-Pohst walks
-    on 10 distinct Grams, each once: the Niemeier lattices and E8 hand their roots
-    to the E6 splits, and the complement and E7 saturation root systems are read
-    off the splits instead of walked. The 10 walks are E8, the six Niemeier
-    lattices and E6, E7, E6+A1. The pairwise E8 saturations of intersection-codims
-    have the identity basis, so their roots are those of the E8 split."""
+    """From a fresh import, the twelve checks of one run make 4 Fincke-Pohst walks
+    on 4 distinct Grams, each once: E6, E7 and E8 hand their roots to their E6
+    splits, automorphic-weight-orders reads the E6 and E7 root counts off those
+    splits, the Niemeier lattices are not walked (the glue certifies their
+    roots), and the complement and E7 saturation root systems are read off the
+    splits instead of walked. The 4 walks are E6, E7, E6+A1 and E8. The pairwise
+    E8 saturations of intersection-codims have the identity basis, so their
+    roots are those of the E8 split."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -363,9 +384,10 @@ def test_suite_walks_each_lattice_once_and_passes_roots_on():
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
-    assert got["walks"] == 10
-    assert got["distinct"] == 10
-    assert got["roots_match"] == [True] * 6
+    assert got["walks"] == 4
+    assert got["distinct"] == 4
+    assert got["grams"] == [6, 7, 7, 8]
+    assert got["roots_match"] == [True] * 3
 
 
 _CORE_BUILD_PROBE = """
@@ -419,7 +441,8 @@ def test_one_verify_builds_the_core_lattice_once():
 _ROOT_COMPONENTS_PROBE = """
 import importlib
 import json
-from cf_lattice import checks, period
+import sys
+from cf_lattice import checks
 roots = importlib.import_module("cf_lattice.roots")  # the package's `roots` is the function
 original = roots.root_components
 sizes = []
@@ -429,18 +452,21 @@ def counted(lat, root_list):
     sizes.append(len(root_list))
     return original(lat, root_list)
 
-roots.root_components = period.root_components = counted
+# every cf_lattice module that binds the function, the roots module included
+for key, module in list(sys.modules.items()):
+    if key.startswith("cf_lattice") and getattr(module, "root_components", None) is original:
+        module.root_components = counted
 reports = checks.run_suite()
 print(json.dumps({"statuses": [r.status for r in reports], "sizes": sizes}))
 """
 
 
 def test_suite_splits_each_root_system_into_components_once():
-    """From a fresh import, `run_suite` runs `root_components` on more than 6 roots
-    exactly 7 times: once for each of the six Niemeier lattices and E8, inside
-    `split_by_e6`, each on one root of each +-pair. The complement root systems
-    come from those components; the only other calls identify the at most 3
-    halves of the E_r component that are orthogonal to E6."""
+    """From a fresh import, `run_suite` runs `root_components` three times, once in
+    each of the splits of E6, E7 and E8, on the halves orthogonal to E6: 0, 0
+    and 3 of them. No root system of more than 6 roots is split into components:
+    `split_by_e6` embeds E6 among all of E_r's roots, and the boundary labels
+    add the Niemeier entries' other components to those complements."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -448,7 +474,7 @@ def test_suite_splits_each_root_system_into_components_once():
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got["statuses"] == ["pass"] * 12
-    assert sorted(n for n in got["sizes"] if n > 6) == [120, 144, 144, 216, 216, 360, 360]
+    assert got["sizes"] == [0, 0, 3]
 
 
 def _in_ambient(sub, coords):
@@ -537,19 +563,21 @@ def test_split_by_e6_takes_positive_roots_only(e8_split):
 
 
 def test_positive_roots_are_the_walk_halves_of_short_vectors(niemeier_stage):
-    """On E8 and the six stage lattices: every other vector of `short_vectors`, and
-    what the stage carries."""
-    e8 = standard_lattice("E8")
-    assert positive_roots(e8) == short_vectors(e8, 2)[0::2]
-    for _, glued, _ in niemeier_stage:
-        halves = positive_roots(glued.lattice)
-        assert halves == short_vectors(glued.lattice, 2)[0::2]
-        assert list(glued.positive_roots) == halves
+    """On E6, E7, E8 and the six glued lattices: every other vector of
+    `short_vectors`; and the E_r splits the stage carries hold exactly those
+    halves of E_r."""
+    for name in ("E6", "E7", "E8"):
+        lat = standard_lattice(name)
+        assert positive_roots(lat) == short_vectors(lat, 2)[0::2]
+    for _, glued, split in niemeier_stage:
+        assert positive_roots(glued.lattice) == short_vectors(glued.lattice, 2)[0::2]
+        halves = split.in_e6 + split.orthogonal + sum(split.mixed_by_line.values(), ())
+        assert sorted(halves) == positive_roots(split.lattice)
 
 
 def test_stages_never_list_both_signs(monkeypatch):
-    """The Niemeier stage and the E8 split walk one root of each pair: neither reaches
-    `short_vectors`, through the module or a name imported from it."""
+    """A run's E_r splits and its Niemeier stage walk one root of each pair: none
+    reaches `short_vectors`, through the module or a name imported from it."""
     def refuse(*args):
         raise AssertionError("the stage built both signs of its roots")
 
@@ -559,10 +587,34 @@ def test_stages_never_list_both_signs(monkeypatch):
             monkeypatch.setattr(module, "short_vectors", refuse)
     with pytest.raises(AssertionError, match="both signs"):
         roots(standard_lattice("A2"))  # the patch is live
-    stage = period.niemeier_e6_stage()
-    assert [count_roots(glued.positive_roots) for e, glued, _ in stage] == [
-        e.root_count() for e, _, _ in stage]
+    stages = checks.Stages()
+    assert {str(e.root_system): split.root_count for e, _, split in stages.niemeier} == {
+        "D16+E8": 240, "E8^3": 240, "A17+E7": 126, "D10+E7^2": 126,
+        "A11+D7+E6": 72, "E6^4": 72}
+    assert [stages.e6.root_count, stages.e7.root_count, stages.e8.root_count] == [72, 126, 240]
     assert e8_dictionary().root_count == 240
+
+
+def test_stage_labels_and_ranks_match_the_rank_24_lattices(niemeier_stage):
+    """The six complements and projection ranks the old way, as demo 03 finds them:
+    walk N, embed E6 in its E component, identify the root system of the
+    orthogonal complement (walked), and split all of N's roots for the
+    projection rank. The stage reads both off the E_r splits instead."""
+    labels = {c.source_entry: str(c.root_sublattice)
+              for c in classify_boundary_components(niemeier_stage)}
+    ranks = {}
+    for entry, glued, split in niemeier_stage:
+        lat = glued.lattice
+        halves = positive_roots(lat)
+        assert count_roots(halves) == entry.root_count()  # the glue added no roots
+        ref = per_root_split_reference(lat, halves)
+        comp_lat = orthogonal_complement(lat, ref.e6).lattice()
+        walked = identify_root_system(comp_lat, roots(comp_lat))
+        assert str(walked) == str(ref.complement) == labels[str(entry.root_system)]
+        ranks[str(entry.root_system)] = period._qualifying_projection_rank(ref)
+        assert ranks[str(entry.root_system)] == period._qualifying_projection_rank(split)
+    assert ranks == {"E6^4": 0, "A11+D7+E6": 0, "D10+E7^2": 1, "A17+E7": 1,
+                     "E8^3": 2, "D16+E8": 2}
 
 
 @pytest.mark.parametrize("name", ["E8"] + [str(e.root_system) for e in entries_with_e_summand()])

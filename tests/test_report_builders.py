@@ -92,12 +92,12 @@ def test_each_run_builds_each_stage_once_inside_the_first_check_to_read_it(monke
     built, current = [], []
 
     def counting(name, build):
-        def counted():
-            built.append((name, current[-1]))
-            return build()
+        def counted(*args):
+            built.append((name, *[a for a in args if isinstance(a, int)], current[-1]))
+            return build(*args)
         return counted
 
-    for name in ("build_period_model", "e8_dictionary", "niemeier_e6_stage"):
+    for name in ("build_period_model", "e_split", "e8_dictionary", "niemeier_e6_stage"):
         monkeypatch.setattr(period, name, counting(name, getattr(period, name)))
     run_check = checks.run_check
 
@@ -109,9 +109,18 @@ def test_each_run_builds_each_stage_once_inside_the_first_check_to_read_it(monke
     for _ in range(2):
         built.clear()
         assert {r.status for r in checks.run_suite()} == {"pass"}
-        assert sorted(built) == [("build_period_model", "hyperplane-dets"),
-                                 ("e8_dictionary", "dictionary-counts"),
-                                 ("niemeier_e6_stage", "boundary-components")]
+        # E6 and E7 are split for automorphic-weight-orders, the first check; E8 (the
+        # E8 dictionary, through `e_split(8)`) for the Niemeier stage that reads it
+        assert built == [("e_split", 6, "automorphic-weight-orders"),
+                         ("e_split", 7, "automorphic-weight-orders"),
+                         ("e8_dictionary", "boundary-components"),
+                         ("e_split", 8, "boundary-components"),
+                         ("niemeier_e6_stage", "boundary-components"),
+                         ("build_period_model", "hyperplane-dets")]
     built.clear()
     assert checks.run_check("model-build").status == "pass"
     assert built == [("build_period_model", "model-build")]
+    built.clear()
+    assert checks.run_check("automorphic-weight-orders").status == "pass"
+    assert built == [("e_split", 6, "automorphic-weight-orders"),
+                     ("e_split", 7, "automorphic-weight-orders")]

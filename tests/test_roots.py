@@ -907,21 +907,21 @@ print(json.dumps(walked))
 """
 
 
-def test_cap_charge_of_the_ten_verify_walks(monkeypatch, time_budget):
-    """From a fresh import, the ten walks of `run_suite` (E6, E7, E6+A1, the six
-    Niemeier lattices, E8, in that order) charge 59,779 nodes in all."""
+def test_cap_charge_of_the_four_verify_walks(monkeypatch, time_budget):
+    """From a fresh import, the four walks of `run_suite` (E6 and E7 for their
+    splits, E6+A1, then E8 for its split, in that order) charge 2,660 nodes in
+    all. No rank-24 lattice is walked."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
     result = subprocess.run([sys.executable, "-c", _VERIFY_WALK_PROBE], env=env,
                             capture_output=True, text=True, timeout=60, check=True)
     walked = json.loads(result.stdout)
-    charges = [312, 623, 393, 12_669, 12_634, 8_848, 8_537, 7_136, 7_295, 1_332]
-    assert [(len(gram), norm) for gram, norm in walked] == [
-        (6, 2), (7, 2), (7, 2), *[(24, 2)] * 6, (8, 2)]
+    charges = [312, 623, 393, 1_332]
+    assert [(len(gram), norm) for gram, norm in walked] == [(6, 2), (7, 2), (7, 2), (8, 2)]
     for (gram, norm), charge in zip(walked, charges):
         assert_charge(monkeypatch, tuple(map(tuple, gram)), norm, charge)
-    assert sum(charges) == 59_779
+    assert sum(charges) == 2_660
 
 
 def _early_spend_gram():
