@@ -275,9 +275,7 @@ def embed_e6(lat: Lattice, component) -> Sublattice:
     in one component. Greedy Dynkin-subgraph search over the component's halves in
     lexicographic order, each followed by its negative; the returned basis
     consists of six simple roots, so the induced Gram is the E6 Cartan
-    matrix exactly. G v of each chosen root is kept as its nonzero entries
-    only, so testing a candidate against the roots chosen so far costs a few
-    products each. Raises ValueError if the roots hold no E6, after trying
+    matrix exactly. Raises ValueError if the roots hold no E6, after trying
     every partial embedding (A8: seconds).
     """
     component_roots = [u for v in sorted(set(map(_half, component)))
@@ -285,16 +283,15 @@ def embed_e6(lat: Lattice, component) -> Sublattice:
     g = [list(r) for r in lat.gram]
     target = standard_lattice("E6").gram
     chosen: list[Vector] = []
-    paired = []  # G v of each chosen root as its nonzero (j, x) pairs, built once it is chosen
+    paired = []  # G v of each chosen root
 
     def extend(k: int) -> bool:
         if k == 6:
             return True
         for cand in component_roots:
-            if all(sum([cand[j] * x for j, x in gv]) == target[k][i]
-                   for i, gv in enumerate(paired)):
+            if all(sum(map(mul, cand, gv)) == target[k][i] for i, gv in enumerate(paired)):
                 chosen.append(cand)
-                paired.append([(j, x) for j, x in enumerate(intlinalg.mat_vec(g, cand)) if x])
+                paired.append(intlinalg.mat_vec(g, cand))
                 if extend(k + 1):
                     return True
                 chosen.pop()

@@ -442,10 +442,10 @@ def split_by_e6(lat: Lattice, halves) -> E6Split:
     listed twice or with a negative first nonzero coordinate (so also both
     roots of a pair) raises ValueError. E6 is embedded among all of them
     (`embed_e6`, slow to fail on roots with no E6; `e_split` passes E_r's). Each
-    half is projected to E6^perp once, in integers, scaled by det(G6) > 0:
-    det(G6) * r - (adj(G6) * pairings) . basis, adj(G6) = det(G6) * G6^-1,
-    over the nonzero entries of G e and e of each basis root e. Each bucket
-    keeps the input order. The complement root system is that of the
+    half r is projected to E6^perp once, in integers, scaled by det(G6) > 0:
+    P r with P = det(G6) I - B^T adj(G6) B G, B the E6 basis rows and
+    adj(G6) = det(G6) G6^-1. P r = 0 puts r in E6 (x) Q, and P r = det(G6) r
+    makes it orthogonal to E6. Each bucket keeps the input order. The complement root system is that of the
     orthogonal halves: none, none and A2 for r = 6, 7, 8 (E6 + A1 is not a
     root subsystem of E7).
     """
@@ -456,24 +456,18 @@ def split_by_e6(lat: Lattice, halves) -> E6Split:
         raise ValueError("split_by_e6 takes one root of each +-pair")
     e6sub = embed_e6(lat, halves)
     det6, adj6 = intlinalg.adjugate([list(r) for r in e6sub.induced_gram()])
-    g = [list(r) for r in lat.gram]
-    # G e and e of each E6 basis root as their nonzero (j, x) pairs
-    basis_pairings = [[(j, x) for j, x in enumerate(intlinalg.mat_vec(g, list(row))) if x]
-                      for row in e6sub.basis]
-    basis_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e6sub.basis]
+    basis = [list(r) for r in e6sub.basis]
+    shift = intlinalg.mat_mul(intlinalg.mat_mul(intlinalg.transpose(basis), adj6),
+                              intlinalg.mat_mul(basis, lat.gram))
+    project = [[(det6 if i == j else 0) - x for j, x in enumerate(row)]
+               for i, row in enumerate(shift)]
     in_e6, orthogonal, mixed_by_line = [], [], {}
     for half in halves:
-        pair = [sum([half[j] * x for j, x in bp]) for bp in basis_pairings]
-        if not any(pair):
-            orthogonal.append(half)
-            continue
-        proj = [det6 * r for r in half]
-        for c, row in zip(intlinalg.mat_vec(adj6, pair), basis_rows):
-            if c:
-                for j, x in row:
-                    proj[j] -= c * x
+        proj = intlinalg.mat_vec(project, half)
         if not any(proj):
             in_e6.append(half)
+        elif proj == [det6 * x for x in half]:
+            orthogonal.append(half)
         else:
             gg = gcd(*proj)
             mixed_by_line.setdefault(_half(tuple(x // gg for x in proj)), []).append(half)
