@@ -17,7 +17,6 @@ is walked: its glue certifies that it has the roots of its root lattice.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import cached_property
 
 from . import intlinalg, period, plethysm, spectra
@@ -393,7 +392,7 @@ def run_check(check_id: str, stages: Stages | None = None) -> VerificationReport
     stages = Stages() if stages is None else stages
     start = time.monotonic()
     report = runner(stages)
-    return replace(report, elapsed_ms=int((time.monotonic() - start) * 1000))
+    return report.replace(elapsed_ms=int((time.monotonic() - start) * 1000))
 
 
 def run_suite(requested=("all",)) -> list[VerificationReport]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -20,6 +19,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import intlinalg
+from ._record import Record
 from .intlinalg import Matrix, hnf, kernel, smith_form
 
 Vector = tuple[int, ...]
@@ -31,8 +31,7 @@ class DegenerateLatticeError(ValueError):
     """Raised when an operation requires det != 0."""
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Finitely generated free abelian group with a symmetric integer Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
@@ -96,8 +95,7 @@ class Lattice:
         return f"Lattice({label})"
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """A sublattice given by basis row vectors in the ambient basis."""
 
     ambient: Lattice
@@ -156,8 +154,7 @@ class Sublattice:
         return True
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Record):
     """Finite abelian group with Q/2Z quadratic and Q/Z bilinear values on generators.
 
     `invariant_factors` lists cyclic orders d_1 | d_2 | ... (all > 1); elements
@@ -230,8 +227,7 @@ class FiniteQuadraticForm:
         return Fraction(total % s, s)
 
 
-@dataclass(frozen=True)
-class GenusInvariants:
+class GenusInvariants(Record):
     """Rank, signature, parity and discriminant form: the genus comparison data."""
 
     rank: int
@@ -368,8 +364,7 @@ def saturation_index(lat: Lattice, sub: Sublattice) -> int:
     return prod(r[i] for i, r in enumerate(hnf(intlinalg.transpose(sub.basis))))
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(Record):
     """Discriminant form together with rational lifts of its generators.
 
     `lifts[i]` is a representative of generator i in L*, as rational

@@ -5,11 +5,11 @@ demand, only for the six entries whose root system contains an E_r summand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, prod
 from operator import mul
 
 from . import intlinalg
+from ._record import Record
 from .lattices import (
     DiscriminantData,
     Lattice,
@@ -23,8 +23,7 @@ from .lattices import (
 from .roots import RootSystemLabel, _half, ade_coxeter_number
 
 
-@dataclass(frozen=True)
-class NiemeierEntry:
+class NiemeierEntry(Record):
     root_system: RootSystemLabel
     coxeter_number: int
 
@@ -32,8 +31,7 @@ class NiemeierEntry:
         return 24 * self.coxeter_number
 
 
-@dataclass(frozen=True)
-class GluedLattice:
+class GluedLattice(Record):
     """Result of an overlattice construction, with basis bookkeeping.
 
     `old_in_new` expresses the old basis integrally in the new one.

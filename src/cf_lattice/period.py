@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from . import intlinalg
+from ._record import Record
 from .lattices import (
     DiscriminantData,
     Lattice,
@@ -54,8 +54,7 @@ from .roots import (
 )
 
 
-@dataclass(frozen=True)
-class PeriodModel:
+class PeriodModel(Record):
     """The ambient lattice, the polarization h, its complement h^perp and a long root.
 
     `build_period_model` builds each lattice once; callers read these fields.
@@ -93,8 +92,7 @@ def build_period_model() -> PeriodModel:
                        core_disc=disc, long_root=delta)
 
 
-@dataclass(frozen=True)
-class HyperplaneClass:
+class HyperplaneClass(Record):
     """The determinant of the saturated rank-2 lattice of the polarization and a vector."""
 
     det: int
@@ -133,8 +131,7 @@ def classify_hyperplane(model: PeriodModel, v: Vector) -> HyperplaneClass:
     return HyperplaneClass(det=d, family=family)
 
 
-@dataclass(frozen=True)
-class DeterminantSearch:
+class DeterminantSearch(Record):
     """Outcome of the bounded witness search for realizable determinants."""
 
     lo: int
@@ -301,8 +298,7 @@ BOUNDARY_CONFIGURATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(Record):
     label: str
     root_sublattice: RootSystemLabel
     source_entry: str  # the rank-24 root system it came from
@@ -351,8 +347,7 @@ def classify_boundary_components(stage) -> tuple[BoundaryComponent, ...]:
     return tuple(components)
 
 
-@dataclass(frozen=True)
-class UnimodularExtension:
+class UnimodularExtension(Record):
     """The even unimodular (26,2) lattice glued from the core and E6."""
 
     lattice: Lattice
@@ -395,8 +390,7 @@ def glue_unimodular_26_2(model: PeriodModel) -> UnimodularExtension:
 
 # -- Roots split by an embedded E6 ------------------------------------------------
 
-@dataclass(frozen=True)
-class E6Split:
+class E6Split(Record):
     """The roots of a lattice L sorted relative to an embedded E6 (SPLAG ch. 16, 18).
 
     Every bucket holds one root of each +-pair, as the split was given them

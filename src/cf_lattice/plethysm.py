@@ -16,10 +16,11 @@ closed form. Work is bounded by `MAX_CHARACTER_WORK`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, product
 from math import comb, gcd
 from operator import add
+
+from ._record import Record
 
 SL2 = "SL2"
 SL3 = "SL3"
@@ -66,8 +67,7 @@ MAX_DIGITS = 4_200
 _MAX_BITS = (10 ** MAX_DIGITS).bit_length()  # an int >= 10^MAX_DIGITS has at least these bits
 
 
-@dataclass(frozen=True)
-class CharacterPoly:
+class CharacterPoly(Record):
     group: str
     terms: tuple[tuple[tuple[int, ...], int], ...]  # sorted ((exponents), coeff)
 
@@ -290,8 +290,7 @@ def sym_power(a: CharacterPoly, k: int) -> CharacterPoly:
     return CharacterPoly(a.group, tuple(compress(zip(weights, top), top)))
 
 
-@dataclass(frozen=True)
-class RepDecomposition:
+class RepDecomposition(Record):
     """Multiset of irreducible summands with multiplicities."""
 
     group: str

@@ -1,8 +1,9 @@
 """Verification reports: named checks with expected/actual values and witnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -21,13 +22,12 @@ def jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     check: str
     status: str
     expected: object
     actual: object
-    witnesses: tuple = field(default_factory=tuple)
+    witnesses: tuple = ()
     paper_ref: str = ""
     elapsed_ms: int = 0
 

@@ -33,12 +33,12 @@ transforms in integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt, lcm
 from operator import mul, neg, sub
 
 from . import intlinalg
+from ._record import Record
 from .lattices import Lattice, Vector, check_ade
 
 _CARTAN_DET = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n}
@@ -56,8 +56,7 @@ def ade_coxeter_number(family: str, n: int) -> int:
     return _COXETER[family](n)
 
 
-@dataclass(frozen=True)
-class RootSystemLabel:
+class RootSystemLabel(Record):
     """Formal multiset of irreducible A-D-E component labels."""
 
     components: tuple[tuple[str, int], ...]
@@ -106,8 +105,7 @@ class RootSystemLabel:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Integer matrix preserving the Gram matrix; acts on coordinates by x -> M x."""
 
     lattice: Lattice
@@ -437,8 +435,7 @@ def reflection(lat: Lattice, delta: Vector) -> Isometry:
     return Isometry(lat, tuple(tuple(r) for r in m))
 
 
-@dataclass(frozen=True)
-class DiscAction:
+class DiscAction(Record):
     """Induced action of an isometry on the discriminant group, on Smith generators."""
 
     invariant_factors: tuple[int, ...]

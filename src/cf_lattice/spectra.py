@@ -9,13 +9,13 @@ a closed form and are validated against their invariants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class QhSingularity:
+
+class QhSingularity(Record):
     """Quasihomogeneous isolated hypersurface singularity, by its weights."""
 
     weights: tuple[Fraction, ...]
@@ -37,8 +37,7 @@ class QhSingularity:
         return int(mu)
 
 
-@dataclass(frozen=True)
-class SpectrumMultiset:
+class SpectrumMultiset(Record):
     """Multiset of exact rationals, symmetric about (nvars - 2) / 2.
 
     `entries` is sorted ascending: `spectrum` and `suspend` build it in
@@ -133,8 +132,7 @@ def interval_check(sp: SpectrumMultiset, lo, hi,
     return ok_lo and ok_hi
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     kind: str  # "du_val" | "simple_elliptic"
     singularity: QhSingularity

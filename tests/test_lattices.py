@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -432,7 +431,7 @@ def test_milgram_rejects_a2_with_the_q_value_of_e6():
     # A2 and E6 both have discriminant group Z/3; swapping in E6's q = 4/3
     # conjugates the Gauss sum, which then matches signature 6, not 2
     form = discriminant_data(standard_lattice("A2")).form
-    wrong = dataclasses.replace(form, q=(Fraction(4, 3),))
+    wrong = form.replace(q=(Fraction(4, 3),))
     gauss, expected = _milgram_sides(wrong, (2, 0))
     assert abs(gauss - expected) > 1
     assert abs(gauss - _milgram_sides(wrong, (6, 0))[1]) < 1e-9

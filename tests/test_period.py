@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -293,14 +292,14 @@ def test_orbit_walk_matches_brute_force(model, hi, bound):
 def test_witness_search_rejects_a_non_diagonal_gram(model):
     gram = [list(r) for r in model.ambient.gram]
     gram[0][1] = gram[1][0] = 1
-    skewed = dataclasses.replace(model, ambient=Lattice(tuple(map(tuple, gram))))
+    skewed = model.replace(ambient=Lattice(tuple(map(tuple, gram))))
     with pytest.raises(ValueError, match="diagonal"):
         realizable_determinants(skewed, 2, 14)
 
 
 def test_witness_search_needs_five_unit_coordinates_of_h(model):
     # four coordinates of h equal to +-1: a support of size 4 can cover them all
-    few_units = dataclasses.replace(model, polarization=tuple([1, -1, 1, 1] + [3] * 19))
+    few_units = model.replace(polarization=tuple([1, -1, 1, 1] + [3] * 19))
     with pytest.raises(ValueError, match="polarization"):
         realizable_determinants(few_units, 2, 14)
 
