@@ -10,8 +10,7 @@ from cf_lattice.plethysm import (
     SL3,
     decompose,
     irreducible_character,
-    normal_slice_chi,
-    normal_slice_omega,
+    normal_slice,
     parse_rep_expression,
     standard_character,
     sym_power,
@@ -32,14 +31,16 @@ print("decomposition:", decompose(cube))
 
 # The same space as an SL2 module, for the quartic-plus-line situation.
 w2 = sym_power(v2, 4) + trivial_character(SL2)
-print("\nSL2: Sym^3(Sym^4 V + C) =", decompose(sym_power(w2, 3)))
+cube2 = sym_power(w2, 3)
+print("\nSL2: Sym^3(Sym^4 V + C) =", decompose(cube2))
 
 # Normal slices at the two special orbits: subtract the orbit directions
 # (the ambient Lie algebra modulo the stabilizer) from the ambient tangent.
-print("\nnormal slice at the SL3 point:", normal_slice_omega(),
-      "| dim", normal_slice_omega().dimension())
-print("normal slice along the SL2 curve:", normal_slice_chi(),
-      "| dim", normal_slice_chi().dimension())
+# The stabilizer algebras are sl(3) = Gamma_{1,1} and Sym^2 V.
+omega = normal_slice(cube, w, irreducible_character(SL3, (1, 1)))
+chi = normal_slice(cube2, w2, irreducible_character(SL2, 2))
+print("\nnormal slice at the SL3 point:", omega, "| dim", omega.dimension())
+print("normal slice along the SL2 curve:", chi, "| dim", chi.dimension())
 
 # Everything is reachable through the expression grammar as well.
 expr = parse_rep_expression("Sym^3(Sym^4(V)+C)", SL2)

@@ -274,12 +274,14 @@ def _check_boundary_matching(stages: Stages) -> VerificationReport:
 
 
 def _check_plethysm_omega(stages: Stages) -> VerificationReport:
-    v = plethysm.standard_character(plethysm.SL3)
-    w = plethysm.sym_power(v, 2)
-    cube = plethysm.decompose(plethysm.sym_power(w, 3))
+    w = plethysm.sym_power(plethysm.standard_character(plethysm.SL3), 2)
+    cube_char = plethysm.sym_power(w, 3)
+    cube = plethysm.decompose(cube_char)
     adjoint_restriction = plethysm.decompose(
         w * w.dual() - plethysm.trivial_character(plethysm.SL3))
-    slice_dec = plethysm.normal_slice_omega()
+    # the SL(3) point with W = Sym^2 V: H = SL(3), so Lie H is Gamma_{1,1}
+    slice_dec = plethysm.normal_slice(
+        cube_char, w, plethysm.irreducible_character(plethysm.SL3, (1, 1)))
     expected = {"cube": "Gamma_{6,0} + Gamma_{2,2} + C", "cube_dim": 56,
                 "adjoint_restriction": "Gamma_{2,2} + Gamma_{1,1}",
                 "adjoint_dim": 35,
@@ -294,10 +296,13 @@ def _check_plethysm_omega(stages: Stages) -> VerificationReport:
 
 
 def _check_plethysm_chi(stages: Stages) -> VerificationReport:
-    v = plethysm.standard_character(plethysm.SL2)
-    w = plethysm.sym_power(v, 4) + plethysm.trivial_character(plethysm.SL2)
-    cube = plethysm.decompose(plethysm.sym_power(w, 3))
-    slice_dec = plethysm.normal_slice_chi()
+    w = (plethysm.sym_power(plethysm.standard_character(plethysm.SL2), 4)
+         + plethysm.trivial_character(plethysm.SL2))
+    cube_char = plethysm.sym_power(w, 3)
+    cube = plethysm.decompose(cube_char)
+    # W = Sym^4 V + C along the SL(2) curve, with stabilizer algebra Sym^2 V
+    slice_dec = plethysm.normal_slice(
+        cube_char, w, plethysm.irreducible_character(plethysm.SL2, 2))
     slice_char = slice_dec.character()
     without_trivial = plethysm.decompose(
         slice_char - plethysm.trivial_character(plethysm.SL2))

@@ -230,9 +230,10 @@ def _cmd_lattice(args) -> int:
             raise _fail(EXIT_PRECONDITION, str(exc))
     else:
         out = saturation(lat, sub)
-    _emit({"gram": [list(r) for r in out.induced_gram()],
+    out_lattice = out.lattice()
+    _emit({"gram": [list(r) for r in out_lattice.gram],
            "basis": [list(r) for r in out.basis],
-           "degenerate": out.is_degenerate()}, args)
+           "degenerate": out_lattice.is_degenerate()}, args)
     return EXIT_OK
 
 

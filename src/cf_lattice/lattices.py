@@ -120,9 +120,6 @@ class Sublattice(Record):
     def lattice(self, name: str | None = None) -> Lattice:
         return Lattice(self.induced_gram(), name=name)
 
-    def is_degenerate(self) -> bool:
-        return self.lattice().is_degenerate()
-
     @cached_property
     def _coordinate_solver(self) -> tuple[Matrix, int, Matrix]:
         """(B, det(B B^T), adj(B B^T)), built on the first `from_ambient` of this object."""
@@ -158,20 +155,37 @@ class FiniteQuadraticForm(Record):
     """Finite abelian group with Q/2Z quadratic and Q/Z bilinear values on generators.
 
     `invariant_factors` lists cyclic orders d_1 | d_2 | ... (all > 1); elements
-    are exponent tuples mod the d_i. `q` is None for forms induced by odd
-    lattices, where only the bilinear form is well defined.
-    `q_of` and `b_of` sum integers: the numerators of q and b over one common
-    denominator s are derived once per form, and each value is one Fraction
-    (sum mod 2s) / s or (sum mod s) / s.
+    are exponent tuples mod the d_i. Values are integers over the exponent
+    N = d_k (1 if trivial): `q_num[i]` is N q_i mod 2N and `b_num[i][j]` is
+    N b_ij mod N. `q_num` is None for forms induced by odd lattices, where
+    only the bilinear form is well defined. `q_of` and `b_of` return such
+    numerators too; `q` and `b` are read-only Fraction views of the fields.
     """
 
     invariant_factors: tuple[int, ...]
-    q: tuple[Fraction, ...] | None
-    b: tuple[tuple[Fraction, ...], ...]
+    q_num: tuple[int, ...] | None
+    b_num: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors) if self.invariant_factors else 1
+
+    @property
+    def exponent(self) -> int:
+        """N, the common denominator of every value: the last invariant factor (1 if trivial)."""
+        return max(self.invariant_factors, default=1)
+
+    @property
+    def q(self) -> tuple[Fraction, ...] | None:
+        """q_i in [0, 2) as Fractions; None for an odd lattice's form."""
+        n = self.exponent
+        return None if self.q_num is None else tuple(Fraction(v, n) for v in self.q_num)
+
+    @property
+    def b(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b_ij in [0, 1) as Fractions."""
+        n = self.exponent
+        return tuple(tuple(Fraction(v, n) for v in row) for row in self.b_num)
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -199,32 +213,18 @@ class FiniteQuadraticForm(Record):
                     frontier.append(nxt)
         return elems
 
-    @cached_property
-    def _numerators(self) -> tuple[int, list[list[int]] | None, list[list[int]]]:
-        """(s, U, B) over the common denominator s of q and b, derived on first use.
-
-        B[i][j] = s b_ij, and row i of U holds s q_i, then 2 s b_ij for j > i,
-        so that s q(x) = sum_i x_i (U[i] . x[i:]) for the upper triangle.
-        """
-        s = lcm(*(f.denominator for row in self.b for f in row),
-                *(f.denominator for f in self.q or ()))
-        big_b = [[f.numerator * (s // f.denominator) for f in row] for row in self.b]
-        upper = None if self.q is None else [
-            [f.numerator * (s // f.denominator)] + [2 * x for x in big_b[i][i + 1:]]
-            for i, f in enumerate(self.q)]
-        return s, upper, big_b
-
-    def q_of(self, x) -> Fraction:
-        if self.q is None:
+    def q_of(self, x) -> int:
+        """N q(x) mod 2N: sum_i x_i (N q_i x_i + 2 sum_(j>i) N b_ij x_j)."""
+        if self.q_num is None:
             raise ValueError("quadratic values not defined (odd lattice)")
-        s, upper, _ = self._numerators
-        total = sum([a * sum(map(mul, row, x[i:])) for i, (a, row) in enumerate(zip(x, upper))])
-        return Fraction(total % (2 * s), s)
+        total = sum([a * (qi * a + 2 * sum(map(mul, row[i + 1:], x[i + 1:])))
+                     for i, (a, qi, row) in enumerate(zip(x, self.q_num, self.b_num))])
+        return total % (2 * self.exponent)
 
-    def b_of(self, x, y) -> Fraction:
-        s, _, big_b = self._numerators
-        total = sum([a * sum(map(mul, row, y)) for a, row in zip(x, big_b)])
-        return Fraction(total % s, s)
+    def b_of(self, x, y) -> int:
+        """N b(x, y) mod N."""
+        total = sum([a * sum(map(mul, row, y)) for a, row in zip(x, self.b_num)])
+        return total % self.exponent
 
 
 class GenusInvariants(Record):
@@ -365,28 +365,32 @@ def saturation_index(lat: Lattice, sub: Sublattice) -> int:
 
 
 class DiscriminantData(Record):
-    """Discriminant form together with rational lifts of its generators.
+    """Discriminant form together with lifts of its generators to L*.
 
-    `lifts[i]` is a representative of generator i in L*, as rational
-    coordinates in the basis of L.
+    Row i of `lift_rows` is N Q e_i / d_i, N the exponent: N times a
+    representative of generator i in L*, as integer coordinates in the basis
+    of L. `lifts` is a read-only Fraction view of the representatives.
     """
 
     form: FiniteQuadraticForm
-    lifts: tuple[tuple[Fraction, ...], ...]
+    lift_rows: tuple[tuple[int, ...], ...]
 
     @property
     def exponent(self) -> int:
         """N, the exponent of L*/L: its last invariant factor (1 if trivial)."""
-        return max(self.form.invariant_factors, default=1)
+        return self.form.exponent
+
+    @property
+    def lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.exponent
+        return tuple(tuple(Fraction(x, n) for x in row) for row in self.lift_rows)
 
     def lift(self, element) -> tuple[int, ...]:
         """N times a representative of `element` in L*: integer coordinates over N."""
-        n_exp = self.exponent
-        n = len(self.lifts[0]) if self.lifts else 0
-        out = [0] * n
-        for a, gen in zip(element, self.lifts):
-            for j, x in enumerate(gen):
-                out[j] += a * x.numerator * (n_exp // x.denominator)
+        out = [0] * (len(self.lift_rows[0]) if self.lift_rows else 0)
+        for a, row in zip(element, self.lift_rows):
+            if a:
+                out = [x + a * y for x, y in zip(out, row)]
         return tuple(out)
 
 
@@ -394,29 +398,28 @@ def discriminant_data(lat: Lattice) -> DiscriminantData:
     """Discriminant form with generator lifts, from the Smith transforms of the Gram.
 
     P G Q = D gives G^-1 = Q D^-1 P, so generator i of L*/L lifts to
-    Q e_i / d_i, and b_ij = (Q^T G Q)_ij / (d_i d_j) (Nikulin 1979; Cohen,
-    GTM 138, 2.4): one integer product, no inverse of P or G, so P is not
-    carried (`smith_form` without P). A zero invariant factor means
-    det G = 0, and raises DegenerateLatticeError.
+    Q e_i / d_i (Nikulin 1979; Cohen, GTM 138, 2.4), whose row over the
+    exponent N is r_i = (N / d_i) Q e_i. The rows pair to r_i^T G r_j =
+    N^2 b_ij, a multiple of N since r_i / N lies in L*; divided by N, these
+    pairings are N b_ij and, on the diagonal, N q_i. One integer product,
+    no inverse of P or G, so P is not carried (`smith_form` without P). A
+    zero invariant factor means det G = 0, and raises DegenerateLatticeError.
     """
     g = [list(r) for r in lat.gram]
     d, _, q = smith_form(g, carry_p=False)
     if 0 in d:
         raise DegenerateLatticeError("discriminant group requires det != 0")
-    keep = [i for i, di in enumerate(d) if di > 1]
-    cols = [[row[i] for row in q] for i in keep]
-    g_cols = [intlinalg.mat_vec(g, c) for c in cols]
-    factors = tuple(d[i] for i in keep)
-    bvals = [[Fraction(sum(map(mul, ci, gcj)), di * dj) for gcj, dj in zip(g_cols, factors)]
-             for ci, di in zip(cols, factors)]
-    even = lat.is_even()
+    factors = tuple(di for di in d if di > 1)
+    n = max(factors, default=1)
+    rows = [[row[i] * (n // di) for row in q] for i, di in enumerate(d) if di > 1]
+    g_rows = [intlinalg.mat_vec(g, r) for r in rows]
+    pairings = [[sum(map(mul, ri, gr)) // n for gr in g_rows] for ri in rows]
     form = FiniteQuadraticForm(
         invariant_factors=factors,
-        q=tuple(row[i] % 2 for i, row in enumerate(bvals)) if even else None,
-        b=tuple(tuple(x % 1 for x in row) for row in bvals),
+        q_num=tuple(row[i] % (2 * n) for i, row in enumerate(pairings)) if lat.is_even() else None,
+        b_num=tuple(tuple(x % n for x in row) for row in pairings),
     )
-    lifts = tuple(tuple(Fraction(x, di) for x in ci) for ci, di in zip(cols, factors))
-    return DiscriminantData(form=form, lifts=lifts)
+    return DiscriminantData(form=form, lift_rows=tuple(map(tuple, rows)))
 
 
 def genus_invariants(lat: Lattice) -> GenusInvariants:
@@ -438,7 +441,7 @@ def fqf_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
         raise ValueError(f"group order exceeds supported bound {_FQF_ORDER_LIMIT}")
     if a.invariant_factors != b.invariant_factors:
         return False
-    if (a.q is None) != (b.q is None):
+    if (a.q_num is None) != (b.q_num is None):
         return False
     if a.is_trivial():
         return True
@@ -449,7 +452,7 @@ def fqf_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
     def compatible(ga, image):
         if b.element_order(image) != a.element_order(ga):
             return False
-        if a.q is not None and b.q_of(image) != a.q_of(ga):
+        if a.q_num is not None and b.q_of(image) != a.q_of(ga):
             return False
         return True
 
@@ -463,7 +466,7 @@ def fqf_isomorphic(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> bool:
                 continue
             ok = True
             for prev_i, prev in enumerate(images):
-                if b.b_of(cand, prev) != a.b[idx][prev_i] % 1:
+                if b.b_of(cand, prev) != a.b_num[idx][prev_i]:
                     ok = False
                     break
             if ok and extend(idx + 1, images + [cand]):

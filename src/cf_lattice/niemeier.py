@@ -110,28 +110,27 @@ def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
     )
 
 
-_NIEMEIER_TABLE = [
-    ("D24", 46), ("D16+E8", 30), ("E8^3", 30), ("A24", 25), ("D12^2", 22),
-    ("A17+E7", 18), ("D10+E7^2", 18), ("A15+D9", 16), ("D8^3", 14),
-    ("A12^2", 13), ("A11+D7+E6", 12), ("E6^4", 12), ("A9^2+D6", 10),
-    ("D6^4", 10), ("A8^3", 9), ("A7^2+D5^2", 8), ("A6^4", 7),
-    ("A5^4+D4", 6), ("D4^6", 6), ("A4^6", 5), ("A3^8", 4), ("A2^12", 3),
-    ("A1^24", 2), ("-", 0),
-]
+_NIEMEIER_ROOT_SYSTEMS = (
+    "D24", "D16+E8", "E8^3", "A24", "D12^2", "A17+E7", "D10+E7^2", "A15+D9", "D8^3",
+    "A12^2", "A11+D7+E6", "E6^4", "A9^2+D6", "D6^4", "A8^3", "A7^2+D5^2", "A6^4",
+    "A5^4+D4", "D4^6", "A4^6", "A3^8", "A2^12", "A1^24", "-",
+)
 
 
 def niemeier_table() -> tuple[NiemeierEntry, ...]:
     """The 24 root systems of the even unimodular rank-24 lattices.
 
-    The last entry is the rootless one. Every entry satisfies the census
-    invariant: total root count equals 24 times the common Coxeter number.
+    The last entry is the rootless one, with Coxeter number 0. Every other
+    entry's components share one Coxeter number h, read off the label, and
+    every entry satisfies the census invariant: total root count equals 24h.
     """
     entries = []
-    for text, h in _NIEMEIER_TABLE:
+    for text in _NIEMEIER_ROOT_SYSTEMS:
         label = RootSystemLabel.parse(text)
-        for family, n in label.components:
-            if ade_coxeter_number(family, n) != h:
-                raise AssertionError(f"table entry {text} has mixed Coxeter numbers")
+        coxeter = {ade_coxeter_number(family, n) for family, n in label.components}
+        if len(coxeter) > 1:
+            raise AssertionError(f"table entry {text} has mixed Coxeter numbers")
+        h = coxeter.pop() if coxeter else 0
         if label.root_count() != 24 * h:
             raise AssertionError(f"table entry {text} fails the 24h census")
         entries.append(NiemeierEntry(root_system=label, coxeter_number=h))

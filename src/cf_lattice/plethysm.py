@@ -374,40 +374,21 @@ def decomposition_from_summands(group: str, pairs) -> RepDecomposition:
     return RepDecomposition(group, ordered)
 
 
-# -- Normal-slice pipelines ----------------------------------------------------
-#
-# For a point with reductive stabilizer H acting on the ambient P(Sym^3 W),
-# the H-character of the normal slice is
-#     (Sym^3 W - C) - (sl(W)|_H - Lie H),
-# with sl(W)|_H = W (x) W* - C.
+# -- Normal slices -------------------------------------------------------------
 
-def normal_slice_omega() -> RepDecomposition:
-    """SL(3) slice at the orbit with W = Sym^2 V; equals Sym^6 V (dim 28)."""
-    v = standard_character(SL3)
-    w = sym_power(v, 2)
-    cube = sym_power(w, 3)
-    one = trivial_character(SL3)
-    ambient_tangent = cube - one
-    orbit_tangent = (w * w.dual() - one) - irreducible_character(SL3, (1, 1))
-    slice_char = ambient_tangent - orbit_tangent
+def normal_slice(cube: CharacterPoly, w: CharacterPoly,
+                 stabilizer: CharacterPoly) -> RepDecomposition:
+    """H-character of the normal slice at a point with reductive stabilizer H.
+
+    H acts on the ambient P(Sym^3 W); `cube` is the character of Sym^3 W,
+    `w` that of W and `stabilizer` that of Lie H, all restricted to H. The
+    slice is (Sym^3 W - C) - (sl(W)|_H - Lie H), with sl(W)|_H = W (x) W* - C.
+    """
+    one = trivial_character(w.group)
+    slice_char = (cube - one) - ((w * w.dual() - one) - stabilizer)
     dec = decompose(slice_char)
     if dec.dimension() != slice_char.dimension():
-        raise ArithmeticError("dimension bookkeeping failed in the omega slice")
-    return dec
-
-
-def normal_slice_chi() -> RepDecomposition:
-    """SL(2) slice with W = Sym^4 V + C and stabilizer algebra Sym^2 V (dim 23)."""
-    v = standard_character(SL2)
-    w = sym_power(v, 4) + trivial_character(SL2)
-    cube = sym_power(w, 3)
-    one = trivial_character(SL2)
-    ambient_tangent = cube - one
-    orbit_tangent = (w * w.dual() - one) - irreducible_character(SL2, 2)
-    slice_char = ambient_tangent - orbit_tangent
-    dec = decompose(slice_char)
-    if dec.dimension() != slice_char.dimension():
-        raise ArithmeticError("dimension bookkeeping failed in the chi slice")
+        raise ArithmeticError("dimension bookkeeping failed in the normal slice")
     return dec
 
 

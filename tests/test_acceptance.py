@@ -145,9 +145,11 @@ def test_criterion_09_plethysm():
         + plethysm.trivial_character(plethysm.SL2)
     dec2 = plethysm.decompose(plethysm.sym_power(w2, 3))
     assert str(dec2) == "Sym^12(V) + Sym^8(V)^2 + Sym^6(V) + Sym^4(V)^3 + C^3"
-    omega = plethysm.normal_slice_omega()
+    omega = plethysm.normal_slice(plethysm.sym_power(w3, 3), w3,
+                                  plethysm.irreducible_character(plethysm.SL3, (1, 1)))
     assert str(omega) == "Gamma_{6,0}" and omega.dimension() == 28
-    chi = plethysm.normal_slice_chi()
+    chi = plethysm.normal_slice(plethysm.sym_power(w2, 3), w2,
+                                plethysm.irreducible_character(plethysm.SL2, 2))
     assert str(chi) == "Sym^12(V) + Sym^8(V) + C" and chi.dimension() == 23
     _report(9, 1, t0, "both cube decompositions and both normal slices")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cf_lattice import direct_sum, lattice_to_json, standard_lattice
+from cf_lattice import direct_sum, intlinalg, lattice_to_json, standard_lattice
 from cf_lattice.lattices import hadamard_bits
 from cf_lattice.cli import MAX_DET_DIGITS, main
 from cf_lattice.intlinalg import det, identity, mat_mul, transpose
@@ -114,6 +114,25 @@ def test_lattice_complement_and_saturate(tmp_path, capsys):
                                 "--rows", "[[2, 0]]"])
     assert code == 0
     assert json.loads(out)["basis"] == [[1, 0]]
+
+
+@pytest.mark.parametrize("action, products", [("complement", 3), ("saturate", 2)])
+def test_lattice_complement_and_saturate_build_the_induced_gram_once(
+        tmp_path, capsys, monkeypatch, action, products):
+    """The result's B G B^T (two products) gives both its Gram and its degeneracy;
+    `complement` adds one product, the pairings of the rows whose kernel it takes."""
+    shapes = []
+
+    def counted(a, b):
+        shapes.append((len(a), len(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(intlinalg, "mat_mul", counted)
+    path = write_lattice(tmp_path, "E7")
+    code, out, _ = run(capsys, ["--output", "json", "lattice", action, path,
+                                "--rows", "[[1, 0, 0, 0, 0, 0, 0]]"])
+    assert code == 0 and json.loads(out)["degenerate"] is False
+    assert len(shapes) == products, shapes
 
 
 def test_lattice_zero_rows(tmp_path, capsys):

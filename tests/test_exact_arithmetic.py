@@ -7,6 +7,7 @@ A second scan holds the integer-only modules (the glue and the root
 enumeration) to no `fractions` import at all.
 """
 import ast
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,42 @@ def test_fractions_scan_flags_both_import_forms():
 @pytest.mark.parametrize("name", INTEGER_ONLY)
 def test_integer_only_module_imports_nothing_from_fractions(name):
     assert fractions_imports((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_discriminant_forms_build_no_fraction(monkeypatch):
+    """Forms, lifts and the Niemeier glue run in integers over the exponent N: with
+    `Fraction` in `cf_lattice.lattices` made to raise, only the three read-only
+    views `q`, `b` and `lifts` reach it."""
+    from cf_lattice import lattices
+    from cf_lattice.niemeier import (construct_niemeier, entries_with_e_summand,
+                                     isotropic_subgroups, overlattice)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(lattices, "Fraction", no_fraction)
+    e6, a2 = lattices.standard_lattice("E6"), lattices.standard_lattice("A2")
+    neg_e6 = lattices.Lattice(tuple(tuple(-x for x in row) for row in e6.gram))
+    assert lattices.fqf_isomorphic(lattices.discriminant_data(a2).form,
+                                   lattices.discriminant_data(neg_e6).form)
+    assert not lattices.fqf_isomorphic(lattices.discriminant_data(a2).form,
+                                       lattices.discriminant_data(e6).form)
+    odd = lattices.discriminant_data(lattices.standard_lattice("diag(3,-12)"))
+    assert odd.form.q_num is None
+    assert {odd.form.b_of(x, y) for x in odd.form.elements() for y in odd.form.elements()}
+    for entry in entries_with_e_summand():
+        root_sum = lattices.direct_sum(*(lattices.standard_lattice(f"{f}{n}")
+                                         for f, n in entry.root_system.components))
+        data = lattices.discriminant_data(root_sum)
+        form = data.form
+        elements = list(form.elements())
+        assert all(type(form.q_of(x)) is int and type(form.b_of(x, y)) is int
+                   for x in elements for y in elements)
+        glue = next(isotropic_subgroups(data, isqrt(form.order)))
+        assert overlattice(root_sum, data, glue).glue_order ** 2 == form.order
+        assert construct_niemeier(entry).lattice.det() == 1
+        if form.is_trivial():  # E8^3: the views hold no value to convert
+            continue
+        for view in (lambda: form.q, lambda: form.b, lambda: data.lifts):
+            with pytest.raises(AssertionError, match="a Fraction was built"):
+                view()

@@ -1,8 +1,9 @@
 import cmath
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 import sympy
@@ -92,7 +93,7 @@ def test_complement_may_be_degenerate_but_flagged():
     iso = (1, 0, 0)  # isotropic in the hyperbolic plane
     comp = orthogonal_complement(amb, span_sublattice(amb, [iso]))
     assert comp.contains(iso)
-    assert comp.is_degenerate()
+    assert comp.lattice().is_degenerate()
 
 
 def test_complement_of_e6_in_e7_is_norm6_line():
@@ -120,7 +121,7 @@ def test_zero_sublattice_saturation_and_complement():
     assert zero.basis == ()
     assert saturation(a2, zero).basis == ()
     assert saturation_index(a2, zero) == 1
-    assert not zero.is_degenerate()
+    assert not zero.lattice().is_degenerate()
     assert orthogonal_complement(a2, zero).basis == ((1, 0), (0, 1))
 
 
@@ -366,8 +367,73 @@ def _milgram_sides(form, signature):
     sum over x in A of exp(pi i q(x)), and sqrt|A| exp(2 pi i (p - n) / 8).
     Complex floats, in this oracle only; the library stays exact."""
     p, n = signature
-    gauss = sum(cmath.exp(1j * cmath.pi * float(form.q_of(x))) for x in form.elements())
+    gauss = sum(cmath.exp(1j * cmath.pi * form.q_of(x) / form.exponent) for x in form.elements())
     return gauss, cmath.sqrt(form.order) * cmath.exp(2j * cmath.pi * (p - n) / 8)
+
+
+def _squarefree_divisors(m):
+    """The squarefree t | m, each with its Moebius sign (-1)^(number of primes of t)."""
+    out, k, p = [(1, 1)], m, 2
+    while k > 1:
+        if p * p > k:
+            p = k
+        if k % p == 0:
+            out += [(t * p, -mu) for t, mu in out]
+            while k % p == 0:
+                k //= p
+        p += 1
+    return out
+
+
+def _divided_by_binomial(poly, d):
+    """poly / (x^d - 1) if it divides exactly, else None; coefficients lowest first."""
+    quotient = []
+    for i in range(len(poly) - d):
+        quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
+    top = poly[len(poly) - d:]
+    if [quotient[i] if i >= 0 else 0 for i in range(len(quotient) - d, len(quotient))] != top:
+        return None
+    return quotient
+
+
+def _milgram_holds_exactly(form, signature):
+    """S^2 = |A| i^(p - n) for S = sum over x in A of zeta_2N^(N q(x)), in Z[zeta_M].
+
+    With M = lcm(2N, 8), an element of Z[zeta_M] is an integer polynomial of
+    degree < M in zeta = zeta_M, and it is 0 iff the M-th cyclotomic
+    polynomial divides it. Phi_M = prod over squarefree t | M of
+    (x^(M/t) - 1)^mu(t), so Phi_M divides T iff the binomials with mu = 1
+    divide T times those with mu = -1: shifts and exact divisions, no floats.
+    """
+    p, n = signature
+    big_n = form.exponent
+    m = lcm(2 * big_n, 8)
+    counts = Counter(form.q_of(x) * (m // (2 * big_n)) for x in form.elements())
+    poly = [0] * m
+    for e1, c1 in counts.items():
+        for e2, c2 in counts.items():
+            poly[(e1 + e2) % m] += c1 * c2
+    poly[m // 4 * (p - n) % m] -= form.order
+    for t, mu in _squarefree_divisors(m):
+        if mu == -1:  # times x^(m/t) - 1
+            d = m // t
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+    for t, mu in _squarefree_divisors(m):
+        if mu == 1:
+            poly = _divided_by_binomial(poly, m // t)
+            if poly is None:
+                return False
+    return True
+
+
+def _check_milgram(lat):
+    form = discriminant_data(lat).form
+    p, n = lat.signature()
+    gauss, expected = _milgram_sides(form, (p, n))
+    assert abs(gauss - expected) < 1e-9, lat.gram  # fixes the sign of S
+    assert _milgram_holds_exactly(form, (p, n)), lat.gram
+    assert not _milgram_holds_exactly(form, (p + 2, n)), lat.gram  # -S^2, never S^2
 
 
 def _milgram_lattices():
@@ -394,8 +460,7 @@ MILGRAM_CASES = _milgram_lattices()
 def test_discriminant_form_satisfies_milgram(label):
     lat = MILGRAM_CASES[label]
     assert lat.is_even()
-    gauss, expected = _milgram_sides(discriminant_data(lat).form, lat.signature())
-    assert abs(gauss - expected) < 1e-9, label
+    _check_milgram(lat)
 
 
 def _random_even_lattices(rng, definite, indefinite):
@@ -423,18 +488,20 @@ def test_milgram_on_seeded_random_even_lattices():
     lattices = _random_even_lattices(random.Random(43), 17, 18)
     assert len({lat.gram for lat in lattices}) == 35
     for lat in lattices:
-        gauss, expected = _milgram_sides(discriminant_data(lat).form, lat.signature())
-        assert abs(gauss - expected) < 1e-9, lat.gram
+        _check_milgram(lat)
 
 
 def test_milgram_rejects_a2_with_the_q_value_of_e6():
     # A2 and E6 both have discriminant group Z/3; swapping in E6's q = 4/3
     # conjugates the Gauss sum, which then matches signature 6, not 2
     form = discriminant_data(standard_lattice("A2")).form
-    wrong = form.replace(q=(Fraction(4, 3),))
+    wrong = form.replace(q_num=(4,))
     gauss, expected = _milgram_sides(wrong, (2, 0))
     assert abs(gauss - expected) > 1
     assert abs(gauss - _milgram_sides(wrong, (6, 0))[1]) < 1e-9
+    # S^2 sees p - n mod 4 only, so the exact check passes both: the sign of S is cmath's
+    assert _milgram_holds_exactly(wrong, (2, 0)) and _milgram_holds_exactly(form, (6, 0))
+    assert not _milgram_holds_exactly(form, (4, 0))
 
 
 def test_fqf_isomorphism():
@@ -583,10 +650,12 @@ def test_q_of_and_b_of_equal_the_fraction_sums(time_budget):
                     form.q_of(x)
             else:
                 got = form.q_of(x)
-                assert type(got) is Fraction and got == reference_q_of(form, x)
+                assert type(got) is int
+                assert Fraction(got, form.exponent) == reference_q_of(form, x)
             for y in others:
                 got = form.b_of(x, y)
-                assert type(got) is Fraction and got == reference_b_of(form, x, y)
+                assert type(got) is int
+                assert Fraction(got, form.exponent) == reference_b_of(form, x, y)
 
 
 def test_q_of_is_the_norm_of_a_lift_mod_2():
@@ -596,7 +665,7 @@ def test_q_of_is_the_norm_of_a_lift_mod_2():
     n = data.exponent
     for x in data.form.elements():
         v = data.lift(x)
-        assert data.form.q_of(x) == Fraction(lat.norm(v), n * n) % 2
+        assert Fraction(data.form.q_of(x), n) == Fraction(lat.norm(v), n * n) % 2
 
 
 def test_det_and_signature_share_one_elimination(monkeypatch):

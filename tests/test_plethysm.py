@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cf_lattice import checks, plethysm
 from cf_lattice.plethysm import (
     MAX_CHARACTER_WORK,
     MAX_NESTING,
@@ -19,8 +20,7 @@ from cf_lattice.plethysm import (
     decomposition_from_summands,
     irreducible_character,
     irrep_dimension,
-    normal_slice_chi,
-    normal_slice_omega,
+    normal_slice,
     parse_rep_expression,
     standard_character,
     sym_power,
@@ -190,8 +190,20 @@ def test_sl2_cube_of_quartic_plus_line():
     assert dec.dimension() == 56
 
 
+def omega_slice():
+    """The SL(3) point with W = Sym^2 V and stabilizer SL(3)."""
+    w = sym_power(standard_character(SL3), 2)
+    return normal_slice(sym_power(w, 3), w, irreducible_character(SL3, (1, 1)))
+
+
+def chi_slice():
+    """The SL(2) curve with W = Sym^4 V + C and stabilizer algebra Sym^2 V."""
+    w = sym_power(standard_character(SL2), 4) + trivial_character(SL2)
+    return normal_slice(sym_power(w, 3), w, irreducible_character(SL2, 2))
+
+
 def test_normal_slice_omega():
-    dec = normal_slice_omega()
+    dec = omega_slice()
     assert str(dec) == "Gamma_{6,0}"
     assert dec.dimension() == 28
     # dimension bookkeeping: 56 - 1 - (35 - 8)
@@ -199,10 +211,25 @@ def test_normal_slice_omega():
 
 
 def test_normal_slice_chi():
-    dec = normal_slice_chi()
+    dec = chi_slice()
     assert str(dec) == "Sym^12(V) + Sym^8(V) + C"
     assert dec.dimension() == 23
     assert 56 - 1 - (35 - 3) == 23
+
+
+@pytest.mark.parametrize("check_id", ["plethysm-omega", "plethysm-chi"])
+def test_each_plethysm_check_builds_sym3_w_once(monkeypatch, check_id):
+    """The check's own Sym^3 W serves both its cube decomposition and its normal slice."""
+    cubes = []
+
+    def counted(a, k):
+        if k == 3:
+            cubes.append(a)
+        return sym_power(a, k)
+
+    monkeypatch.setattr(plethysm, "sym_power", counted)
+    assert checks.run_check(check_id).status == "pass"
+    assert len(cubes) == 1
 
 
 def test_adjoint_restriction_through_quadric():
@@ -217,7 +244,7 @@ def test_weyl_symmetry_of_public_results():
     for chi in (sym_power(standard_character(SL3), 2),
                 sym_power(sym_power(standard_character(SL3), 2), 3),
                 sym_power(standard_character(SL2), 4),
-                normal_slice_chi().character()):
+                chi_slice().character()):
         assert chi.is_weyl_symmetric()
 
 
