@@ -7,8 +7,8 @@ list-of-list matrices and never mutate their arguments.
 One integer elimination loop, `_echelon` (Euclid down each column with the
 smallest entry as pivot), serves `hnf`, `kernel` and the Smith form; the
 Smith form (`smith_form`) is alternating row and column Hermite normal forms
-(Kannan-Bachem), not a loop of its own, and each divisibility fix-up runs one
-row and one column pass on the 2x2 block it touches. Column passes carry Q.
+(Kannan-Bachem), and each divisibility fix-up is the closed form of one row
+and one column pass on the 2x2 block it touches. Column passes carry Q.
 Row passes carry P only for the caller that reads it (`smith_normal_form`);
 `discriminant_data` reads d and Q alone, and there a row pass is the Hermite
 form of M padded with zero rows, so a zero invariant factor of singular or
@@ -22,12 +22,12 @@ as pivots); `Lattice.det`, `Lattice.signature` (through `pivot_signature`)
 and the Fincke-Pohst walk in `roots` read it.
 `mat_mul` adds up scaled rows of its right factor over the nonzero entries
 of each left row, because the Grams, bases and transforms multiplied here
-are mostly zero.
+are mostly zero; a left row more than half nonzero takes dot products.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Matrix = list[list[int]]
@@ -40,14 +40,17 @@ def identity(n: int) -> Matrix:
 def mat_mul(a, b):
     """Matrix product; works for int or Fraction entries.
 
-    Row i of the product is the sum of the rows of b, row k scaled by a_ik,
-    over the nonzero a_ik only: the Grams and bases multiplied here are
-    mostly zero, so a sparse row costs a few row updates instead of one dot
-    product per column. A row of a with no nonzero entry gives int zeros.
+    Row i sums the rows of b scaled by the nonzero a_ik, since the Grams and
+    bases multiplied here are mostly zero; a row more than half nonzero takes
+    dot products with b's columns, transposed once per call. A zero row gives int zeros.
     """
     width = len(b[0]) if b else 0
-    out = []
+    cols, out = None, []
     for row in a:
+        if 2 * row.count(0) < len(row):
+            cols = cols or list(zip(*b))
+            out.append([sum(map(mul, row, col)) for col in cols])
+            continue
         acc = [0] * width
         for x, b_row in zip(row, b):
             if x:
@@ -146,11 +149,12 @@ def det(a) -> int:
                 return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        p, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            c = row[k]
+            for j, y in enumerate(tail, k + 1):
+                row[j] = (row[j] * p - c * y) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -198,22 +202,8 @@ def smith_form(a, carry_p: bool) -> tuple[list[int], Matrix | None, Matrix]:
     zero invariant factor on singular or non-square input, which `hnf`
     alone would drop. Each pass is `hnf`, which reduces the entries above
     its pivots, and the leading pivot of the unfinished block only ever
-    shrinks to a proper divisor, so the loop ends.
-    If d_i does not divide d_{i+1}, column i+1 is added to column i, which
-    leaves the 2x2 block [[d_i, 0], [d_{i+1}, d_{i+1}]] on rows and columns
-    i, i+1, and one row pass and one column pass run on that block alone, the
-    row pass carrying rows i, i+1 of P (if carried) and the column pass
-    columns i, i+1 of Q. The row pass gives [[g, x], [0, y]] with
-    g = gcd(d_i, d_{i+1}), which divides x, so the column pass leaves
-    diag(g, y). Then the divisibility is scanned again from d_0.
-    On square nonsingular input this is exactly the full-width loop that runs
-    both passes over all of [M | P] and [M^T | Q^T] again: with M diagonal but
-    for (i+1, i), every other row and column of M holds one nonzero entry and
-    every pivot of a full pass lies in M, so a full pass only touches rows (or
-    columns) i and i+1, and does to them what the block pass does. On singular
-    or non-square input a full pass would also pivot inside P or Q and reduce
-    rows i, i+1 against those pivots, so P and Q can differ from the
-    full-width loop's while meeting the same contract.
+    shrinks to a proper divisor, so the loop ends. If d_i does not divide
+    d_{i+1}, `_fix_up` makes them gcd and lcm, and the scan resumes at d_{i-1}.
     """
     m = [list(r) for r in a]
     nrows, ncols = len(m), len(m[0]) if m else 0
@@ -227,20 +217,40 @@ def smith_form(a, carry_p: bool) -> tuple[list[int], Matrix | None, Matrix]:
         if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):
             break
     d = [m[i][i] for i in range(min(nrows, ncols))]
+    start = 0
     while True:
-        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        i = next((i for i in range(start, len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
         if i is None:
             return d, p, q
-        j = i + 1
-        block, pij = _hermite_pass([[d[i], 0], [d[j], d[j]]],
-                                   None if p is None else [p[i], p[j]])
-        if p is not None:
-            p[i], p[j] = pij
-        qt = [[row[i] + row[j] for row in q], [row[j] for row in q]]
-        block, qt = _hermite_pass(transpose(block), qt)
-        for row, x, y in zip(q, *qt):
-            row[i], row[j] = x, y
-        d[i], d[j] = block[0][0], block[1][1]
+        _fix_up(d, p, q, i)
+        start = max(i - 1, 0)
+
+
+def _fix_up(d, p, q, i) -> None:
+    """A `smith_form` fix-up in place: d_i, d_{i+1} = a, b become gcd and lcm.
+
+    Adding column i+1 to column i leaves M = [[a, 0], [b, b]] on rows and
+    columns i, i+1 (a does not divide b). With g = gcd(a, b) and y = ab/g,
+    its row HNF is H = [[g, x], [0, y]]: (g, x) = u(a, 0) + v(b, b) with
+    ua + vb = g and 0 <= x < y, so v = (b/g)^-1 mod a/g and x = vb. M is
+    nonsingular, so rows i, i+1 of P take H M^-1 = [[(g-x)/a, x/b], [-b/g, a/g]].
+    g divides x, so the column pass subtracts x/g times column i from column
+    i+1, of H^T and of Q. On square nonsingular input the full-width passes
+    over [M | P] and [M^T | Q^T] do the same, since all their pivots lie in
+    M; elsewhere their P and Q may differ from these.
+    """
+    a, b = d[i], d[i + 1]
+    g = gcd(a, b)
+    y = a // g * b
+    x = pow(b // g, -1, a // g) * b
+    d[i], d[i + 1] = g, y
+    for row in q:
+        c = row[i] + row[i + 1]
+        row[i], row[i + 1] = c, row[i + 1] - x // g * c
+    if p is not None:
+        s, t, u, v = (g - x) // a, x // b, -(b // g), a // g
+        p[i], p[i + 1] = ([s * e + t * f for e, f in zip(p[i], p[i + 1])],
+                          [u * e + v * f for e, f in zip(p[i], p[i + 1])])
 
 
 def adjugate(a) -> tuple[int, Matrix]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, ne
 
 from . import intlinalg
 from ._record import Record
@@ -39,13 +39,10 @@ class Lattice(Record):
 
     def __post_init__(self):
         n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if any(len(row) != n for row in self.gram):
+            raise ValueError("gram matrix must be square")
+        if any(map(ne, map(tuple, self.gram), zip(*self.gram))):
+            raise ValueError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:

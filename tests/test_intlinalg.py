@@ -227,20 +227,20 @@ def test_smith_normal_form_equals_the_full_width_loop_on_square_nonsingular_inpu
     bases, diagonals whose entries do not divide each other, and dense 1x1 to 6x6."""
     inputs = _square_nonsingular_inputs()
     assert [len(a) for a in inputs[:7]] == [24] * 6 + [28]
-    hermite_pass, passes = intlinalg._hermite_pass, []
+    fix_up, calls = intlinalg._fix_up, []
 
-    def counted(m, t):
-        passes.append(len(t) < len(t[0]))  # two rows of a wider P or Q^T: a 2x2 block
-        return hermite_pass(m, t)
+    def counted(*args):
+        calls.append(args[-1])
+        return fix_up(*args)
 
-    monkeypatch.setattr(intlinalg, "_hermite_pass", counted)
+    monkeypatch.setattr(intlinalg, "_fix_up", counted)
     fixed_up = []
     for a in inputs:
-        passes.clear()
+        calls.clear()
         out = smith_normal_form(a)
-        fixed_up.append(any(passes))
+        fixed_up.append(bool(calls))
         assert out == kannan_bachem_reference(a)
-    # six of the seven large sums, and over a third of all inputs, take a 2x2 fix-up
+    # six of the seven large sums, and over a third of all inputs, take a fix-up
     assert fixed_up[:7].count(True) == 6 and sum(fixed_up) > len(inputs) // 3
     assert smith_normal_form([[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0], [0, 0, 0, 10]])[0] \
         == [1, 2, 6, 180]
@@ -308,26 +308,28 @@ _PASS_COUNT_PROBE = """
 import json
 from collections import Counter
 from cf_lattice import checks, intlinalg
-hermite_pass, counts = intlinalg._hermite_pass, Counter()
-def counted(m, t):
-    # every row pass is followed by its column pass; no Smith input of a verify is
-    # 2x2, so a pass on two rows is a fix-up block; t is None when P is not carried
-    side = "column" if sum(counts.values()) % 2 else "row"
-    counts[" ".join((side, "block" if len(m) == 2 else "full",
-                     "bare" if t is None else "carrying"))] += 1
+hermite_pass, fix_up, counts = intlinalg._hermite_pass, intlinalg._fix_up, Counter()
+def counted_pass(m, t):
+    # every row pass is followed by its column pass; t is None when P is not carried
+    side = "column" if counts["passes"] % 2 else "row"
+    counts["passes"] += 1
+    counts[side + (" bare" if t is None else " carrying")] += 1
     return hermite_pass(m, t)
-intlinalg._hermite_pass = counted
+def counted_fix_up(d, p, q, i):
+    counts["fix-up" + (" bare" if p is None else " carrying")] += 1
+    return fix_up(d, p, q, i)
+intlinalg._hermite_pass, intlinalg._fix_up = counted_pass, counted_fix_up
 reports = checks.run_suite()
+del counts["passes"]
 print(json.dumps({"statuses": [r.status for r in reports], **counts}))
 """
 
 
-def test_one_verify_makes_24_full_width_and_260_block_hermite_passes():
-    """From a fresh import, `run_suite` takes 12 Smith forms (ranks 6 to 28), none of
-    them 2x2: one round of full passes each, and 130 row and 130 column passes on
-    2x2 blocks for the divisibility fix-ups. Column passes carry Q; row passes carry
-    P only in the one Smith form whose P is read (`disc_action` on the core), and
-    the 11 of `discriminant_data` run bare."""
+def test_one_verify_makes_24_full_width_hermite_passes_and_130_fix_ups():
+    """From a fresh import, `run_suite` takes 12 Smith forms (ranks 6 to 28): one
+    round of full passes each, and 130 divisibility fix-ups. Column passes carry Q;
+    row passes and fix-ups carry P only in the one Smith form whose P is read
+    (`disc_action` on the core), and the 11 of `discriminant_data` run bare."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
@@ -335,9 +337,94 @@ def test_one_verify_makes_24_full_width_and_260_block_hermite_passes():
                             capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(result.stdout)
     assert got == {"statuses": ["pass"] * 12,
-                   "row full bare": 11, "row full carrying": 1, "column full carrying": 12,
-                   "row block bare": 129, "row block carrying": 1,
-                   "column block carrying": 130}
+                   "row bare": 11, "row carrying": 1, "column carrying": 12,
+                   "fix-up bare": 129, "fix-up carrying": 1}
+
+
+def _block_passes(a, b, p, q):
+    """The fix-up as row and column Hermite passes on the 2x2 block: add column 1 to
+    column 0, then the row HNF of [[a, 0], [b, b]] carrying the rows of P, then the
+    row HNF of its transpose carrying the columns of Q."""
+    block, p_rows = intlinalg._hermite_pass([[a, 0], [b, b]], p)
+    q_cols = [[row[0] + row[1] for row in q], [row[1] for row in q]]
+    block, q_cols = intlinalg._hermite_pass(intlinalg.transpose(block), q_cols)
+    assert block == [[block[0][0], 0], [0, block[1][1]]]
+    return [block[0][0], block[1][1]], p_rows, intlinalg.transpose(q_cols)
+
+
+def test_fix_up_equals_the_2x2_block_passes_exhaustively():
+    """Every 1 <= a, b <= 60 with a not dividing b: d, the rows of P and the columns
+    of Q, with P carried and bare, on rows and columns that mix all entries."""
+    cases = 0
+    for a in range(1, 61):
+        for b in range(1, 61):
+            if b % a == 0:
+                continue
+            p, q = [[2, -3, 5], [7, 1, -4]], [[1, 4], [-2, 3], [5, -6], [0, 1]]
+            expected = _block_passes(a, b, p, q)
+            d = [a, b]
+            intlinalg._fix_up(d, p, q, 0)
+            assert (d, p, q) == expected
+            d, q = [a, b], [[1, 4], [-2, 3], [5, -6], [0, 1]]
+            intlinalg._fix_up(d, None, q, 0)
+            assert (d, q) == (expected[0], expected[2])
+            cases += 1
+    assert cases == 3600 - sum(60 // a for a in range(1, 61))
+
+
+def _naive_mat_mul(a, b, m):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(m)]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_mat_mul_matches_the_triple_loop_on_mixed_rows(kind):
+    """Seeded 0-8 x 0-8 times 0-8 x 0-8 factors whose left rows are each all zero,
+    sparse, half or dense (so both the scaled-row and the dot-product path run);
+    int input gives int output."""
+    rng = random.Random(3101 if kind == "int" else 3102)
+    dense_rows = sparse_rows = 0
+    for _ in range(400):
+        n, k, m = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 8)
+        if k == 0:
+            m = 0  # a k x 0 factor is k empty rows: its column count is lost
+        a = [_sparse(rng, 1, k, rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)), kind)[0]
+             for _ in range(n)]
+        b = _sparse(rng, k, m, rng.choice((0.3, 1.0)), kind)
+        product_ = intlinalg.mat_mul(a, b)
+        assert product_ == _naive_mat_mul(a, b, m)
+        assert len(product_) == n and all(len(row) == m for row in product_)
+        if kind == "int":
+            assert all(type(x) is int for row in product_ for x in row)
+        for row in a:
+            nonzero = sum(1 for x in row if x)
+            dense_rows += 2 * nonzero > k
+            sparse_rows += 0 < 2 * nonzero <= k
+    assert dense_rows > 200 and sparse_rows > 200
+
+
+def test_det_matches_fraction_elimination_up_to_12x12():
+    """Seeded 1x1 to 12x12, dense, singular (one row a combination of two others,
+    or a zero first column) and with zero leading entries that force row swaps."""
+    rng = random.Random(3103)
+    singular = swapped = 0
+    for n in range(1, 13):
+        for shape in range(12):
+            a = random_matrix(rng, n, n, bound=9)
+            if shape % 3 == 1 and n >= 3:
+                i, j, k = rng.sample(range(n), 3)
+                a[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                        for x, y in zip(a[j], a[k])]
+                singular += 1
+            if shape % 3 == 2:  # zero pivots at steps 0 and 1 unless rows are swapped in
+                for r in range(rng.randint(1, n)):
+                    a[r][0] = 0
+                a[min(1, n - 1)][min(1, n - 1)] = 0
+                swapped += 1
+            assert det(a) == _det_fraction(a)
+    assert singular >= 30 and swapped >= 40
+    assert det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+    assert det([[0, 1], [0, 2]]) == 0
 
 
 def test_det_matches_fraction_elimination():

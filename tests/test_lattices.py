@@ -555,6 +555,25 @@ def test_vector_divisibility():
         vector_divisibility(u, (0, 0))
 
 
+def test_asymmetric_grams_raise_as_tuples_and_as_lists():
+    """One entry off its mirror, at eight places of a 24x24 Gram or in a 2x2 one,
+    raises ValueError whether the rows are tuples or lists; symmetric Grams build."""
+    g = [list(r) for r in direct_sum(standard_lattice("E8"), standard_lattice("D16")).gram]
+    positions = [(0, 1), (1, 0), (0, 23), (23, 0), (22, 23), (23, 22), (7, 8), (12, 5)]
+    for i, j in positions:
+        bad = [list(r) for r in g]
+        bad[i][j] += 1
+        for gram in (tuple(map(tuple, bad)), bad):
+            with pytest.raises(ValueError, match="symmetric"):
+                Lattice(gram)
+    for gram in (((2, 1), (0, 2)), [[2, 1], [0, 2]], [[0, -1], [1, 0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            Lattice(gram)
+    with pytest.raises(ValueError, match="square"):
+        Lattice([[2, 1], [1]])
+    assert Lattice(tuple(map(tuple, g))).det() == Lattice(g).det() == 4
+
+
 def test_json_round_trip_and_big_integers():
     lat = standard_lattice("A2")
     assert lattice_from_json(lattice_to_json(lat)) == lat
