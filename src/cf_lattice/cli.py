@@ -92,7 +92,7 @@ def _parse_rows(text: str):
     if (not isinstance(rows, list) or not rows
             # type(), not isinstance(): JSON true and false load as bool, an int subclass
             or not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)):
-        raise _fail(EXIT_PARSE, "--rows must be a JSON array of integer arrays")
+        raise _fail(EXIT_PARSE, "--rows must be a non-empty JSON array of integer arrays")
     return [tuple(r) for r in rows]
 
 

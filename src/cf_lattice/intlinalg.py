@@ -13,16 +13,17 @@ Row passes carry P only for the caller that reads it (`smith_normal_form`);
 `discriminant_data` reads d and Q alone, and there a row pass is the Hermite
 form of M padded with zero rows, so a zero invariant factor of singular or
 non-square input survives. Inverses come from one fraction-free (Bareiss)
-Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in integers;
-`rational_inverse` is its Fraction view and the one place here that builds
-Fractions. `det` is the forward half of the same elimination, without the
-right block. Symmetric matrices have one fraction-free
-elimination of their own, `symmetric_bareiss` (LDL^T with the leading minors
+Gauss-Jordan loop, `adjugate`, which returns (det A, adj A) in integers; the
+library calls it only on the 6x6 E6 Gram of each E_r split (`period`), and
+`rational_inverse` is its Fraction view, the one place here that builds
+Fractions. `det` is the forward half of the same elimination. Symmetric
+matrices have their own, `symmetric_bareiss` (LDL^T with the leading minors
 as pivots); `Lattice.det`, `Lattice.signature` (through `pivot_signature`)
-and the Fincke-Pohst walk in `roots` read it.
-`mat_mul` adds up scaled rows of its right factor over the nonzero entries
-of each left row, because the Grams, bases and transforms multiplied here
-are mostly zero; a left row more than half nonzero takes dot products.
+and the Fincke-Pohst walk in `roots` read it. `mat_mul` adds up scaled rows
+of its right factor over the nonzero entries of each left row, since the
+Grams, bases and transforms multiplied here are mostly zero (a left row
+more than half nonzero takes dot products); a congruence h G h^T is taken
+as h (h G)^T, G symmetric, so that the sparse h is the left factor twice.
 """
 from __future__ import annotations
 
@@ -306,10 +307,11 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
     integer row of pivot k when it is taken (zero at the earlier pivots,
     D_k at its own index), and nullity = n - r. Every division is by the
     previous pivot and exact (Bareiss, Math. Comp. 22, 1968). A step updates
-    only the remaining rows and columns, and only one entry of each
-    symmetric pair. A positive definite matrix pivots in its natural order:
-    with l_ij = rows[i][j] / D_i and d_i = D_i / D_(i-1), it is
-    L^T diag(d) L.
+    only the remaining rows and columns, only one entry of each symmetric
+    pair and, in a row that does not meet the pivot, only the nonzero entries
+    (they are scaled; zeros stay zero). A positive definite matrix pivots in
+    its natural order: with l_ij = rows[i][j] / D_i and d_i = D_i / D_(i-1),
+    it is L^T diag(d) L.
     """
     m = [list(row) for row in gram]
     active = list(range(len(m)))
@@ -333,8 +335,13 @@ def symmetric_bareiss(gram) -> tuple[list[int], Matrix, int]:
         for a, i in enumerate(active):
             mi = m[i]
             c = row[i]
-            for j in active[a:]:
-                mi[j] = m[j][i] = (p * mi[j] - c * row[j]) // prev
+            if c:
+                for j in active[a:]:
+                    mi[j] = m[j][i] = (p * mi[j] - c * row[j]) // prev
+            else:
+                for j in active[a:]:
+                    if mi[j]:
+                        mi[j] = m[j][i] = p * mi[j] // prev
             mi[piv] = 0
         pivots.append(p)
         rows.append(row)

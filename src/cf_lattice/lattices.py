@@ -4,7 +4,7 @@ A lattice is a free Z-module with an integer Gram matrix on a fixed basis.
 Vectors are plain integer tuples in that basis. All values are immutable
 and all operations are pure functions. Dual-lattice coordinates (discriminant
 forms and their generator lifts) come from the Smith transforms of the Gram,
-and sublattice coordinates from one integer adjugate: nothing here inverts a
+and sublattice coordinates from one Hermite form: nothing here inverts a
 matrix in Fractions.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul, ne
 
 from . import intlinalg
 from ._record import Record
-from .intlinalg import Matrix, hnf, kernel, smith_form
+from .intlinalg import hnf, kernel, smith_form
 
 Vector = tuple[int, ...]
 
@@ -110,35 +110,38 @@ class Sublattice(Record):
 
     def induced_gram(self) -> tuple[tuple[int, ...], ...]:
         b = [list(r) for r in self.basis]
-        g = [list(r) for r in self.ambient.gram]
-        bg = intlinalg.mat_mul(b, g)
-        return tuple(tuple(r) for r in intlinalg.mat_mul(bg, intlinalg.transpose(b)))
+        # B G B^T as B (B G)^T, G symmetric: B's sparse rows are the left factor twice
+        bg = intlinalg.mat_mul(b, [list(r) for r in self.ambient.gram])
+        return tuple(tuple(r) for r in intlinalg.mat_mul(b, intlinalg.transpose(bg)))
 
     def lattice(self, name: str | None = None) -> Lattice:
         return Lattice(self.induced_gram(), name=name)
 
     @cached_property
-    def _coordinate_solver(self) -> tuple[Matrix, int, Matrix]:
-        """(B, det(B B^T), adj(B B^T)), built on the first `from_ambient` of this object."""
-        b = [list(r) for r in self.basis]
-        return (b, *intlinalg.adjugate(intlinalg.mat_mul(b, intlinalg.transpose(b))))
+    def _coordinate_solver(self) -> list[tuple[list[int], int]]:
+        """The rows of [H | U] = hnf([B | I]) with their pivot columns, built on the first
+        `from_ambient` of this object: U B = H, and every pivot lies in H."""
+        rows = hnf([list(b) + e for b, e in zip(self.basis, intlinalg.identity(self.rank))])
+        return [(r, next(j for j, x in enumerate(r) if x)) for r in rows]
 
     def from_ambient(self, v: Vector) -> Vector:
         """Coordinates c with c * B = v in this basis B; error if v is not in the sublattice.
 
-        In integers: det(B B^T) * c = (v * B^T) * adj(B B^T), B having independent rows.
-        The det and adjugate are paid once per sublattice object; the span and
-        integrality checks run on every call.
+        x H = v is solved pivot by pivot on the rows of [H | U]: [v | 0] - x [H | U]
+        = [v - c B | -c], c = x U, and v is in the sublattice iff the residual v - c B
+        is 0; if not, a rank test on [B; v] picks the message. H is paid once per object.
         """
         if len(v) != self.ambient.rank:
             raise ValueError("vector length does not match the ambient rank")
-        b, d, adj = self._coordinate_solver
-        scaled = intlinalg.mat_vec(adj, intlinalg.mat_vec(b, list(v)))
-        if any(sum(c * row[j] for c, row in zip(scaled, b)) != d * x for j, x in enumerate(v)):
-            raise ValueError("vector does not lie in the sublattice span")
-        if any(c % d for c in scaled):
-            raise ValueError("vector lies in the span but not in the sublattice")
-        return tuple(c // d for c in scaled)
+        residual = list(v) + [0] * self.rank
+        for row, p in self._coordinate_solver:
+            q = residual[p] // row[p]
+            residual = [a - q * b for a, b in zip(residual, row)]
+        if any(residual[:len(v)]):
+            raise ValueError("vector lies in the span but not in the sublattice"
+                             if intlinalg.rank([*self.basis, v]) == self.rank
+                             else "vector does not lie in the sublattice span")
+        return tuple(-c for c in residual[len(v):])
 
     def contains(self, v: Vector) -> bool:
         try:

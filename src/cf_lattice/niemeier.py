@@ -55,7 +55,7 @@ def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
     G v = 0 mod N and is isotropic iff v^T G v = 0 mod 2N^2. The Hermite
     form h of those rows is n x n and upper triangular with a positive
     diagonal (N*I is among them), and the new basis is h / N, so:
-    - the new Gram is h G h^T / N^2, and it must be integral;
+    - the new Gram is h G h^T / N^2 = h (h G)^T / N^2, and it must be integral;
     - the index over L (the glue order) is N^n / det h, det h being the
       product of the diagonal, and |det| drops from the discriminant order
       of `data` by its square;
@@ -81,7 +81,7 @@ def overlattice(lat: Lattice, data: DiscriminantData, elements) -> GluedLattice:
             raise GlueError("glue vector is not isotropic (norm not in 2Z)")
         rows.append(list(v))
     h = intlinalg.hnf(rows)
-    scaled_gram = intlinalg.mat_mul(intlinalg.mat_mul(h, g), intlinalg.transpose(h))
+    scaled_gram = intlinalg.mat_mul(h, intlinalg.transpose(intlinalg.mat_mul(h, g)))
     den_sq = den * den
     if any(x % den_sq for row in scaled_gram for x in row):
         raise GlueError("resulting pairings are not integral: glue is not a subgroup"

@@ -163,7 +163,7 @@ def test_lattice_rows_not_an_array_of_integer_arrays_exit_2(tmp_path, capsys, ro
     code, out, err = run_exit(capsys, ["lattice", "saturate", path, "--rows", rows])
     assert code == 2
     assert out == ""
-    assert "--rows must be" in err
+    assert "--rows must be a non-empty JSON array of integer arrays" in err
 
 
 def test_lattice_rows_required(tmp_path, capsys):

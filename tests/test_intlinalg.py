@@ -27,7 +27,7 @@ from cf_lattice.intlinalg import (
 )
 from cf_lattice.lattices import cartan_gram, direct_sum, standard_lattice
 from cf_lattice.niemeier import construct_niemeier, entries_with_e_summand
-from cf_lattice.period import build_period_model
+from cf_lattice.period import build_period_model, glue_unimodular_26_2
 
 
 def random_matrix(rng, n, m, bound=6):
@@ -617,6 +617,77 @@ def test_symmetric_bareiss_equals_the_whole_row_elimination():
     for entry in entries_with_e_summand():
         g = [row[::-1] for row in construct_niemeier(entry).lattice.gram[::-1]]
         assert symmetric_bareiss(g) == reference_symmetric_bareiss(g)
+
+
+def every_entry_symmetric_bareiss(gram):
+    """`symmetric_bareiss` updating every entry of the active upper triangle, zeros of
+    a row that does not meet the pivot included."""
+    m = [list(row) for row in gram]
+    active = list(range(len(m)))
+    pivots, rows = [], []
+    prev = 1
+    while active:
+        piv = next((i for i in active if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if m[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for k in active:
+                m[k][piv] += m[k][j]
+        active.remove(piv)
+        row = m[piv]
+        p = row[piv]
+        for a, i in enumerate(active):
+            mi = m[i]
+            c = row[i]
+            for j in active[a:]:
+                mi[j] = m[j][i] = (p * mi[j] - c * row[j]) // prev
+            mi[piv] = 0
+        pivots.append(p)
+        rows.append(row)
+        prev = p
+    return pivots, rows, len(active)
+
+
+def _bareiss_oracle_grams():
+    """Diagonal, block-diagonal, zero-diagonal and glued Grams, then seeded skewed,
+    indefinite and degenerate ones."""
+    labels = ["I_{21,2}", "diag(1, -2, 3, 0, 5)", "A1+E8+E8+U+U", "U", "U+U", "E6+A2+U",
+              "D4+D4+A3", "E7+U+A1"]
+    grams = [direct_sum(*map(standard_lattice, label.split("+"))).gram for label in labels]
+    grams += [construct_niemeier(entry).lattice.gram for entry in entries_with_e_summand()]
+    model = build_period_model()
+    grams += [glue_unimodular_26_2(model).lattice.gram, model.core_lattice.gram]
+    rng = random.Random(53)
+    for label in ("A2+U", "E6+U", "D5+A3", "A1+A1+U+U", "E8"):
+        grams.append(_skewed(rng, direct_sum(*map(standard_lattice, label.split("+"))).gram))
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.3:
+                    g[i][j] = g[j][i] = rng.randint(-5, 5)
+        if rng.random() < 0.3:  # degenerate: the first basis vector repeated
+            g.append(list(g[0]))
+            for r, x in zip(g, g[0] + [g[0][0]]):
+                r.append(x)
+        grams.append(g)
+    return grams
+
+
+def test_symmetric_bareiss_equals_the_every_entry_elimination():
+    """Skipping the zeros of a row that does not meet the pivot changes nothing: the
+    same pivots, rows and nullity as the every-entry loop, on diagonal, block-diagonal
+    and zero-diagonal Grams (U, U+U), the six glued Niemeier Grams, II_{26,2}, and
+    seeded skewed, indefinite and degenerate ones."""
+    grams = _bareiss_oracle_grams()
+    outcomes = [every_entry_symmetric_bareiss(g) for g in grams]
+    assert [symmetric_bareiss(g) for g in grams] == outcomes
+    assert {nullity > 0 for _, _, nullity in outcomes} == {False, True}
+    assert {pivot_signature(p, k)[1] > 0 for p, _, k in outcomes} == {False, True}
 
 
 def test_rational_inverse_and_solve():

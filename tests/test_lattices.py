@@ -28,6 +28,7 @@ from cf_lattice import (
 )
 from cf_lattice import intlinalg
 from cf_lattice.niemeier import entries_with_e_summand
+from cf_lattice.period import build_period_model, glue_unimodular_26_2
 
 I_21_2 = standard_lattice("I_{21,2}")
 H = tuple([1] * 21 + [3, 3])
@@ -170,6 +171,86 @@ def test_from_ambient_and_contains_match_sympy():
         with pytest.raises(ValueError, match="ambient rank"):
             sub.from_ambient(v)
         assert not sub.contains(v)
+
+
+@pytest.fixture(scope="module")
+def period_model():
+    return build_period_model()
+
+
+@pytest.fixture(scope="module")
+def core_and_e6_image(period_model):
+    return period_model.core, glue_unimodular_26_2(period_model).e6_image
+
+
+def reference_from_ambient(sub, v):
+    """The adjugate solver: det(B B^T) c = (v B^T) adj(B B^T), the span checked first."""
+    if len(v) != sub.ambient.rank:
+        raise ValueError("vector length does not match the ambient rank")
+    b = [list(r) for r in sub.basis]
+    d, adj = intlinalg.adjugate(intlinalg.mat_mul(b, intlinalg.transpose(b)))
+    scaled = intlinalg.mat_vec(adj, intlinalg.mat_vec(b, list(v)))
+    if any(sum(c * row[j] for c, row in zip(scaled, b)) != d * x for j, x in enumerate(v)):
+        raise ValueError("vector does not lie in the sublattice span")
+    if any(c % d for c in scaled):
+        raise ValueError("vector lies in the span but not in the sublattice")
+    return tuple(c // d for c in scaled)
+
+
+def _coordinates_or_message(solve, v):
+    try:
+        return solve(v)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _skewed_sublattice(rng, lat, r):
+    """(S, A): A holds r seeded independent rows, and S is spanned by A with its first
+    row times 2 or 3, in a basis skewed by 3r seeded unimodular row steps."""
+    n = lat.rank
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if intlinalg.rank(a) == r:
+            break
+    b = [list(row) for row in a]
+    b[0] = [rng.choice((2, 3)) * x for x in b[0]]
+    for _ in range(3 * r if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+    return Sublattice(lat, tuple(map(tuple, b))), a
+
+
+def test_from_ambient_equals_the_adjugate_solver(core_and_e6_image):
+    """The Hermite solver returns the adjugate solver's coordinates or its message, and
+    `contains` agrees, on seeded skewed sublattices of rank 1-12 in ambients of rank up
+    to 14, on the core and on the E6 image in II_{26,2}: lattice vectors, vectors of the
+    span only (a lattice vector plus A's first row) and vectors outside the span."""
+    rng = random.Random(29)
+    cases = []
+    for r in range(1, 13):
+        for n in sorted({r, min(r + 1, 14), rng.randint(r, 14), 14}):
+            ambient = Lattice(tuple(map(tuple, intlinalg.identity(n))))
+            sub, a = _skewed_sublattice(rng, ambient, r)
+            for _ in range(3):
+                c = [rng.randint(-4, 4) for _ in range(r)]
+                in_lattice = intlinalg.mat_mul([c], [list(row) for row in sub.basis])[0]
+                span_only = [x + y for x, y in zip(in_lattice, a[0])]
+                off = [x + rng.randint(-1, 1) for x in in_lattice]
+                cases += [(sub, v) for v in (in_lattice, span_only, off)]
+    for sub in core_and_e6_image:
+        rows = [list(row) for row in sub.basis]
+        for _ in range(6):
+            v = intlinalg.mat_mul([[rng.randint(-3, 3) for _ in rows]], rows)[0]
+            cases += [(sub, v), (sub, [x + (j == 0) for j, x in enumerate(v)])]
+    seen = Counter()
+    for sub, v in cases:
+        v = tuple(v)
+        got = _coordinates_or_message(sub.from_ambient, v)
+        assert got == _coordinates_or_message(lambda u: reference_from_ambient(sub, u), v)
+        assert sub.contains(v) == isinstance(got, tuple)
+        seen[got if isinstance(got, str) else "in the sublattice"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 40
 
 
 def test_sublattice_rows_must_have_ambient_length():
@@ -614,6 +695,37 @@ def test_induced_gram_consistency():
         expected = intlinalg.mat_mul(intlinalg.mat_mul(b, [list(r) for r in lat.gram]),
                                      intlinalg.transpose(b))
         assert [list(r) for r in comp.induced_gram()] == expected
+
+
+def test_induced_gram_equals_the_b_g_then_b_transpose_order(period_model, core_and_e6_image):
+    """B (B G)^T is (B G) B^T item by item: on the core, the E6 image in II_{26,2} and
+    the monodromy check's rank-2 sublattice and its rank-21 complement, and on seeded
+    sparse bases (Hermite complements and few-entry rows) in dense Grams of rank up
+    to 40."""
+    h, delta = period_model.polarization, period_model.long_root
+    second = tuple(a - (a + b) // 3 for a, b in zip(h, delta))
+    fixed = span_sublattice(I_21_2, [h, second])
+    subs = [*core_and_e6_image, Sublattice(I_21_2, (h, second)),
+            orthogonal_complement(I_21_2, fixed)]
+    rng = random.Random(37)
+    for n in (3, 8, 17, 40):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-9, 9)
+        lat = Lattice(tuple(map(tuple, g)))
+        sparse = [[rng.choice((-1, 1)) if rng.random() < 0.2 else 0 for _ in range(n)]
+                  for _ in range(n // 2)]
+        subs.append(span_sublattice(lat, sparse))
+        if not lat.is_degenerate():
+            line = span_sublattice(lat, [[rng.randint(-2, 2) for _ in range(n)]])
+            subs.append(orthogonal_complement(lat, line))
+    for sub in subs:
+        b = [list(r) for r in sub.basis]
+        expected = intlinalg.mat_mul(intlinalg.mat_mul(b, [list(r) for r in sub.ambient.gram]),
+                                     intlinalg.transpose(b))
+        assert sub.induced_gram() == tuple(map(tuple, expected))
+    assert len(subs) >= 10
 
 
 # -- q_of and b_of against the Fraction sums they replaced ---------------------------

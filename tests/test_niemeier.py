@@ -474,6 +474,34 @@ def test_overlattice_matches_the_bareiss_reference_on_seeded_glues(time_budget):
     assert len(kinds) == 3  # some glue, some are not isotropic, some pair non-integrally
 
 
+def test_overlattice_matches_the_bareiss_reference_on_seeded_dense_grams(time_budget):
+    """The reference multiplies (h G) h^T, `overlattice` h (h G)^T: the same glued Gram
+    item by item on A-D-E sums in seeded skewed bases U G U^T, where G is mostly
+    nonzero, for up to two isotropic subgroups of each order k > 1 with k^2 dividing
+    the discriminant order."""
+    rng = random.Random(61)
+    glued = 0
+    for labels in ("E6+A2", "A3+A3+D4", "D4+D4", "A5+A1+E6", "A2+A2+A2+A2", "E7+A1",
+                   "A8", "A4+A4", "D6+A1+A1"):
+        g = [list(r) for r in direct_sum(*map(standard_lattice, labels.split("+"))).gram]
+        n = len(g)
+        u = intlinalg.identity(n)
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            sign = rng.choice((-1, 1))
+            u[i] = [x + sign * y for x, y in zip(u[i], u[j])]
+        base = Lattice(tuple(map(tuple, intlinalg.mat_mul(intlinalg.mat_mul(u, g),
+                                                          intlinalg.transpose(u)))))
+        assert 2 * sum(row.count(0) for row in base.gram) < n * n
+        data = discriminant_data(base)
+        for k in range(2, isqrt(data.form.order) + 1):
+            if data.form.order % (k * k) == 0:
+                for subgroup, _ in zip(isotropic_subgroups(data, k), range(2)):
+                    assert_glues_like_bareiss(base, data, subgroup)
+                    glued += 1
+    assert glued >= 10
+
+
 def test_overlattice_rejects_each_invalid_glue_like_the_bareiss_reference():
     a2 = standard_lattice("A2")
     e6_a2 = direct_sum(standard_lattice("E6"), a2)

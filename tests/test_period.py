@@ -394,8 +394,8 @@ import json
 import sys
 from cf_lattice import checks, intlinalg, lattices, period
 core = period.build_period_model().core_lattice   # the reference, built before counting
-calls = {"complement_of_a_line": 0, "adjugate_22": 0, "elimination_28": 0}
-disc_grams = []
+calls = {"complement_of_a_line": 0, "elimination_28": 0}
+adjugate_sizes, disc_grams = [], []
 
 def patch(module, name, count):
     original = getattr(module, name)
@@ -412,29 +412,31 @@ def tally(key, hit):
 
 patch(lattices, "orthogonal_complement",
       lambda lat, sub: tally("complement_of_a_line", sub.rank == 1))
-patch(intlinalg, "adjugate", lambda a: tally("adjugate_22", len(a) == 22))
+patch(intlinalg, "adjugate", lambda a: adjugate_sizes.append(len(a)))
 patch(intlinalg, "symmetric_bareiss", lambda a: tally("elimination_28", len(a) == 28))
 patch(lattices, "discriminant_data", lambda lat: disc_grams.append(lat.gram))
 reports = checks.run_suite()
 print(json.dumps({"statuses": [r.status for r in reports], **calls,
+                  "adjugate_sizes": adjugate_sizes,
                   "disc_of_core": disc_grams.count(core.gram)}))
 """
 
 
 def test_one_verify_builds_the_core_lattice_once():
-    """From a fresh import, `run_suite` takes the complement of span(h) once, pays one
-    22x22 adjugate (the core's coordinate solver), one rank-28 elimination
-    (II_{26,2}'s, whose det and signature the complement inside the glue and the
-    lambda-prime check share) and one discriminant form of the 22x22 core, all
-    inside the one period model the run builds."""
+    """From a fresh import, `run_suite` takes the complement of span(h) once, one
+    rank-28 elimination (II_{26,2}'s, whose det and signature the complement inside
+    the glue and the lambda-prime check share) and one discriminant form of the
+    22x22 core, all inside the one period model the run builds. Its only adjugates
+    are the three 6x6 ones of the E_r splits: the core's coordinates come from a
+    Hermite form."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path_env = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path_env if path_env else "")}
     result = subprocess.run([sys.executable, "-c", _CORE_BUILD_PROBE], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(result.stdout) == {
-        "statuses": ["pass"] * 12, "complement_of_a_line": 1, "adjugate_22": 1,
-        "elimination_28": 1, "disc_of_core": 1}
+        "statuses": ["pass"] * 12, "complement_of_a_line": 1, "elimination_28": 1,
+        "adjugate_sizes": [6, 6, 6], "disc_of_core": 1}
 
 
 _ROOT_COMPONENTS_PROBE = """
